@@ -34,27 +34,27 @@ pub struct Fo2Stats {
     pub compositions_summed: usize,
     /// Compositions skipped by the engine's zero-term subtree cutoffs.
     pub compositions_pruned: usize,
-    /// All compositions over the branches' non-zero cells
-    /// (`summed + pruned`, saturating).
+    /// All compositions over the cells the branches' sums range over
+    /// (non-zero, merged): `summed + pruned`, saturating.
     pub compositions_total: usize,
     /// Valid cells dropped before the sum because their weight is zero.
     pub zero_weight_cells_pruned: usize,
+    /// Non-zero cells merged into an interchangeable cell before the sum.
+    pub cells_merged: usize,
 }
 
 impl std::fmt::Display for Fo2Stats {
-    /// The full human-readable cost profile. Earlier formatting only showed
-    /// the composition prune ratio and silently dropped the cell-level
-    /// accounting; this surfaces every collected field, in particular the
-    /// zero-weight cells dropped before the sum ("zero cells" — there is no
-    /// cell *merging* yet; when ROADMAP item 4 lands its `cells_merged`
-    /// count joins this line).
+    /// The full human-readable cost profile: every collected field, in
+    /// particular the cells removed before the sum — zero-weight cells
+    /// dropped and interchangeable cells merged.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} cells ({} zero cells dropped), {} summed + {} pruned of {} compositions, \
-             {} Shannon branch(es), {} introduced predicate(s)",
+            "{} cells ({} zero cells dropped, {} merged), {} summed + {} pruned of {} \
+             compositions, {} Shannon branch(es), {} introduced predicate(s)",
             self.total_valid_cells,
             self.zero_weight_cells_pruned,
+            self.cells_merged,
             self.compositions_summed,
             self.compositions_pruned,
             self.compositions_total,
@@ -80,6 +80,7 @@ impl Fo2Stats {
         self.zero_weight_cells_pruned = self
             .zero_weight_cells_pruned
             .saturating_add(s.zero_weight_cells_pruned);
+        self.cells_merged = self.cells_merged.saturating_add(s.cells_merged);
     }
 }
 
@@ -289,6 +290,7 @@ mod tests {
         let text = stats.to_string();
         assert!(text.contains("cells ("), "{text}");
         assert!(text.contains("zero cells dropped"), "{text}");
+        assert!(text.contains("merged"), "{text}");
         assert!(text.contains("summed"), "{text}");
         assert!(text.contains("Shannon branch(es)"), "{text}");
         assert!(text.contains("introduced predicate(s)"), "{text}");

@@ -22,11 +22,26 @@
 //! square-and-multiply beyond). Cells with zero weight are dropped up front,
 //! and a whole subtree is cut as soon as the running term hits zero, which is
 //! what makes hard constraints (zero-weight pair entries) collapse the search
-//! space instead of merely zeroing terms late. Independent top-level cell
-//! splits run on scoped threads. The `term × leaf` products at the bottom of
-//! the DFS accumulate through a balanced sum tree ([`BalancedSum`]) rather
-//! than a running `+=`, so each exact-rational addition combines operands of
-//! comparable size instead of adding a small term to an ever-growing total.
+//! space instead of merely zeroing terms late.
+//!
+//! Interchangeable cells are merged up front too. A class of `c` cells with
+//! equal weights `u`, `r_ii = r_jj = r_ij` inside the class and equal pair
+//! entries against every other cell becomes one cell of weight `c·u`: the
+//! splits of `M` elements over the class sum to `c^M` by the multinomial
+//! theorem, and all `C(M,2)` pairs inside it carry `r`. The DFS then ranges
+//! over compositions into fewer cells (table1 FOMC at n = 30: 7 cells
+//! become 4, 1 947 792 compositions become 5 456). Whether cells coincide
+//! depends on the bound weights — unit-weight FOMC and the (1, 1) auxiliary
+//! predicates of the MLN reduction make many copies — so the merge happens
+//! here, per count, not at prepare time. Both the zero-cell drop and the
+//! merge are skipped for order-sensitive algebras (log-space floats and
+//! their lanes), whose traversal must not depend on the weights.
+//!
+//! Independent top-level cell splits run on scoped threads. The
+//! `term × leaf` products at the bottom of the DFS accumulate through a
+//! balanced sum tree ([`BalancedSum`]) rather than a running `+=`, so each
+//! exact-rational addition combines operands of comparable size instead of
+//! adding a small term to an ever-growing total.
 //!
 //! The engine itself ([`cell_sum_elems`]) only adds and multiplies, so it is
 //! generic over the evaluation [`Algebra`] — the zero-subtree cutoff is
@@ -46,7 +61,7 @@ use num_traits::{One, Zero};
 use wfomc_guard::{Gate, Guard, Interrupt, Meter, Ungated};
 use wfomc_logic::algebra::{Algebra, Exact, Powers};
 use wfomc_logic::syntax::Formula;
-use wfomc_logic::weights::{weight_pow, Weight};
+use wfomc_logic::weights::{weight_int, weight_pow, Weight};
 
 use super::cells::{build_cells, build_pair_table, CellSpace};
 use super::normalize::Fo2Shape;
@@ -63,11 +78,15 @@ pub struct CellSumStats {
     pub valid_cells: usize,
     /// Valid cells dropped up front because their weight `u_c` is zero.
     pub zero_weight_cells_pruned: usize,
+    /// Non-zero cells folded into an interchangeable cell before the DFS
+    /// (always zero under order-sensitive algebras).
+    pub cells_merged: usize,
     /// Compositions whose term was actually evaluated (leaves reached).
     pub compositions_summed: usize,
     /// Compositions skipped by zero-term subtree cutoffs.
     pub compositions_pruned: usize,
-    /// All compositions over the non-zero cells: `summed + pruned` (saturating).
+    /// All compositions over the cells the DFS ranges over (non-zero,
+    /// merged): `summed + pruned` (saturating).
     pub compositions_total: usize,
 }
 
@@ -228,7 +247,8 @@ pub fn cell_sum_elems_gated<A: Algebra, G: Gate + Send>(
 
     let mut stats = CellSumStats {
         valid_cells: u.len(),
-        zero_weight_cells_pruned: u.len() - engine.k,
+        zero_weight_cells_pruned: engine.zero_cells_dropped,
+        cells_merged: engine.cells_merged,
         compositions_total: num_compositions(n, engine.k),
         ..CellSumStats::default()
     };
@@ -264,9 +284,15 @@ struct Engine<'a, A: Algebra> {
     algebra: &'a A,
     /// Domain size.
     n: usize,
-    /// Number of cells with non-zero weight (the cells the DFS ranges over).
+    /// Number of cells the DFS ranges over: the non-zero cells, one per
+    /// class of interchangeable cells.
     k: usize,
-    /// Cell weights `u_c`, re-indexed over the non-zero cells.
+    /// Valid cells dropped because their weight is zero.
+    zero_cells_dropped: usize,
+    /// Non-zero cells folded into another cell of their class.
+    cells_merged: usize,
+    /// Cell weights, re-indexed over the DFS cells: `c · u_c` for a class
+    /// of `c` interchangeable cells.
     u: Vec<A::Elem>,
     /// Within-cell pair entries `r_{cc}`.
     diag: Vec<A::Elem>,
@@ -282,6 +308,42 @@ struct Engine<'a, A: Algebra> {
     zero_u: Vec<bool>,
 }
 
+/// Groups the `keep` cells into classes of interchangeable cells, returned
+/// as `(representative, class size)` in first-seen order. Cells `i` and `j`
+/// are interchangeable when `u_i = u_j`, `r_ii = r_jj = r_ij` and
+/// `r_il = r_jl` for every other kept cell `l`. The relation is transitive
+/// over these conditions, so comparing each cell with the class
+/// representatives alone is enough.
+///
+/// A class of `c` such cells can stand in the sum as one cell of weight
+/// `c · u` with the same pair entries: the compositions that put `M`
+/// elements into the class share every factor except the multinomial, all
+/// `C(M, 2)` pairs inside the class carry `r`, and the splits of `M` over
+/// the class sum to `c^M` by the multinomial theorem.
+fn interchangeable_classes<E: PartialEq>(
+    keep: &[usize],
+    u: &[E],
+    table: &[Vec<E>],
+) -> Vec<(usize, usize)> {
+    let mut classes: Vec<(usize, usize)> = Vec::new();
+    for &j in keep {
+        let same = |i: usize| {
+            let r = &table[i][i];
+            u[i] == u[j]
+                && table[j][j] == *r
+                && table[i][j] == *r
+                && keep
+                    .iter()
+                    .all(|&l| l == i || l == j || table[i][l] == table[j][l])
+        };
+        match classes.iter_mut().find(|(i, _)| same(*i)) {
+            Some((_, size)) => *size += 1,
+            None => classes.push((j, 1)),
+        }
+    }
+    classes
+}
+
 /// Least common multiple of the denominators of `values`.
 fn lcm_of_denominators<'a>(values: impl Iterator<Item = &'a Weight>) -> BigInt {
     let mut acc = BigInt::one();
@@ -295,40 +357,52 @@ fn lcm_of_denominators<'a>(values: impl Iterator<Item = &'a Weight>) -> BigInt {
 
 impl<'a, A: Algebra> Engine<'a, A> {
     fn new(algebra: &'a A, u: &[A::Elem], table: &[Vec<A::Elem>], n: usize) -> Engine<'a, A> {
-        let order: Vec<usize> = if algebra.order_sensitive() {
+        // `(cell, multiplicity)` pairs the DFS ranges over.
+        let (classes, zero_cells_dropped) = if algebra.order_sensitive() {
             // Order-sensitive algebras need a weight-independent traversal:
-            // dropping zero-weight cells or reordering by zero pattern would
-            // regroup the floating-point sums and products, so two runs that
-            // differ only in which weights happen to be zero would no longer
-            // agree bit for bit (and a lane run could not match its scalar
-            // lanes). Zero-weight cells cost little here: their `m = 0`
-            // branch multiplies by an exact one and every `m > 0` branch is
-            // pruned (scalars) or contributes a canonical zero (lanes).
-            (0..u.len()).collect()
+            // dropping zero-weight cells, merging equal cells or reordering
+            // by zero pattern would regroup the floating-point sums and
+            // products, so two runs that differ only in which weights happen
+            // to be zero (or equal) would no longer agree bit for bit (and a
+            // lane run could not match its scalar lanes). Zero-weight cells
+            // cost little here: their `m = 0` branch multiplies by an exact
+            // one and every `m > 0` branch is pruned (scalars) or contributes
+            // a canonical zero (lanes).
+            ((0..u.len()).map(|i| (i, 1)).collect::<Vec<_>>(), 0)
         } else {
             let keep: Vec<usize> = (0..u.len()).filter(|&i| !algebra.is_zero(&u[i])).collect();
+            let mut classes = interchangeable_classes(&keep, u, table);
             // Visit cells whose table row has many zeros first: a zero running
             // cross product or zero diagonal kills a subtree as soon as the
             // DFS reaches it, so front-loading constrained cells maximizes
             // sharing of the cutoff. The sum itself is symmetric in the cell
             // order.
-            let mut order = keep.clone();
-            order.sort_by_key(|&i| {
-                let zeros = keep
+            let reps: Vec<usize> = classes.iter().map(|&(i, _)| i).collect();
+            classes.sort_by_key(|&(i, _)| {
+                let zeros = reps
                     .iter()
                     .filter(|&&j| algebra.is_zero(&table[i][j]))
                     .count();
                 std::cmp::Reverse(zeros)
             });
-            order
+            (classes, u.len() - keep.len())
         };
+        let order: Vec<usize> = classes.iter().map(|&(i, _)| i).collect();
 
         let binom_triangle = binomial_weight_triangle(n);
         Engine {
             algebra,
             n,
             k: order.len(),
-            u: order.iter().map(|&i| u[i].clone()).collect(),
+            zero_cells_dropped,
+            cells_merged: u.len() - zero_cells_dropped - order.len(),
+            u: classes
+                .iter()
+                .map(|&(i, c)| match c {
+                    1 => u[i].clone(),
+                    _ => algebra.mul(&u[i], &algebra.from_weight(&weight_int(c as i64))),
+                })
+                .collect(),
             diag: order.iter().map(|&i| table[i][i].clone()).collect(),
             cross: order
                 .iter()
@@ -801,6 +875,7 @@ pub fn cell_sum_enumeration(
     let stats = CellSumStats {
         valid_cells: k,
         zero_weight_cells_pruned: 0,
+        cells_merged: 0,
         compositions_summed: num_terms,
         compositions_pruned: 0,
         compositions_total: num_terms,
@@ -819,6 +894,7 @@ mod tests {
     use wfomc_logic::weights::{weight_ratio, Weights};
 
     use crate::fo2::normalize::fo2_normal_form;
+    use crate::fo2::prepare::Fo2Prepared;
     use crate::fo2::wfomc_fo2;
 
     /// Runs both cell-sum engines on every Shannon-free sentence shape and
@@ -859,7 +935,7 @@ mod tests {
             dfs_stats.compositions_total,
             crate::combinatorics::num_compositions(
                 n,
-                dfs_stats.valid_cells - dfs_stats.zero_weight_cells_pruned
+                dfs_stats.valid_cells - dfs_stats.zero_weight_cells_pruned - dfs_stats.cells_merged
             )
         );
     }
@@ -1030,8 +1106,105 @@ mod tests {
         w
     }
 
+    /// Weight pairs under which cells often coincide: all-ones, symmetric
+    /// `(w, w)`, zero, and negative rationals.
+    fn merge_pool() -> Vec<(Weight, Weight)> {
+        let pairs = [
+            ((1, 1), (1, 1)),
+            ((2, 1), (2, 1)),
+            ((1, 2), (1, 2)),
+            ((-3, 2), (-3, 2)),
+            ((0, 1), (1, 1)),
+            ((1, 1), (0, 1)),
+            ((-1, 1), (2, 1)),
+            ((3, 1), (-2, 1)),
+            ((-1, 2), (1, 1)),
+        ];
+        pairs
+            .into_iter()
+            .map(|((a, b), (c, d))| (weight_ratio(a, b), weight_ratio(c, d)))
+            .collect()
+    }
+
+    #[test]
+    fn table1_fomc_merges_interchangeable_cells() {
+        // Under all-ones weights table1's seven cells collapse to four.
+        let f = catalog::table1_sentence();
+        let prepared = Fo2Prepared::prepare(&f, &f.vocabulary()).unwrap();
+        let n = 30;
+        let (value, stats) = prepared.count(n, &Weights::ones(), true);
+        assert_eq!(value, crate::closed_form::fomc_table1(n));
+        assert!(stats.cells_merged > 0, "{stats}");
+        assert_eq!(stats.zero_weight_cells_pruned, 0, "{stats}");
+        assert_eq!(
+            stats.compositions_total,
+            num_compositions(n, stats.total_valid_cells - stats.cells_merged)
+        );
+        assert!(stats.compositions_total < num_compositions(n, stats.total_valid_cells));
+    }
+
+    /// Order-sensitive algebras never merge (nor drop) cells, so lane runs
+    /// stay bit-identical to scalar runs whatever the weights.
+    #[test]
+    fn log_algebras_never_merge_cells() {
+        use wfomc_logic::algebra::LogF64xN;
+        let f = catalog::table1_sentence();
+        let prepared = Fo2Prepared::prepare(&f, &f.vocabulary()).unwrap();
+        let ones = Weights::ones();
+        let (exact, exact_stats) = prepared.count(12, &ones, false);
+        assert!(exact_stats.cells_merged > 0);
+
+        let log_weights = AlgebraWeights::lift(&LogF64, &ones);
+        let (log, log_stats) = prepared.count_in(12, &LogF64, &log_weights, false);
+        assert_eq!(log_stats.cells_merged, 0);
+        assert_eq!(log_stats.zero_weight_cells_pruned, 0);
+        let expected = LogF64.from_weight(&exact);
+        assert!((log.ln_abs() - expected.ln_abs()).abs() < 1e-9);
+
+        let lane_weights = LogF64xN::pack_weights(&[&ones, &ones]);
+        let (lanes, lane_stats) = prepared.count_in(12, &LogF64xN, &lane_weights, false);
+        assert_eq!(lane_stats.cells_merged, 0);
+        assert_eq!(lanes.lane(0), log);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// With weights drawn from [`merge_pool`], the merged DFS equals the
+        /// unmerged enumeration and grounding, `Poly` equals `Exact`, and
+        /// `LogF64` runs merge nothing.
+        #[test]
+        fn merged_sum_matches_enumeration_ground_and_poly(
+            picks in proptest::collection::vec(0usize..1000, 3..4),
+            n in 0usize..6,
+        ) {
+            let pool = merge_pool();
+            for sentence in [
+                catalog::table1_sentence(),
+                catalog::forall_exists_edge(),
+                catalog::exists_unary(),
+                catalog::spouse_constraint(),
+                catalog::smokers_constraint(),
+            ] {
+                let voc = sentence.vocabulary();
+                let mut weights = Weights::ones();
+                for (p, &pick) in voc.iter().zip(&picks) {
+                    let (w, w_bar) = pool[pick % pool.len()].clone();
+                    weights.set(p.name(), w, w_bar);
+                }
+                check_engines_agree(&sentence, &weights, n);
+                let prepared = Fo2Prepared::prepare(&sentence, &voc).unwrap();
+                let (exact, _) = prepared.count(n, &weights, true);
+                let grounded = ground_wfomc(&sentence, &voc, n, &weights);
+                prop_assert_eq!(&exact, &grounded, "ground mismatch for {} at n={}", sentence, n);
+                let poly_weights = AlgebraWeights::lift(&Poly, &weights);
+                let (poly, _) = prepared.count_in(n, &Poly, &poly_weights, true);
+                prop_assert_eq!(poly, Poly.from_weight(&exact));
+                let log_weights = AlgebraWeights::lift(&LogF64, &weights);
+                let (_, log_stats) = prepared.count_in(n, &LogF64, &log_weights, true);
+                prop_assert_eq!(log_stats.cells_merged, 0);
+            }
+        }
 
         /// The DFS engine, the legacy enumeration and grounding agree on
         /// random weights (including zero and negative rationals).

@@ -558,6 +558,7 @@ impl Fo2Prepared {
         }
         wfomc_obs::metrics::CELLSUM_SUMMED.add(stats.compositions_summed as u64);
         wfomc_obs::metrics::CELLSUM_PRUNED.add(stats.compositions_pruned as u64);
+        wfomc_obs::metrics::CELLSUM_CELLS_MERGED.add(stats.cells_merged as u64);
         Ok((algebra.mul(&leftover, &total), stats))
     }
 }

@@ -885,7 +885,9 @@ impl Plan {
                 ));
                 details.push(
                     "each count binds the weight function (cached) and runs the prefix-sharing \
-                     cell-sum engine"
+                     cell-sum engine; exact and polynomial counts first drop zero-weight cells \
+                     and merge interchangeable ones (equal weight and pair rows) into one cell \
+                     per class"
                         .to_string(),
                 );
             }
@@ -2402,12 +2404,15 @@ mod tests {
 
     #[test]
     fn a_100ms_deadline_cuts_a_multi_second_workload_off_quickly() {
-        // fo2-table1-30 (the perf-gate workload) runs ~2s uncapped; the
+        // table1 at n = 30 runs ~2s uncapped under these weights, which
+        // keep all seven cells distinct (under `Weights::ones()` the engine
+        // merges interchangeable cells and finishes in milliseconds); the
         // acceptance bar is an error within 150ms of the 100ms deadline.
         let plan = Problem::new(catalog::table1_sentence()).plan().unwrap();
+        let weights = Weights::from_ints([("R", 2, 1), ("S", 1, 3), ("T", 2, 2)]);
         let limits = ExecutionLimits::none().with_deadline(std::time::Duration::from_millis(100));
         let started = std::time::Instant::now();
-        let result = plan.count_with_limits(30, &Weights::ones(), &limits, None);
+        let result = plan.count_with_limits(30, &weights, &limits, None);
         let elapsed = started.elapsed();
         let err = result.expect_err("30-domain table1 cannot finish in 100ms");
         assert!(matches!(err, SolveError::DeadlineExceeded { .. }), "{err}");

@@ -186,6 +186,7 @@ impl SolverReport {
         match &self.fo2_stats {
             Some(stats) => {
                 let mut s = JsonObject::new();
+                s.field_u64("cells_merged", stats.cells_merged as u64);
                 s.field_u64("compositions_pruned", stats.compositions_pruned as u64);
                 s.field_u64("compositions_summed", stats.compositions_summed as u64);
                 s.field_u64("compositions_total", stats.compositions_total as u64);
@@ -653,6 +654,7 @@ mod tests {
         assert!(json.contains("\"backend\":null"), "{json}");
         assert!(json.contains("\"degraded\":false"), "{json}");
         assert!(json.contains("\"compositions_total\""), "{json}");
+        assert!(json.contains("\"cells_merged\":"), "{json}");
         assert!(
             json.contains(&format!("\"value\":\"{}\"", report.value)),
             "{json}"

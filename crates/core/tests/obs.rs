@@ -1,8 +1,8 @@
 //! Observability invariants of the solver pipeline, exercised only when the
 //! `obs` feature is on (without it the registry is a compiled-out no-op and
 //! there is nothing to test): identical single-threaded runs produce
-//! identical counter snapshots, and counters are monotone under
-//! `count_batch`.
+//! identical counter snapshots, counters are monotone under `count_batch`,
+//! and the cell-merge counter matches the report.
 //!
 //! The metric registry is process-global, so every test takes the `serial`
 //! lock and starts from `wfomc_obs::reset()`.
@@ -60,6 +60,25 @@ fn identical_runs_produce_identical_counter_snapshots() {
     assert!(a.counter("fo2.bind.hits") == Some(1));
     assert!(a.counter("fo2.bind.misses") == Some(1));
     assert!(a.counter("fo2.cellsum.compositions_summed").unwrap_or(0) > 0);
+    wfomc_obs::set_enabled(false);
+}
+
+#[test]
+fn cells_merged_counter_matches_the_report() {
+    let _guard = serial();
+    wfomc_obs::set_enabled(true);
+    wfomc_obs::reset();
+    let plan = Solver::new()
+        .plan(&Problem::new(catalog::table1_sentence()))
+        .expect("table1 plans");
+    // Unit weights make several of table1's cells interchangeable.
+    let report = plan.count(4, &Weights::ones()).expect("count");
+    let merged = report.fo2_stats.expect("FO² stats").cells_merged as u64;
+    assert!(merged > 0);
+    assert_eq!(
+        wfomc_obs::snapshot().counter("fo2.cellsum.cells_merged"),
+        Some(merged)
+    );
     wfomc_obs::set_enabled(false);
 }
 

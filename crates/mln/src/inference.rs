@@ -374,6 +374,45 @@ mod tests {
         }
     }
 
+    /// The reduction's auxiliary predicates weigh (1, 1), so the cell sums
+    /// of both plans collapse interchangeable cells; the merged exact
+    /// marginal still matches brute force and log-space inference (which
+    /// merges nothing).
+    #[test]
+    fn smokers_marginal_merges_cells_and_stays_exact() {
+        use num_traits::ToPrimitive;
+        use wfomc_logic::algebra::LogF64;
+        use wfomc_logic::catalog;
+
+        let mut mln = MarkovLogicNetwork::new();
+        mln.add_soft(weight_int(2), catalog::smokers_constraint());
+        mln.add_soft(weight_int(3), atom("Smokes", &["x"]));
+        let engine = MlnEngine::new(&mln).unwrap();
+        let q = exists(["x"], atom("Smokes", &["x"]));
+        for n in 1..=2 {
+            assert_eq!(
+                engine.probability(&q, n).unwrap(),
+                probability_brute(&mln, &q, n),
+                "n = {n}"
+            );
+        }
+        let n = 6;
+        let p_exact = engine.probability(&q, n).unwrap().to_f64().unwrap();
+        let p_log = engine.probability_in(&q, n, &LogF64).unwrap().to_f64();
+        assert!((p_exact - p_log).abs() < 1e-9, "{p_exact} vs {p_log}");
+
+        let hard = engine.reduction.hard_sentence.clone();
+        for sentence in [hard.clone(), Formula::and(q.clone(), hard)] {
+            let report = engine
+                .plan_for(&sentence)
+                .unwrap()
+                .count(n, &engine.reduction.weights)
+                .unwrap();
+            let stats = report.fo2_stats.expect("both MLN plans are FO²");
+            assert!(stats.cells_merged > 0, "{stats}");
+        }
+    }
+
     #[test]
     fn generic_inference_reuses_the_same_plans() {
         use wfomc_logic::algebra::LogF64;

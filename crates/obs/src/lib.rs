@@ -412,6 +412,7 @@ pub mod metrics {
             pub CELLSUM_SUMMED => "fo2.cellsum.compositions_summed";
             pub CELLSUM_PRUNED => "fo2.cellsum.compositions_pruned";
             pub BALANCED_SUM_MERGES => "fo2.cellsum.balanced_sum_merges";
+            pub CELLSUM_CELLS_MERGED => "fo2.cellsum.cells_merged";
             // Work-stealing fan-outs and lane-batched evaluation.
             pub CELLSUM_STEALS => "cellsum.steals";
             pub CELLSUM_LANE_BATCHES => "cellsum.lane_batches";

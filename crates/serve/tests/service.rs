@@ -147,8 +147,17 @@ fn deadline_capped_request_fails_typed_and_plan_stays_usable() {
         "typed error carries the phase"
     );
 
-    // A work cap trips deterministically too.
-    let reply = client::post(addr, &path, r#"{"n": 400, "work_cap": 1}"#).unwrap();
+    // A work cap trips deterministically too. Under default weights the two
+    // S-cells are interchangeable and merge, leaving a 401-composition sum
+    // that finishes inside the first guard check period; w(N) = (1, 3)
+    // gives the three cells distinct weights or diagonals, so none merge
+    // (80 601 compositions).
+    let reply = client::post(
+        addr,
+        &path,
+        r#"{"n": 400, "weights": {"N": [1, 3]}, "work_cap": 1}"#,
+    )
+    .unwrap();
     assert_eq!(reply.status, 422, "{}", reply.body);
     assert_eq!(
         str_field(json_of(&reply).get("error").unwrap(), "kind"),
