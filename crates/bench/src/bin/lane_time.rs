@@ -1,5 +1,5 @@
 //! Wall-clock snapshot tool for lane-batched evaluation. For each same-`n`
-//! weight sweep it times the per-point exact `Plan::count_batch` (the
+//! weight sweep it times the per-point exact `Plan::count_batch_results` (the
 //! pre-lane behavior: one DFS traversal per point) against the lane-batched
 //! `Plan::count_batch_log` (one `LogF64xN` traversal per eight points), and
 //! prints one JSON object per workload so the numbers can be recorded in
@@ -21,12 +21,12 @@ fn main() {
         let points = lane_sweep_points(n, k);
         // Warm-up binds the weight tables once so both timings measure
         // evaluation, matching the committed plan_time baselines.
-        let _ = plan.count_batch(&points[..1]);
+        let _ = plan.count_batch_results(&points[..1]);
         let _ = plan.count_batch_log(&points[..1]);
 
         let mut exact = Vec::new();
         let per_point_ms = time_ms(|| {
-            exact = plan.count_batch(&points).expect("exact batch counts");
+            exact = plan.count_batch_results(&points);
         });
         let mut lanes = Vec::new();
         let lane_ms = time_ms(|| {
@@ -34,6 +34,7 @@ fn main() {
         });
 
         for (e, l) in exact.iter().zip(&lanes) {
+            let e = e.as_ref().expect("exact point counts");
             let l = l.as_ref().expect("lane point counts");
             let e_ln = LogF64.from_weight(&e.value).ln_abs();
             assert!(

@@ -32,6 +32,7 @@ use std::time::Instant;
 use wfomc::core::closed_form;
 use wfomc::core::fo2::{wfomc_fo2, wfomc_fo2_with_stats, Fo2Prepared};
 use wfomc::core::qs4::wfomc_qs4;
+use wfomc::core::Guard;
 use wfomc::ground::GroundSolver;
 use wfomc::mln::ground_semantics::partition_function_brute;
 use wfomc::prelude::*;
@@ -386,10 +387,11 @@ fn smoke() {
     // One canonical `wfomc-report/v1` object as a CI artifact — the same
     // `SolverReport::to_json` serialization the query service returns for
     // every count, so wire-format drift shows up as an artifact diff.
-    let report = Problem::new(table1_workload())
+    let plan = Problem::new(table1_workload())
         .plan()
-        .expect("table1 plans")
-        .count_default(12)
+        .expect("table1 plans");
+    let report = plan
+        .count(12, plan.default_weights())
         .expect("table1 counts")
         .to_json();
     let path =
@@ -760,7 +762,7 @@ fn perf_gate() {
     // Serve overhead gate: k counts through an in-process wfomc-serve
     // daemon over loopback HTTP must stay within SERVE_GATE_FACTOR
     // (default 1.5, the serve PR's amortized-latency acceptance bar) of
-    // the same k counts through a bare warm `Plan::count_default` loop,
+    // the same k counts through a bare warm `Plan::count` loop,
     // plus SERVE_GATE_SLACK_MS of absolute headroom. The served time is
     // additionally held against the committed BENCH_serve.json baseline
     // (same k, same sentence, same n) under the standard factor/slack.
@@ -777,13 +779,14 @@ fn perf_gate() {
     let serve_plan = Problem::new(serve_sentence.clone())
         .plan()
         .expect("serve gate: table1 plans");
+    let serve_weights = serve_plan.default_weights();
     let _ = serve_plan
-        .count_default(serve_n)
+        .count(serve_n, serve_weights)
         .expect("serve gate warm-up");
     let serve_bare = || {
         for _ in 0..serve_k {
             let _ = serve_plan
-                .count_default(serve_n)
+                .count(serve_n, serve_weights)
                 .expect("serve gate bare count");
         }
     };
@@ -868,7 +871,7 @@ fn perf_gate() {
 
     // Lane-batching gate: the k=32 same-`n` weight sweep through
     // `Plan::count_batch_log` must stay ≥3× faster than the committed
-    // per-point `count_batch` baseline (BENCH_lanes.json; the 32 exact n=30
+    // per-point exact baseline (BENCH_lanes.json; the 32 exact n=30
     // traversals are NOT re-run — they would dominate the gate's wall
     // clock) and must not regress beyond the standard factor against the
     // committed lane time itself.
@@ -938,12 +941,14 @@ fn perf_gate() {
         let prepared = Fo2Prepared::prepare(&table1_workload(), &table1_workload().vocabulary())
             .expect("scaling check: table1 prepares");
         let scale_weights = standard_weights();
-        let _ = prepared.count(30, &scale_weights, false); // warm the binding
+        let unarmed = Guard::unarmed();
+        let count = |parallel| prepared.count(30, &scale_weights, parallel, &unarmed);
+        let _ = count(false); // warm the binding
         let serial_ms = (0..3)
-            .map(|_| time_ms(|| drop(prepared.count(30, &scale_weights, false))))
+            .map(|_| time_ms(|| drop(count(false))))
             .fold(f64::INFINITY, f64::min);
         let parallel_ms = (0..3)
-            .map(|_| time_ms(|| drop(prepared.count(30, &scale_weights, true))))
+            .map(|_| time_ms(|| drop(count(true))))
             .fold(f64::INFINITY, f64::min);
         let allowed = serial_ms / min_speedup + scale_slack_ms;
         let ok = parallel_ms <= allowed;

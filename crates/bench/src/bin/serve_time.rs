@@ -26,11 +26,12 @@ fn main() {
     // Bare baseline: one plan, k direct counts (the thing the service must
     // stay within 1.5x of, amortized).
     let plan = Problem::new(sentence.clone()).plan().expect("table1 plans");
-    let _ = plan.count_default(N).expect("warm-up count");
+    let weights = plan.default_weights();
+    let _ = plan.count(N, weights).expect("warm-up count");
     let start = Instant::now();
     let mut bare_values = Vec::with_capacity(k);
     for _ in 0..k {
-        bare_values.push(plan.count_default(N).expect("bare count").value);
+        bare_values.push(plan.count(N, weights).expect("bare count").value);
     }
     let bare_ms = start.elapsed().as_secs_f64() * 1e3;
 

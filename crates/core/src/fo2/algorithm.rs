@@ -11,6 +11,7 @@ use num_traits::{One, Zero};
 
 use wfomc_ground::evaluate::evaluate;
 use wfomc_ground::structure::Structure;
+use wfomc_guard::Guard;
 use wfomc_logic::syntax::Formula;
 use wfomc_logic::vocabulary::Vocabulary;
 use wfomc_logic::weights::{Weight, Weights};
@@ -122,7 +123,9 @@ pub fn wfomc_fo2_with_stats(
         return Ok((value, Fo2Stats::default()));
     }
 
-    Ok(Fo2Prepared::prepare(sentence, vocabulary)?.count(n, weights, true))
+    Ok(Fo2Prepared::prepare(sentence, vocabulary)?
+        .count(n, weights, true, &Guard::unarmed())
+        .expect("an unarmed guard cannot interrupt"))
 }
 
 #[cfg(test)]

@@ -46,27 +46,29 @@
 //! The engine itself ([`cell_sum_elems`]) only adds and multiplies, so it is
 //! generic over the evaluation [`Algebra`] — the zero-subtree cutoff is
 //! sound in any ring because `0 · x = 0`. The exact entry point
-//! ([`cell_sum_bound`]) additionally clears the rational denominators out of
-//! the bases before running the engine (so the hot loop multiplies gcd-free
-//! integers) and divides the correction back out at the end; that trick is
-//! specific to `BigRational` and lives in the wrapper, not the engine.
+//! ([`cell_sum_weights`]) additionally clears the rational denominators out
+//! of the bases before running the engine (so the hot loop multiplies
+//! gcd-free integers) and divides the correction back out at the end; that
+//! trick is specific to `BigRational` and lives in the wrapper, not the
+//! engine.
 //!
-//! The seed implementation's term-by-term enumeration is kept behind
-//! `cfg(test)` / the `legacy-cellsum` feature as the differential-testing
-//! oracle.
+//! Both entry points run under a resource [`Guard`]: every DFS worker meters
+//! its nodes and compositions through its own [`Meter`], so deadlines, work
+//! caps and cancellation interrupt the sum mid-search. Ungoverned callers
+//! pass [`Guard::unarmed`], whose meters cost one local add and compare per
+//! tick.
+//!
+//! The seed implementation's term-by-term enumeration is kept under
+//! `cfg(test)` as the differential-testing oracle.
 
 use num_bigint::BigInt;
 use num_traits::{One, Zero};
 
-use wfomc_guard::{Gate, Guard, Interrupt, Meter, Ungated};
+use wfomc_guard::{Guard, Interrupt, Meter};
 use wfomc_logic::algebra::{Algebra, Exact, Powers};
-use wfomc_logic::syntax::Formula;
 use wfomc_logic::weights::{weight_int, weight_pow, Weight};
 
-use super::cells::{build_cells, build_pair_table, CellSpace};
-use super::normalize::Fo2Shape;
 use crate::combinatorics::{binomial_weight_triangle, num_compositions, weight_from_bigint};
-use crate::error::LiftError;
 
 /// Guard phase name for the DFS engine.
 const PHASE: &str = "fo2.cellsum";
@@ -90,82 +92,24 @@ pub struct CellSumStats {
     pub compositions_total: usize,
 }
 
-/// The cell-decomposition sum for one Shannon branch, computed by the
-/// prefix-sharing DFS engine. `parallel` allows the engine to fan the
-/// top-level cell split out over scoped threads (callers that already run
-/// branches concurrently pass `false`).
-pub fn cell_sum(
-    matrix: &Formula,
-    space: &CellSpace,
-    shape: &Fo2Shape,
-    n: usize,
-    parallel: bool,
-) -> Result<(Weight, CellSumStats), LiftError> {
-    let cells = build_cells(matrix, space, &shape.weights)?;
-    if cells.is_empty() {
-        return Ok((Weight::zero(), CellSumStats::default()));
-    }
-    let table = build_pair_table(matrix, space, &cells, &shape.weights)?;
-    Ok(cell_sum_bound(&cells, &table, n, parallel))
-}
-
-/// The cell-decomposition sum over already-built weighted cells and pair
-/// table — the n-dependent half of [`cell_sum`], used by prepared plans
-/// ([`crate::fo2::prepare::Fo2Prepared`]) that build the cells once and sum
-/// at many domain sizes and weight functions.
+/// The exact cell-decomposition sum over bare cell weights `u` and the
+/// symmetric pair table (what prepared plans store), under `guard`.
+/// `parallel` allows the engine to fan the top-level cell split out over
+/// scoped threads (callers that already run branches concurrently pass
+/// `false`).
 ///
 /// This is the exact-rational fast path: it clears the common denominators
 /// out of the cell weights and pair entries (every composition uses exactly
 /// `n` cell-weight factors and `C(n,2)` pair factors, so one division by
 /// `D_u^n · D_r^{C(n,2)}` at the end restores the exact value), then runs
-/// the algebra-generic engine over denominator-1 rationals.
-pub fn cell_sum_bound(
-    cells: &[super::cells::Cell],
-    table: &[Vec<Weight>],
-    n: usize,
-    parallel: bool,
-) -> (Weight, CellSumStats) {
-    let u: Vec<Weight> = cells.iter().map(|c| c.weight.clone()).collect();
-    cell_sum_weights(&u, table, n, parallel)
-}
-
-/// [`cell_sum_bound`] over bare cell-weight vectors (what prepared plans
-/// store): the exact-rational entry point with denominator clearing.
+/// the algebra-generic engine over denominator-1 rationals. An interrupted
+/// sum discards its partial accumulators; retrying simply restarts it.
 pub fn cell_sum_weights(
     u: &[Weight],
     table: &[Vec<Weight>],
     n: usize,
     parallel: bool,
-) -> (Weight, CellSumStats) {
-    // The default path is gated by the zero-sized `Ungated` gate, so the DFS
-    // monomorphizes with no budget checks at all — by construction the same
-    // machine code as before the guard layer existed.
-    cell_sum_weights_impl(u, table, n, parallel, &mut || Ungated)
-        .expect("an ungated cell sum cannot interrupt")
-}
-
-/// [`cell_sum_weights`] under a resource [`Guard`]: every DFS worker meters
-/// its compositions against the guard (batched, checked every
-/// [`wfomc_guard::CHECK_PERIOD`] units), so deadlines, work caps and
-/// cancellation interrupt the sum mid-search. The partial accumulators are
-/// discarded; retrying simply restarts the sum.
-pub fn cell_sum_weights_gated(
-    u: &[Weight],
-    table: &[Vec<Weight>],
-    n: usize,
-    parallel: bool,
     guard: &Guard,
-) -> Result<(Weight, CellSumStats), Interrupt> {
-    wfomc_guard::failpoint(PHASE)?;
-    cell_sum_weights_impl(u, table, n, parallel, &mut || Meter::new(guard, PHASE))
-}
-
-fn cell_sum_weights_impl<G: Gate + Send>(
-    u: &[Weight],
-    table: &[Vec<Weight>],
-    n: usize,
-    parallel: bool,
-    make_gate: &mut dyn FnMut() -> G,
 ) -> Result<(Weight, CellSumStats), Interrupt> {
     // Clear denominators over the cells the engine will actually visit (the
     // non-zero-weight ones), so the scaling never inflates for weights that
@@ -186,8 +130,7 @@ fn cell_sum_weights_impl<G: Gate + Send>(
         .map(|row| row.iter().map(|w| w * &scale_r).collect())
         .collect();
 
-    let (total, stats) =
-        cell_sum_elems_gated(&Exact, &scaled_u, &scaled_table, n, parallel, make_gate)?;
+    let (total, stats) = cell_sum_elems(&Exact, &scaled_u, &scaled_table, n, parallel, guard)?;
     let total = if correction.is_one() {
         total
     } else {
@@ -199,22 +142,9 @@ fn cell_sum_weights_impl<G: Gate + Send>(
 /// The cell-decomposition sum in an arbitrary [`Algebra`]: `u[c]` are the
 /// cell weights, `table` the symmetric pair table, both as ring elements.
 /// This is the engine itself — no denominator tricks, no weight binding —
-/// shared by every algebra including [`Exact`].
+/// shared by every algebra including [`Exact`]. Each DFS worker (one per
+/// scoped thread in the parallel split) meters its work against `guard`.
 pub fn cell_sum_elems<A: Algebra>(
-    algebra: &A,
-    u: &[A::Elem],
-    table: &[Vec<A::Elem>],
-    n: usize,
-    parallel: bool,
-) -> (A::Elem, CellSumStats) {
-    cell_sum_elems_gated(algebra, u, table, n, parallel, &mut || Ungated)
-        .expect("an ungated cell sum cannot interrupt")
-}
-
-/// [`cell_sum_elems`] under a resource [`Guard`] — the algebra-generic
-/// counterpart of [`cell_sum_weights_gated`], used by the lane-batched
-/// evaluation path so governed batches are metered per DFS worker.
-pub fn cell_sum_elems_guarded<A: Algebra>(
     algebra: &A,
     u: &[A::Elem],
     table: &[Vec<A::Elem>],
@@ -223,23 +153,6 @@ pub fn cell_sum_elems_guarded<A: Algebra>(
     guard: &Guard,
 ) -> Result<(A::Elem, CellSumStats), Interrupt> {
     wfomc_guard::failpoint(PHASE)?;
-    cell_sum_elems_gated(algebra, u, table, n, parallel, &mut || {
-        Meter::new(guard, PHASE)
-    })
-}
-
-/// [`cell_sum_elems`] through an explicit [`Gate`] factory: each DFS worker
-/// (one per scoped thread in the parallel split) gets its own gate from
-/// `make_gate`. Pass `&mut || Ungated` for the zero-overhead default or
-/// `&mut || Meter::new(&guard, ...)` to meter against a [`Guard`].
-pub fn cell_sum_elems_gated<A: Algebra, G: Gate + Send>(
-    algebra: &A,
-    u: &[A::Elem],
-    table: &[Vec<A::Elem>],
-    n: usize,
-    parallel: bool,
-    make_gate: &mut dyn FnMut() -> G,
-) -> Result<(A::Elem, CellSumStats), Interrupt> {
     if u.is_empty() {
         return Ok((algebra.zero(), CellSumStats::default()));
     }
@@ -267,9 +180,9 @@ pub fn cell_sum_elems_gated<A: Algebra, G: Gate + Send>(
 
     let threads = engine.thread_count(parallel);
     let (total, summed, pruned) = if threads > 1 {
-        engine.sum_parallel(threads, make_gate)?
+        engine.sum_parallel(threads, guard)?
     } else {
-        let mut worker = Worker::new(&engine, make_gate());
+        let mut worker = Worker::new(&engine, guard);
         let top: Vec<A::Elem> = vec![algebra.one(); engine.k];
         worker.dfs(0, n, &algebra.one(), &top)?;
         (worker.total.finish(algebra), worker.summed, worker.pruned)
@@ -440,16 +353,16 @@ impl<'a, A: Algebra> Engine<'a, A> {
     /// (up to rounding, for approximate algebras); per-`m₀` partials are
     /// merged in `m₀` order regardless of which worker computed them, so the
     /// grouping — and with it any floating-point rounding — is deterministic
-    /// across runs and steal schedules. Every worker gets its own gate; if
+    /// across runs and steal schedules. Every worker gets its own meter; if
     /// any worker is interrupted, the whole sum reports that interrupt (the
     /// other workers trip on the same shared guard state within one check
     /// period). A worker panic is resumed on the joining thread, where the
     /// plan layer's per-point containment turns it into
     /// `SolveError::WorkerPanicked`.
-    fn sum_parallel<G: Gate + Send>(
+    fn sum_parallel(
         &self,
         threads: usize,
-        make_gate: &mut dyn FnMut() -> G,
+        guard: &Guard,
     ) -> Result<(A::Elem, usize, usize), Interrupt> {
         let n = self.n;
         let algebra = self.algebra;
@@ -459,10 +372,9 @@ impl<'a, A: Algebra> Engine<'a, A> {
         let results = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
-                    let gate = make_gate();
                     let mut queue = pool.worker(t);
                     scope.spawn(move || -> WorkerResult<A::Elem> {
-                        let mut worker = Worker::new(self, gate);
+                        let mut worker = Worker::new(self, guard);
                         let mut row0: Vec<Powers<A>> = (1..self.k)
                             .map(|j| Powers::new(algebra, self.cross[0][j].clone(), n))
                             .collect();
@@ -591,12 +503,11 @@ impl<A: Algebra> BalancedSum<A> {
     }
 }
 
-/// One DFS worker: owns the mutable power caches, accumulators and its gate.
-struct Worker<'e, A: Algebra, G: Gate> {
+/// One DFS worker: owns the mutable power caches, accumulators and its meter.
+struct Worker<'e, 'g, A: Algebra> {
     eng: &'e Engine<'e, A>,
-    /// Budget gate, ticked once per DFS node and per evaluated composition.
-    /// [`Ungated`] monomorphizes every check away.
-    gate: G,
+    /// Budget meter, ticked once per DFS node and per evaluated composition.
+    meter: Meter<'g>,
     /// Per-cell power caches for `u_c`.
     u_pows: Vec<Powers<A>>,
     /// Per-cell power caches for `r_{cc}` (exponents `C(m,2)` can exceed `n`,
@@ -615,11 +526,11 @@ struct Worker<'e, A: Algebra, G: Gate> {
     pruned: usize,
 }
 
-impl<'e, A: Algebra, G: Gate> Worker<'e, A, G> {
-    fn new(eng: &'e Engine<'e, A>, gate: G) -> Worker<'e, A, G> {
+impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
+    fn new(eng: &'e Engine<'e, A>, guard: &'g Guard) -> Worker<'e, 'g, A> {
         let algebra = eng.algebra;
         Worker {
-            gate,
+            meter: Meter::new(guard, PHASE),
             u_pows: eng
                 .u
                 .iter()
@@ -683,7 +594,7 @@ impl<'e, A: Algebra, G: Gate> Worker<'e, A, G> {
     ) -> Result<(), Interrupt> {
         debug_assert_eq!(r.len(), self.eng.k - i);
         let algebra = self.eng.algebra;
-        self.gate.tick(1)?;
+        self.meter.tick(1)?;
         if i + 2 == self.eng.k {
             return self.last_two(i, rem, term, r);
         }
@@ -784,7 +695,7 @@ impl<'e, A: Algebra, G: Gate> Worker<'e, A, G> {
         }
         let mut a_pow = algebra.one(); // R_a^m
         for m in 0..=rem {
-            if let Err(stop) = self.gate.tick(1) {
+            if let Err(stop) = self.meter.tick(1) {
                 self.tail_pows = tail_pows;
                 return Err(stop);
             }
@@ -825,64 +736,6 @@ impl<'e, A: Algebra, G: Gate> Worker<'e, A, G> {
     }
 }
 
-/// The seed implementation — term-by-term enumeration over all compositions —
-/// kept as the differential-testing oracle for the DFS engine.
-#[cfg(any(test, feature = "legacy-cellsum"))]
-pub fn cell_sum_enumeration(
-    matrix: &Formula,
-    space: &CellSpace,
-    shape: &Fo2Shape,
-    n: usize,
-) -> Result<(Weight, CellSumStats), LiftError> {
-    use crate::combinatorics::{compositions, multinomial_weight};
-
-    let cells = build_cells(matrix, space, &shape.weights)?;
-    if cells.is_empty() {
-        return Ok((Weight::zero(), CellSumStats::default()));
-    }
-    let table = build_pair_table(matrix, space, &cells, &shape.weights)?;
-
-    let k = cells.len();
-    let mut total = Weight::zero();
-    let mut num_terms = 0usize;
-    for comp in compositions(n, k) {
-        num_terms += 1;
-        let mut term = multinomial_weight(n, &comp);
-        for (c, &count) in comp.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            term *= weight_pow(&cells[c].weight, count);
-            // Pairs within the same cell.
-            term *= weight_pow(&table[c][c], count * (count - 1) / 2);
-        }
-        if term.is_zero() {
-            continue;
-        }
-        for i in 0..k {
-            if comp[i] == 0 {
-                continue;
-            }
-            for j in (i + 1)..k {
-                if comp[j] == 0 {
-                    continue;
-                }
-                term *= weight_pow(&table[i][j], comp[i] * comp[j]);
-            }
-        }
-        total += term;
-    }
-    let stats = CellSumStats {
-        valid_cells: k,
-        zero_weight_cells_pruned: 0,
-        cells_merged: 0,
-        compositions_summed: num_terms,
-        compositions_pruned: 0,
-        compositions_total: num_terms,
-    };
-    Ok((total, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,9 +746,85 @@ mod tests {
     use wfomc_logic::catalog;
     use wfomc_logic::weights::{weight_ratio, Weights};
 
-    use crate::fo2::normalize::fo2_normal_form;
+    use wfomc_logic::syntax::Formula;
+
+    use crate::error::LiftError;
+    use crate::fo2::cells::{build_cells, build_pair_table, CellSpace};
+    use crate::fo2::normalize::{fo2_normal_form, Fo2Shape};
     use crate::fo2::prepare::Fo2Prepared;
     use crate::fo2::wfomc_fo2;
+
+    /// The exact cell sum of one Shannon-free normal form: builds the
+    /// weighted cells and the pair table, then runs the engine unguarded.
+    fn cell_sum(
+        matrix: &Formula,
+        space: &CellSpace,
+        shape: &Fo2Shape,
+        n: usize,
+        parallel: bool,
+    ) -> (Weight, CellSumStats) {
+        let cells = build_cells(matrix, space, &shape.weights).unwrap();
+        let table = build_pair_table(matrix, space, &cells, &shape.weights).unwrap();
+        let u: Vec<Weight> = cells.iter().map(|c| c.weight.clone()).collect();
+        cell_sum_weights(&u, &table, n, parallel, &Guard::unarmed()).unwrap()
+    }
+
+    /// The seed implementation — term-by-term enumeration over all compositions —
+    /// kept as the differential-testing oracle for the DFS engine.
+    fn cell_sum_enumeration(
+        matrix: &Formula,
+        space: &CellSpace,
+        shape: &Fo2Shape,
+        n: usize,
+    ) -> Result<(Weight, CellSumStats), LiftError> {
+        use crate::combinatorics::{compositions, multinomial_weight};
+
+        let cells = build_cells(matrix, space, &shape.weights)?;
+        if cells.is_empty() {
+            return Ok((Weight::zero(), CellSumStats::default()));
+        }
+        let table = build_pair_table(matrix, space, &cells, &shape.weights)?;
+
+        let k = cells.len();
+        let mut total = Weight::zero();
+        let mut num_terms = 0usize;
+        for comp in compositions(n, k) {
+            num_terms += 1;
+            let mut term = multinomial_weight(n, &comp);
+            for (c, &count) in comp.iter().enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                term *= weight_pow(&cells[c].weight, count);
+                // Pairs within the same cell.
+                term *= weight_pow(&table[c][c], count * (count - 1) / 2);
+            }
+            if term.is_zero() {
+                continue;
+            }
+            for i in 0..k {
+                if comp[i] == 0 {
+                    continue;
+                }
+                for j in (i + 1)..k {
+                    if comp[j] == 0 {
+                        continue;
+                    }
+                    term *= weight_pow(&table[i][j], comp[i] * comp[j]);
+                }
+            }
+            total += term;
+        }
+        let stats = CellSumStats {
+            valid_cells: k,
+            zero_weight_cells_pruned: 0,
+            cells_merged: 0,
+            compositions_summed: num_terms,
+            compositions_pruned: 0,
+            compositions_total: num_terms,
+        };
+        Ok((total, stats))
+    }
 
     /// Runs both cell-sum engines on every Shannon-free sentence shape and
     /// checks value equality plus the stats invariants.
@@ -916,7 +845,7 @@ mod tests {
             // Shannon branches are exercised through `wfomc_fo2` instead.
             return;
         }
-        let (dfs_total, dfs_stats) = cell_sum(&shape.matrix, &space, &shape, n, true).unwrap();
+        let (dfs_total, dfs_stats) = cell_sum(&shape.matrix, &space, &shape, n, true);
         let (legacy_total, legacy_stats) =
             cell_sum_enumeration(&shape.matrix, &space, &shape, n).unwrap();
         assert_eq!(
@@ -1012,8 +941,8 @@ mod tests {
             unary: counted.iter().filter(|p| p.arity() == 1).cloned().collect(),
             binary: counted.iter().filter(|p| p.arity() == 2).cloned().collect(),
         };
-        let (par, par_stats) = cell_sum(&shape.matrix, &space, &shape, n, true).unwrap();
-        let (ser, ser_stats) = cell_sum(&shape.matrix, &space, &shape, n, false).unwrap();
+        let (par, par_stats) = cell_sum(&shape.matrix, &space, &shape, n, true);
+        let (ser, ser_stats) = cell_sum(&shape.matrix, &space, &shape, n, false);
         assert_eq!(par, ser);
         assert_eq!(par_stats, ser_stats);
     }
@@ -1030,7 +959,7 @@ mod tests {
             unary: counted.iter().filter(|p| p.arity() == 1).cloned().collect(),
             binary: counted.iter().filter(|p| p.arity() == 2).cloned().collect(),
         };
-        let (_, stats) = cell_sum(&shape.matrix, &space, &shape, 4, false).unwrap();
+        let (_, stats) = cell_sum(&shape.matrix, &space, &shape, 4, false);
         assert!(stats.zero_weight_cells_pruned > 0);
         assert_eq!(
             stats.compositions_summed + stats.compositions_pruned,
@@ -1054,7 +983,9 @@ mod tests {
         let cells = build_cells(&shape.matrix, &space, &shape.weights).unwrap();
         let table = build_pair_table(&shape.matrix, &space, &cells, &shape.weights).unwrap();
         let n = 5;
-        let (exact, exact_stats) = cell_sum_bound(&cells, &table, n, false);
+        let u: Vec<Weight> = cells.iter().map(|c| c.weight.clone()).collect();
+        let guard = Guard::unarmed();
+        let (exact, exact_stats) = cell_sum_weights(&u, &table, n, false, &guard).unwrap();
 
         // LogF64: same engine, log-space floats.
         let log = LogF64;
@@ -1063,7 +994,7 @@ mod tests {
             .iter()
             .map(|row| row.iter().map(|w| log.from_weight(w)).collect())
             .collect();
-        let (log_total, log_stats) = cell_sum_elems(&log, &lu, &lt, n, false);
+        let (log_total, log_stats) = cell_sum_elems(&log, &lu, &lt, n, false, &guard).unwrap();
         let expected = log.from_weight(&exact);
         assert_eq!(log_total.signum(), expected.signum());
         assert!(
@@ -1081,7 +1012,7 @@ mod tests {
         let structure =
             super::super::cells::build_pair_structure(&shape.matrix, &space, &cells).unwrap();
         let pt = super::super::cells::bind_pair_table_in(&structure, &space, &poly, &pw);
-        let (poly_total, poly_stats) = cell_sum_elems(&poly, &pu, &pt, n, false);
+        let (poly_total, poly_stats) = cell_sum_elems(&poly, &pu, &pt, n, false, &guard).unwrap();
         assert_eq!(poly_total.coeff(0), exact);
         assert_eq!(poly_total.degree(), 0);
         assert_eq!(poly_stats, exact_stats);
@@ -1132,7 +1063,9 @@ mod tests {
         let f = catalog::table1_sentence();
         let prepared = Fo2Prepared::prepare(&f, &f.vocabulary()).unwrap();
         let n = 30;
-        let (value, stats) = prepared.count(n, &Weights::ones(), true);
+        let (value, stats) = prepared
+            .count(n, &Weights::ones(), true, &Guard::unarmed())
+            .unwrap();
         assert_eq!(value, crate::closed_form::fomc_table1(n));
         assert!(stats.cells_merged > 0, "{stats}");
         assert_eq!(stats.zero_weight_cells_pruned, 0, "{stats}");
@@ -1151,18 +1084,22 @@ mod tests {
         let f = catalog::table1_sentence();
         let prepared = Fo2Prepared::prepare(&f, &f.vocabulary()).unwrap();
         let ones = Weights::ones();
-        let (exact, exact_stats) = prepared.count(12, &ones, false);
+        let (exact, exact_stats) = prepared.count(12, &ones, false, &Guard::unarmed()).unwrap();
         assert!(exact_stats.cells_merged > 0);
 
         let log_weights = AlgebraWeights::lift(&LogF64, &ones);
-        let (log, log_stats) = prepared.count_in(12, &LogF64, &log_weights, false);
+        let (log, log_stats) = prepared
+            .count_in(12, &LogF64, &log_weights, false, &Guard::unarmed())
+            .unwrap();
         assert_eq!(log_stats.cells_merged, 0);
         assert_eq!(log_stats.zero_weight_cells_pruned, 0);
         let expected = LogF64.from_weight(&exact);
         assert!((log.ln_abs() - expected.ln_abs()).abs() < 1e-9);
 
         let lane_weights = LogF64xN::pack_weights(&[&ones, &ones]);
-        let (lanes, lane_stats) = prepared.count_in(12, &LogF64xN, &lane_weights, false);
+        let (lanes, lane_stats) = prepared
+            .count_in(12, &LogF64xN, &lane_weights, false, &Guard::unarmed())
+            .unwrap();
         assert_eq!(lane_stats.cells_merged, 0);
         assert_eq!(lanes.lane(0), log);
     }
@@ -1194,14 +1131,14 @@ mod tests {
                 }
                 check_engines_agree(&sentence, &weights, n);
                 let prepared = Fo2Prepared::prepare(&sentence, &voc).unwrap();
-                let (exact, _) = prepared.count(n, &weights, true);
+                let (exact, _) = prepared.count(n, &weights, true, &Guard::unarmed()).unwrap();
                 let grounded = ground_wfomc(&sentence, &voc, n, &weights);
                 prop_assert_eq!(&exact, &grounded, "ground mismatch for {} at n={}", sentence, n);
                 let poly_weights = AlgebraWeights::lift(&Poly, &weights);
-                let (poly, _) = prepared.count_in(n, &Poly, &poly_weights, true);
+                let (poly, _) = prepared.count_in(n, &Poly, &poly_weights, true, &Guard::unarmed()).unwrap();
                 prop_assert_eq!(poly, Poly.from_weight(&exact));
                 let log_weights = AlgebraWeights::lift(&LogF64, &weights);
-                let (_, log_stats) = prepared.count_in(n, &LogF64, &log_weights, true);
+                let (_, log_stats) = prepared.count_in(n, &LogF64, &log_weights, true, &Guard::unarmed()).unwrap();
                 prop_assert_eq!(log_stats.cells_merged, 0);
             }
         }

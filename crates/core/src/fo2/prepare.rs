@@ -8,7 +8,8 @@
 //! ([`super::cells::PairStructure`]). [`Fo2Prepared::count`] then *binds* a
 //! weight function (cheap: products and sums over the prepared structures,
 //! cached for the most recent weights) and runs the prefix-sharing cell-sum
-//! engine at the requested `n`.
+//! engine at the requested `n`; [`Fo2Prepared::count_in`] does the same in
+//! any evaluation algebra. Both run under a resource [`Guard`].
 //!
 //! This is the prepared state behind [`crate::plan::Plan`] for
 //! [`crate::solver::Method::Fo2`]; the one-shot
@@ -17,8 +18,6 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use num_traits::{One, Zero};
 
 use wfomc_ground::evaluate::evaluate;
 use wfomc_ground::structure::Structure;
@@ -34,11 +33,10 @@ use super::cells::{
     bind_cell_weights_in, bind_pair_table_in, build_cell_shapes, build_pair_structure, Cell,
     CellSpace, PairStructure,
 };
-use super::cellsum::{
-    cell_sum_elems, cell_sum_elems_guarded, cell_sum_weights, cell_sum_weights_gated, CellSumStats,
-};
+use super::cellsum::{cell_sum_elems, cell_sum_weights, CellSumStats};
 use super::normalize::fo2_normal_form;
-use crate::error::LiftError;
+use crate::error::{LiftError, SolveError};
+use crate::fanout;
 
 /// Guard phase name for the n-independent pair-structure analysis.
 const PREPARE_PHASE: &str = "fo2.prepare";
@@ -121,7 +119,7 @@ impl Fo2Prepared {
     /// is not FO², uses predicates of arity > 2, or contains constants.
     pub fn prepare(sentence: &Formula, vocabulary: &Vocabulary) -> Result<Fo2Prepared, LiftError> {
         Self::prepare_guarded(sentence, vocabulary, &Guard::unarmed()).map_err(|e| match e {
-            crate::error::SolveError::Lift(err) => err,
+            SolveError::Lift(err) => err,
             _ => unreachable!("an unarmed guard cannot interrupt"),
         })
     }
@@ -134,7 +132,7 @@ impl Fo2Prepared {
         sentence: &Formula,
         vocabulary: &Vocabulary,
         guard: &Guard,
-    ) -> Result<Fo2Prepared, crate::error::SolveError> {
+    ) -> Result<Fo2Prepared, SolveError> {
         wfomc_guard::failpoint(PREPARE_PHASE)?;
         if !sentence.is_sentence() {
             return Err(LiftError::NotASentence.into());
@@ -176,7 +174,7 @@ impl Fo2Prepared {
         // pair) dominates and varies per branch, so many-branch expansions
         // fan the masks over a work-stealing pool; the common zero-nullary
         // case (one mask) stays on the caller's thread.
-        let build_branch = |mask: u64| -> Result<Option<PreparedBranch>, crate::error::SolveError> {
+        let build_branch = |mask: u64| -> Result<Option<PreparedBranch>, SolveError> {
             guard.tick(PREPARE_PHASE, 1)?;
             let branch_matrix = if nullary.is_empty() {
                 shape.matrix.clone()
@@ -215,60 +213,20 @@ impl Fo2Prepared {
                 pairs,
             }))
         };
-        let total_masks = 1u64 << nullary.len();
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        let workers = if total_masks >= 4 {
-            cores.min(total_masks as usize)
-        } else {
-            1
-        };
+        let total_masks = 1usize << nullary.len();
+        let workers = if total_masks >= 4 { fanout::cores() } else { 1 };
+        let (built, _) = fanout::run(
+            total_masks,
+            workers,
+            || (),
+            |_, mask| build_branch(mask as u64),
+        );
         let mut branches = Vec::new();
-        if workers <= 1 {
-            for mask in 0..total_masks {
-                if let Some(branch) = build_branch(mask)? {
-                    branches.push(branch);
-                }
-            }
-        } else {
-            let pool = stealer::Pool::new(workers);
-            pool.seed(0..total_masks);
-            let mut slots: Vec<Option<Result<Option<PreparedBranch>, crate::error::SolveError>>> =
-                (0..total_masks).map(|_| None).collect();
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|t| {
-                        let mut queue = pool.worker(t);
-                        let build_branch = &build_branch;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            while let Some(mask) = queue.pop() {
-                                out.push((mask, build_branch(mask)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| {
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    })
-                    .collect::<Vec<_>>()
-            });
-            wfomc_obs::metrics::CELLSUM_STEALS.add(pool.steals());
-            for (mask, result) in results {
-                slots[mask as usize] = Some(result);
-            }
-            // Surface the mask-order-first error so the parallel build fails
-            // exactly like the serial loop regardless of the steal schedule.
-            for slot in slots {
-                if let Some(branch) = slot.expect("every mask analyzed")? {
-                    branches.push(branch);
-                }
-            }
+        // Surface the mask-order-first error so the parallel build fails
+        // exactly like a serial loop regardless of the steal schedule.
+        for outcome in built {
+            let branch = outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
+            branches.extend(branch);
         }
 
         guard.check(PREPARE_PHASE)?;
@@ -404,59 +362,34 @@ impl Fo2Prepared {
     }
 
     /// `WFOMC` of the prepared sentence at domain size `n` under `weights`,
-    /// together with the engine's cost statistics. `allow_parallel` lets the
-    /// Shannon branches / top-level cell splits fan out over scoped threads
-    /// (callers that already parallelize across evaluation points pass
-    /// `false`).
-    pub fn count(&self, n: usize, weights: &Weights, allow_parallel: bool) -> (Weight, Fo2Stats) {
-        // n = 0: there is exactly one (empty) structure; its weight is 1.
-        if n == 0 {
-            let value = if evaluate(&self.sentence, &Structure::empty(0)) {
-                Weight::one()
-            } else {
-                Weight::zero()
-            };
-            return (value, Fo2Stats::default());
-        }
-
-        let bound = self.bind(weights);
-        // The exact engine clears rational denominators before the DFS.
-        self.sum_bound(&Exact, bound.as_ref(), n, allow_parallel, |b, parallel| {
-            Ok(cell_sum_weights(&b.u, &b.table, n, parallel))
-        })
-        .expect("an ungated cell sum cannot interrupt")
-    }
-
-    /// [`count`](Self::count) under a resource [`Guard`]: the weight binding
-    /// and every branch's cell sum are metered, so deadlines, work caps and
-    /// cancellation interrupt mid-count. The binding LRU only ever stores
+    /// together with the engine's cost statistics, under a resource
+    /// [`Guard`]. `allow_parallel` lets the Shannon branches / top-level
+    /// cell splits fan out over scoped threads (callers that already
+    /// parallelize across evaluation points pass `false`).
+    ///
+    /// The weight binding goes through the keyed LRU, and the exact engine
+    /// clears rational denominators before the DFS. The binding and every
+    /// branch's cell sum are metered, so deadlines, work caps and
+    /// cancellation interrupt mid-count; the LRU only ever stores
     /// *completed* bindings and the engine's accumulators are call-local, so
     /// an interrupted count leaves the prepared state fully reusable —
     /// retrying (with or without limits) gives the same answer as a fresh
-    /// solve.
-    pub fn count_guarded(
+    /// solve. Ungoverned callers pass [`Guard::unarmed`].
+    pub fn count(
         &self,
         n: usize,
         weights: &Weights,
         allow_parallel: bool,
         guard: &Guard,
     ) -> Result<(Weight, Fo2Stats), Interrupt> {
-        // n = 0: there is exactly one (empty) structure; its weight is 1.
-        if n == 0 {
-            let value = if evaluate(&self.sentence, &Structure::empty(0)) {
-                Weight::one()
-            } else {
-                Weight::zero()
-            };
-            return Ok((value, Fo2Stats::default()));
-        }
-
-        wfomc_guard::failpoint("fo2.bind")?;
-        guard.check("fo2.bind")?;
-        let bound = self.bind(weights);
-        self.sum_bound(&Exact, bound.as_ref(), n, allow_parallel, |b, parallel| {
-            cell_sum_weights_gated(&b.u, &b.table, n, parallel, guard)
-        })
+        self.evaluate(
+            &Exact,
+            n,
+            allow_parallel,
+            guard,
+            || self.bind(weights),
+            |b, parallel| cell_sum_weights(&b.u, &b.table, n, parallel, guard),
+        )
     }
 
     /// [`count`](Self::count) in an arbitrary [`Algebra`]: binds the weight
@@ -474,35 +407,31 @@ impl Fo2Prepared {
         algebra: &A,
         weights: &AlgebraWeights<A>,
         allow_parallel: bool,
-    ) -> (A::Elem, Fo2Stats) {
-        // n = 0: there is exactly one (empty) structure; its weight is 1.
-        if n == 0 {
-            let value = if evaluate(&self.sentence, &Structure::empty(0)) {
-                algebra.one()
-            } else {
-                algebra.zero()
-            };
-            return (value, Fo2Stats::default());
-        }
-
-        let bound = self.bind_in(algebra, weights);
-        self.sum_bound(algebra, &bound, n, allow_parallel, |b, parallel| {
-            Ok(cell_sum_elems(algebra, &b.u, &b.table, n, parallel))
-        })
-        .expect("an ungated cell sum cannot interrupt")
+        guard: &Guard,
+    ) -> Result<(A::Elem, Fo2Stats), Interrupt> {
+        self.evaluate(
+            algebra,
+            n,
+            allow_parallel,
+            guard,
+            || Arc::new(self.bind_in(algebra, weights)),
+            |b, parallel| cell_sum_elems(algebra, &b.u, &b.table, n, parallel, guard),
+        )
     }
 
-    /// [`count_in`](Self::count_in) under a resource [`Guard`] — the
-    /// algebra-generic counterpart of [`count_guarded`](Self::count_guarded),
-    /// used by the lane-batched evaluation path so governed batches stay
-    /// interruptible mid-traversal.
-    pub fn count_in_guarded<A: Algebra>(
+    /// Shared body of [`count`](Self::count) and
+    /// [`count_in`](Self::count_in): the empty domain, the guarded weight
+    /// binding, leftover-predicate factors, branch evaluation (fanned out
+    /// when allowed and worthwhile) and stats accumulation.
+    fn evaluate<A: Algebra>(
         &self,
-        n: usize,
         algebra: &A,
-        weights: &AlgebraWeights<A>,
+        n: usize,
         allow_parallel: bool,
         guard: &Guard,
+        bind: impl FnOnce() -> Arc<Fo2BoundIn<A::Elem>>,
+        eval: impl Fn(&BoundBranchIn<A::Elem>, bool) -> Result<(A::Elem, CellSumStats), Interrupt>
+            + Sync,
     ) -> Result<(A::Elem, Fo2Stats), Interrupt> {
         // n = 0: there is exactly one (empty) structure; its weight is 1.
         if n == 0 {
@@ -513,27 +442,10 @@ impl Fo2Prepared {
             };
             return Ok((value, Fo2Stats::default()));
         }
-
         wfomc_guard::failpoint("fo2.bind")?;
         guard.check("fo2.bind")?;
-        let bound = self.bind_in(algebra, weights);
-        self.sum_bound(algebra, &bound, n, allow_parallel, |b, parallel| {
-            cell_sum_elems_guarded(algebra, &b.u, &b.table, n, parallel, guard)
-        })
-    }
+        let bound = bind();
 
-    /// Shared evaluation tail of [`count`](Self::count) and
-    /// [`count_in`](Self::count_in): leftover-predicate factors, branch
-    /// evaluation (parallel when allowed), stats accumulation.
-    fn sum_bound<A: Algebra>(
-        &self,
-        algebra: &A,
-        bound: &Fo2BoundIn<A::Elem>,
-        n: usize,
-        allow_parallel: bool,
-        eval: impl Fn(&BoundBranchIn<A::Elem>, bool) -> Result<(A::Elem, CellSumStats), Interrupt>
-            + Sync,
-    ) -> Result<(A::Elem, Fo2Stats), Interrupt> {
         let _span = wfomc_obs::span("fo2.cellsum");
         let mut stats = Fo2Stats {
             introduced_predicates: self.introduced.len(),
@@ -545,14 +457,31 @@ impl Fo2Prepared {
             algebra.mul_assign(&mut leftover, &algebra.pow(total, p.num_ground_tuples(n)));
         }
 
+        // Branch costs are wildly uneven (a hard-constraint branch prunes to
+        // nothing, an unconstrained one sums every composition), so the
+        // branches go through the work-stealing fan-out. With fewer branch
+        // workers than cores, each branch's engine splits its top level too
+        // (its own composition-count threshold still applies). A panic is
+        // resumed here, where the plan layer's per-point containment turns
+        // it into `SolveError::WorkerPanicked`.
+        let branches = &bound.branches;
+        let cores = fanout::cores();
+        let workers = if allow_parallel && n >= 8 {
+            cores.min(branches.len())
+        } else {
+            1
+        };
+        let parallel_within = allow_parallel && workers < cores;
+        let (sums, _) = fanout::run(
+            branches.len(),
+            workers,
+            || (),
+            |_, i| eval(&branches[i], parallel_within),
+        );
         let mut total = algebra.zero();
-        for (branch, result) in
-            bound
-                .branches
-                .iter()
-                .zip(evaluate_bound(&bound.branches, n, allow_parallel, &eval))
-        {
-            let (value, branch_stats) = result?;
+        for (branch, outcome) in branches.iter().zip(sums) {
+            let (value, branch_stats) =
+                outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
             stats.absorb_cell_sum(&branch_stats);
             algebra.add_assign(&mut total, &algebra.mul(&branch.factor, &value));
         }
@@ -730,69 +659,10 @@ impl Fo2Prepared {
     }
 }
 
-/// Evaluates the bound Shannon branches, fanning them over scoped threads
-/// when allowed and worthwhile. Results are aligned with the input order.
-fn evaluate_bound<E: Clone + Send + Sync, S: Send>(
-    branches: &[BoundBranchIn<E>],
-    n: usize,
-    allow_parallel: bool,
-    eval: &(impl Fn(&BoundBranchIn<E>, bool) -> S + Sync),
-) -> Vec<S> {
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let workers = if allow_parallel && branches.len() > 1 && n >= 8 {
-        cores.min(branches.len())
-    } else {
-        1
-    };
-    if workers <= 1 {
-        return branches.iter().map(|b| eval(b, allow_parallel)).collect();
-    }
-    // With fewer branch workers than cores, let each branch's engine split
-    // its top level too (its own composition-count threshold still applies).
-    // Branch costs are wildly uneven (a hard-constraint branch prunes to
-    // nothing, an unconstrained one sums every composition), so the branches
-    // go through a work-stealing pool instead of a fixed round-robin split.
-    // A worker panic is resumed here on the joining thread, where the plan
-    // layer's per-point containment turns it into
-    // `SolveError::WorkerPanicked`.
-    let parallel_within = workers < cores;
-    let pool = stealer::Pool::new(workers);
-    pool.seed(0..branches.len());
-    let out = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                let mut queue = pool.worker(t);
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    while let Some(i) = queue.pop() {
-                        done.push((i, eval(&branches[i], parallel_within)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        let mut out: Vec<Option<S>> = branches.iter().map(|_| None).collect();
-        for handle in handles {
-            let done = handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            for (i, result) in done {
-                out[i] = Some(result);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every branch evaluated"))
-            .collect()
-    });
-    wfomc_obs::metrics::CELLSUM_STEALS.add(pool.steals());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use num_traits::Zero;
     use wfomc_ground::wfomc as ground_wfomc;
     use wfomc_logic::catalog;
 
@@ -812,7 +682,9 @@ mod tests {
                 Weights::from_ints([("R", 0, 1), ("S", -1, 2), ("T", 2, 2)]),
             ] {
                 for n in 0..=4 {
-                    let (value, stats) = prepared.count(n, &weights, true);
+                    let (value, stats) = prepared
+                        .count(n, &weights, true, &Guard::unarmed())
+                        .unwrap();
                     let (one_shot, one_shot_stats) =
                         super::super::wfomc_fo2_with_stats(&sentence, &voc, n, &weights)
                             .expect("FO² applies");
@@ -845,8 +717,11 @@ mod tests {
             dec.finish().expect("payload fully consumed");
             let weights = Weights::from_ints([("R", 2, 1), ("S", 0, -3), ("T", 1, 3)]);
             for n in 0..=4 {
-                let (value, stats) = prepared.count(n, &weights, true);
-                let (decoded_value, decoded_stats) = decoded.count(n, &weights, true);
+                let (value, stats) = prepared
+                    .count(n, &weights, true, &Guard::unarmed())
+                    .unwrap();
+                let (decoded_value, decoded_stats) =
+                    decoded.count(n, &weights, true, &Guard::unarmed()).unwrap();
                 assert_eq!(value, decoded_value, "{sentence} at n={n}");
                 assert_eq!(stats, decoded_stats, "{sentence} stats at n={n}");
             }
@@ -906,15 +781,31 @@ mod tests {
         let prepared = Fo2Prepared::prepare(&sentence, &voc).unwrap();
         let weights = Weights::from_ints([("Smokes", 3, 1), ("Friends", 1, 2)]);
         for n in 0..=5 {
-            let (exact, exact_stats) = prepared.count(n, &weights, false);
+            let (exact, exact_stats) = prepared
+                .count(n, &weights, false, &Guard::unarmed())
+                .unwrap();
             // Exact algebra through the generic path: identical values.
-            let (generic, generic_stats) =
-                prepared.count_in(n, &Exact, &AlgebraWeights::lift(&Exact, &weights), false);
+            let (generic, generic_stats) = prepared
+                .count_in(
+                    n,
+                    &Exact,
+                    &AlgebraWeights::lift(&Exact, &weights),
+                    false,
+                    &Guard::unarmed(),
+                )
+                .unwrap();
             assert_eq!(exact, generic, "n = {n}");
             assert_eq!(exact_stats, generic_stats, "n = {n}");
             // LogF64 tracks the exact value within floating tolerance.
-            let (log, _) =
-                prepared.count_in(n, &LogF64, &AlgebraWeights::lift(&LogF64, &weights), false);
+            let (log, _) = prepared
+                .count_in(
+                    n,
+                    &LogF64,
+                    &AlgebraWeights::lift(&LogF64, &weights),
+                    false,
+                    &Guard::unarmed(),
+                )
+                .unwrap();
             let expected = LogF64.from_weight(&exact);
             assert_eq!(log.signum(), expected.signum(), "n = {n}");
             if !exact.is_zero() {
@@ -924,8 +815,15 @@ mod tests {
                 );
             }
             // Poly with constant weights is a degree-0 polynomial.
-            let (poly, _) =
-                prepared.count_in(n, &Poly, &AlgebraWeights::lift(&Poly, &weights), false);
+            let (poly, _) = prepared
+                .count_in(
+                    n,
+                    &Poly,
+                    &AlgebraWeights::lift(&Poly, &weights),
+                    false,
+                    &Guard::unarmed(),
+                )
+                .unwrap();
             assert_eq!(poly.coeff(0), exact, "n = {n}");
         }
     }

@@ -46,6 +46,7 @@ pub mod closed_form;
 pub mod combinatorics;
 pub mod cq;
 pub mod error;
+mod fanout;
 pub mod fo2;
 pub mod normal;
 pub mod plan;
@@ -57,5 +58,6 @@ pub use plan::{DegradePolicy, Plan, PlanReport, Problem};
 pub use solver::{LimitsReport, Method, PlanCacheStats, Solver, SolverBuilder, SolverReport};
 // The guard substrate is part of the governed API surface: callers build
 // `ExecutionLimits`/`CancelToken` values to pass into
-// [`Plan::count_with_limits`] without depending on `wfomc-guard` directly.
-pub use wfomc_guard::{CancelToken, ExecutionLimits};
+// [`Plan::count_with_limits`], and an unarmed `Guard` for the prepared FO²
+// state, without depending on `wfomc-guard` directly.
+pub use wfomc_guard::{CancelToken, ExecutionLimits, Guard};

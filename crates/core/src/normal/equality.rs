@@ -146,13 +146,15 @@ pub fn wfomc_via_equality_removal_interpolated(
             (n, w)
         })
         .collect();
-    let reports = plan
-        .count_batch(&points)
-        .expect("plan evaluation cannot fail after planning succeeded");
-    let samples: Vec<(Weight, Weight)> = reports
+    let samples: Vec<(Weight, Weight)> = plan
+        .count_batch_results(&points)
         .into_iter()
         .enumerate()
-        .map(|(z, report)| (weight_int(z as i64), report.value))
+        .map(|(z, report)| {
+            let report =
+                report.unwrap_or_else(|e| panic!("interpolation point {z} failed to count: {e}"));
+            (weight_int(z as i64), report.value)
+        })
         .collect();
     interpolate(&samples)
         .get(n)

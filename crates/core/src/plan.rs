@@ -36,26 +36,29 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread;
 
 use num_traits::{One, Zero};
 
 use wfomc_ground::{CompiledWfomc, Lineage};
 use wfomc_guard::{CancelToken, ExecutionLimits, Guard, Interrupt};
-use wfomc_logic::algebra::{Algebra, AlgebraWeights, LogF64, LogF64xN, LogWeight, LOG_LANES};
+use wfomc_logic::algebra::{
+    Algebra, AlgebraWeights, Exact, LogF64, LogF64xN, LogWeight, LOG_LANES,
+};
 use wfomc_logic::cq::ConjunctiveQuery;
 use wfomc_logic::snap;
 use wfomc_logic::syntax::Formula;
 use wfomc_logic::vocabulary::{Predicate, Vocabulary};
 use wfomc_logic::weights::{weight_pow, Weight, Weights};
-use wfomc_prop::counter::{wmc_formula_via_guarded, wmc_formula_via_in};
+use wfomc_prop::counter::wmc_formula_via_in;
 use wfomc_prop::{PropFormula, WmcBackend};
 
 use crate::cq::gamma_acyclic::{
     gamma_acyclic_probability, gamma_acyclic_wfomc_memo_guarded, CqMemo,
 };
 use crate::error::{LiftError, SolveError};
+use crate::fanout;
 use crate::fo2::Fo2Prepared;
 use crate::qs4::{is_qs4, wfomc_qs4, wfomc_qs4_in};
 use crate::solver::{LimitsReport, Method, PlanCacheStats, Solver, SolverReport};
@@ -247,8 +250,8 @@ impl GroundPrep {
 /// work (method selection, normalization, cell decomposition, query
 /// recognition) has already happened.
 ///
-/// A `Plan` is `Sync`: [`Plan::count_batch`] fans independent points over
-/// scoped threads, and the internal caches (FO² weight binding, CQ memo,
+/// A `Plan` is `Sync`: [`Plan::count_batch_results`] fans independent points
+/// over scoped threads, and the internal caches (FO² weight binding, CQ memo,
 /// groundings and compiled circuits per domain size) are shared behind locks.
 #[must_use = "a Plan only pays off when its count/probability methods are called"]
 #[derive(Debug)]
@@ -371,14 +374,11 @@ impl Plan {
     }
 
     /// Symmetric WFOMC at domain size `n` under `weights` — the cheap,
-    /// repeatable half of the solve.
+    /// repeatable half of the solve. This is the governed path of
+    /// [`count_with_limits`](Self::count_with_limits) with nothing armed.
     pub fn count(&self, n: usize, weights: &Weights) -> Result<SolverReport, LiftError> {
-        self.count_inner(n, weights, true)
-    }
-
-    /// [`count`](Self::count) with the problem's default weights.
-    pub fn count_default(&self, n: usize) -> Result<SolverReport, LiftError> {
-        self.count(n, &self.default_weights)
+        self.count_point_guarded(n, weights, true, None, &Guard::unarmed())
+            .map_err(demote)
     }
 
     /// [`count`](Self::count) under [`ExecutionLimits`] and an optional
@@ -431,38 +431,15 @@ impl Plan {
 
     /// Evaluates many independent `(n, weights)` points, fanning them over
     /// scoped threads (each point then evaluates serially, so the machine is
-    /// not oversubscribed). Results are in input order.
+    /// not oversubscribed). Each point gets its own `Result`, so one
+    /// pathological point (an algorithmic error, or — contained via
+    /// `catch_unwind` — a panic, reported as [`SolveError::WorkerPanicked`])
+    /// never takes the whole batch down with it. Results are in input order.
     ///
     /// CQ-method plans give each worker its own clone of the shared
     /// reduction memo and fold the workers' discoveries back in afterwards,
     /// so the points run truly concurrently instead of serializing on one
     /// memo lock.
-    ///
-    /// All-or-nothing shim over
-    /// [`count_batch_results`][Self::count_batch_results]: the first
-    /// per-point error loses the
-    /// other points' reports. A panic while evaluating a point is resurfaced
-    /// here (the per-point API reports it as [`SolveError::WorkerPanicked`]
-    /// instead).
-    pub fn count_batch(&self, points: &[(usize, Weights)]) -> Result<Vec<SolverReport>, LiftError> {
-        self.count_batch_results(points)
-            .into_iter()
-            .map(|r| {
-                r.map_err(|e| match e {
-                    SolveError::Lift(e) => e,
-                    SolveError::WorkerPanicked { message } => {
-                        panic!("count_batch worker panicked: {message}")
-                    }
-                    other => unreachable!("an unarmed batch cannot report exhaustion: {other}"),
-                })
-            })
-            .collect()
-    }
-
-    /// [`count_batch`](Self::count_batch) with per-point outcomes: each point
-    /// gets its own `Result`, so one pathological point (an algorithmic
-    /// error, or — contained via `catch_unwind` — a panic) no longer takes
-    /// the whole batch down with it. Results are in input order.
     pub fn count_batch_results(
         &self,
         points: &[(usize, Weights)],
@@ -484,106 +461,36 @@ impl Plan {
         cancel: Option<CancelToken>,
     ) -> Vec<Result<SolverReport, SolveError>> {
         let guard = Guard::new(limits, cancel);
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        let workers = cores.min(points.len());
-        let mut results = if workers <= 1 {
-            points
-                .iter()
-                .map(|(n, w)| self.count_point_contained(*n, w, true, None, &guard))
-                .collect()
-        } else {
-            self.count_batch_parallel(points, workers, &guard)
-        };
-        if let Some(limits) = limits_report(&guard, limits) {
-            for report in results.iter_mut().flatten() {
-                report.limits = Some(limits);
-            }
-        }
-        results
-    }
-
-    /// The scoped-thread fan-out behind the batch entry points.
-    fn count_batch_parallel(
-        &self,
-        points: &[(usize, Weights)],
-        workers: usize,
-        guard: &Guard,
-    ) -> Vec<Result<SolverReport, SolveError>> {
         let shared_memo = match &self.state {
             PlanState::Cq { memo, .. } => Some(memo),
             _ => None,
         };
-        let (results, worker_memos) = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|t| {
-                    // Clone-in: a private memo snapshot per worker. The
-                    // worker clone starts with zeroed hit/miss tallies so
-                    // that `absorb` can sum them back without double
-                    // counting the shared memo's own history.
-                    let mut local: Option<CqMemo> = shared_memo
-                        .map(|memo| memo.lock().expect("cq memo poisoned").clone_for_worker());
-                    scope.spawn(move || {
-                        let results = points
-                            .iter()
-                            .enumerate()
-                            .skip(t)
-                            .step_by(workers)
-                            .map(|(i, (n, w))| {
-                                (
-                                    i,
-                                    self.count_point_contained(*n, w, false, local.as_mut(), guard),
-                                )
-                            })
-                            .collect::<Vec<_>>();
-                        // Scope joins can outrun TLS destructors; push this
-                        // worker's span stats to the global table explicitly.
-                        wfomc_obs::flush_thread();
-                        (results, local)
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<Result<SolverReport, SolveError>>> =
-                (0..points.len()).map(|_| None).collect();
-            let mut locals = Vec::new();
-            for (t, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok((results, local)) => {
-                        for (i, result) in results {
-                            slots[i] = Some(result);
-                        }
-                        locals.extend(local);
-                    }
-                    // A panic that escaped the per-point containment (e.g.
-                    // in the memo clone or the obs flush) loses only this
-                    // worker's points, reported structurally instead of
-                    // tearing the whole batch down.
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        for slot in slots.iter_mut().skip(t).step_by(workers) {
-                            slot.get_or_insert_with(|| {
-                                Err(SolveError::WorkerPanicked {
-                                    message: message.clone(),
-                                })
-                            });
-                        }
-                    }
-                }
-            }
-            let results: Vec<Result<SolverReport, SolveError>> = slots
-                .into_iter()
-                .map(|r| r.expect("every point evaluated"))
-                .collect();
-            (results, locals)
-        });
+        let (workers, alone) = batch_workers(points.len());
+        let (outcomes, worker_memos) = fanout::run(
+            points.len(),
+            workers,
+            // Clone-in: a private memo snapshot per worker. The worker clone
+            // starts with zeroed hit/miss tallies so that `absorb` can sum
+            // them back without double counting the shared memo's history.
+            || shared_memo.map(|memo| memo.lock().expect("cq memo poisoned").clone_for_worker()),
+            |memo, i| {
+                let (n, weights) = &points[i];
+                self.count_point_guarded(*n, weights, alone, memo.as_mut(), &guard)
+            },
+        );
         // Merge-out: every residual shape any worker discovered becomes
         // available to future counts. Panics were contained per point, so
         // worker memos hold only completed reductions.
         if let Some(memo) = shared_memo {
             let mut memo = memo.lock().expect("cq memo poisoned");
-            for local in worker_memos {
+            for local in worker_memos.into_iter().flatten() {
                 memo.absorb(local);
+            }
+        }
+        let mut results: Vec<_> = outcomes.into_iter().map(contained).collect();
+        if let Some(limits) = limits_report(&guard, limits) {
+            for report in results.iter_mut().flatten() {
+                report.limits = Some(limits);
             }
         }
         results
@@ -597,8 +504,8 @@ impl Plan {
     /// scalar [`LogF64`] run of point `i` — the lane algebra delegates every
     /// per-lane step to the scalar implementation — so this is a throughput
     /// optimization, not an approximation change. Mixed-`n` batches fall
-    /// back to the per-point scoped-thread fan-out. Results are in input
-    /// order.
+    /// back to per-point scalar [`LogF64`] evaluation fanned over scoped
+    /// threads (nothing can share a traversal). Results are in input order.
     pub fn count_batch_log(
         &self,
         points: &[(usize, Weights)],
@@ -618,30 +525,44 @@ impl Plan {
         cancel: Option<CancelToken>,
     ) -> Vec<Result<LogWeight, SolveError>> {
         let guard = Guard::new(limits, cancel);
-        if points.is_empty() {
+        let Some(&(n, _)) = points.first() else {
             return Vec::new();
-        }
-        let n = points[0].0;
+        };
         if points.iter().any(|(m, _)| *m != n) {
-            return self.count_batch_log_mixed(points, &guard);
+            let (workers, alone) = batch_workers(points.len());
+            let (outcomes, _) = fanout::run(
+                points.len(),
+                workers,
+                || (),
+                |_, i| {
+                    let (n, weights) = &points[i];
+                    let lifted = AlgebraWeights::lift(&LogF64, weights);
+                    self.count_in_guarded_point(*n, &LogF64, &lifted, alone, &guard)
+                },
+            );
+            return outcomes.into_iter().map(contained).collect();
         }
         wfomc_obs::metrics::BATCH_LANE_POINTS.add(points.len() as u64);
-        let mut out = Vec::with_capacity(points.len());
-        for chunk in points.chunks(LOG_LANES) {
-            wfomc_obs::metrics::CELLSUM_LANE_BATCHES.inc();
-            let lane_weights: Vec<&Weights> = chunk.iter().map(|(_, w)| w).collect();
-            // A ragged final chunk repeats its last point in the tail lanes
-            // (see `pack_weights`); only the real lanes are unpacked below.
-            let packed = LogF64xN::pack_weights(&lane_weights);
-            let result = catch_unwind(AssertUnwindSafe(|| {
+        // The chunks run in order on this thread (each one already fans its
+        // traversal out); one worker still contains a panic per chunk.
+        let chunks: Vec<&[(usize, Weights)]> = points.chunks(LOG_LANES).collect();
+        let (outcomes, _) = fanout::run(
+            chunks.len(),
+            1,
+            || (),
+            |_, c| {
+                wfomc_obs::metrics::CELLSUM_LANE_BATCHES.inc();
+                let lane_weights: Vec<&Weights> = chunks[c].iter().map(|(_, w)| w).collect();
+                // A ragged final chunk repeats its last point in the tail
+                // lanes (see `pack_weights`); only the real lanes are
+                // unpacked below.
+                let packed = LogF64xN::pack_weights(&lane_weights);
                 self.count_in_guarded_point(n, &LogF64xN, &packed, true, &guard)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(SolveError::WorkerPanicked {
-                    message: panic_message(payload.as_ref()),
-                })
-            });
-            match result {
+            },
+        );
+        let mut out = Vec::with_capacity(points.len());
+        for (chunk, outcome) in chunks.iter().zip(outcomes) {
+            match contained(outcome) {
                 Ok(lanes) => out.extend((0..chunk.len()).map(|i| Ok(lanes.lane(i)))),
                 Err(e) => out.extend((0..chunk.len()).map(|_| Err(e.clone()))),
             }
@@ -649,93 +570,8 @@ impl Plan {
         out
     }
 
-    /// The mixed-`n` fallback of the lane batch: per-point scalar [`LogF64`]
-    /// evaluation over scoped threads (each lane of work is a whole point,
-    /// so nothing can share a traversal).
-    fn count_batch_log_mixed(
-        &self,
-        points: &[(usize, Weights)],
-        guard: &Guard,
-    ) -> Vec<Result<LogWeight, SolveError>> {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        let workers = cores.min(points.len());
-        if workers <= 1 {
-            return points
-                .iter()
-                .map(|(n, w)| self.count_log_point_contained(*n, w, true, guard))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let results = points
-                            .iter()
-                            .enumerate()
-                            .skip(t)
-                            .step_by(workers)
-                            .map(|(i, (n, w))| {
-                                (i, self.count_log_point_contained(*n, w, false, guard))
-                            })
-                            .collect::<Vec<_>>();
-                        wfomc_obs::flush_thread();
-                        results
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<Result<LogWeight, SolveError>>> =
-                (0..points.len()).map(|_| None).collect();
-            for (t, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(results) => {
-                        for (i, result) in results {
-                            slots[i] = Some(result);
-                        }
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        for slot in slots.iter_mut().skip(t).step_by(workers) {
-                            slot.get_or_insert_with(|| {
-                                Err(SolveError::WorkerPanicked {
-                                    message: message.clone(),
-                                })
-                            });
-                        }
-                    }
-                }
-            }
-            slots
-                .into_iter()
-                .map(|r| r.expect("every point evaluated"))
-                .collect()
-        })
-    }
-
-    /// One scalar log-space point with panic containment, the per-point unit
-    /// of the mixed-`n` fallback.
-    fn count_log_point_contained(
-        &self,
-        n: usize,
-        weights: &Weights,
-        allow_parallel: bool,
-        guard: &Guard,
-    ) -> Result<LogWeight, SolveError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            let lifted = AlgebraWeights::lift(&LogF64, weights);
-            self.count_in_guarded_point(n, &LogF64, &lifted, allow_parallel, guard)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(SolveError::WorkerPanicked {
-                message: panic_message(payload.as_ref()),
-            })
-        })
-    }
-
-    /// One governed evaluation point in an arbitrary algebra — the guarded
-    /// counterpart of [`count_in_inner`](Self::count_in_inner), shared by
-    /// the lane-batched path and its scalar fallback.
+    /// One governed evaluation point in an arbitrary algebra, behind
+    /// [`count_in`](Self::count_in), the generic and log batches.
     fn count_in_guarded_point<A: Algebra>(
         &self,
         n: usize,
@@ -753,43 +589,21 @@ impl Plan {
                 &predicate_factor_in(extra, n, algebra, weights),
             )),
             PlanState::Fo2(prepared) => Ok(prepared
-                .count_in_guarded(n, algebra, weights, allow_parallel, guard)?
+                .count_in(n, algebra, weights, allow_parallel, guard)?
                 .0),
             PlanState::Cq { .. } if !self.solver.allow_ground_fallback => {
                 Err(no_lifted_method().into())
             }
             PlanState::Cq { .. } | PlanState::Ground => {
-                self.ground_count_in_guarded(n, algebra, weights, guard)
+                self.ground_count_in_guarded(n, algebra, weights, self.solver.ground_backend, guard)
             }
         }
-    }
-
-    /// One point with panic containment: a panic anywhere inside the
-    /// evaluation becomes [`SolveError::WorkerPanicked`] for this point
-    /// alone. Sound to contain because every plan cache inserts only
-    /// completed entries — an unwinding evaluation leaves them consistent.
-    fn count_point_contained(
-        &self,
-        n: usize,
-        weights: &Weights,
-        allow_parallel: bool,
-        cq_memo: Option<&mut CqMemo>,
-        guard: &Guard,
-    ) -> Result<SolverReport, SolveError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            self.count_point_guarded(n, weights, allow_parallel, cq_memo, guard)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(SolveError::WorkerPanicked {
-                message: panic_message(payload.as_ref()),
-            })
-        })
     }
 
     /// The probability of the sentence at domain size `n` under the problem's
     /// default weights: `Pr(Φ) = WFOMC(Φ) / WFOMC(true)`.
     pub fn probability(&self, n: usize) -> Result<SolverReport, LiftError> {
-        let report = self.count_default(n)?;
+        let report = self.count(n, &self.default_weights)?;
         let normalization = self.default_weights.wfomc_of_true(&self.vocabulary, n);
         if normalization.is_zero() {
             return Err(LiftError::NoProbabilityNormalization {
@@ -922,29 +736,6 @@ impl Plan {
         }
     }
 
-    fn count_inner(
-        &self,
-        n: usize,
-        weights: &Weights,
-        allow_parallel: bool,
-    ) -> Result<SolverReport, LiftError> {
-        self.count_point(n, weights, allow_parallel, None)
-    }
-
-    /// One evaluation point through the ungoverned public API: the guarded
-    /// path with nothing armed, so there is exactly one evaluation code path
-    /// to test and benchmark.
-    fn count_point(
-        &self,
-        n: usize,
-        weights: &Weights,
-        allow_parallel: bool,
-        cq_memo: Option<&mut CqMemo>,
-    ) -> Result<SolverReport, LiftError> {
-        self.count_point_guarded(n, weights, allow_parallel, cq_memo, &Guard::unarmed())
-            .map_err(demote)
-    }
-
     /// One evaluation point. `cq_memo` optionally overrides the plan's
     /// shared CQ memo with a caller-private one (the batch workers' clone-in
     /// memos); `None` uses the shared memo behind its lock. The guard is
@@ -976,7 +767,7 @@ impl Plan {
                 }
             }
             PlanState::Fo2(prepared) => {
-                let (value, stats) = prepared.count_guarded(n, weights, allow_parallel, guard)?;
+                let (value, stats) = prepared.count(n, weights, allow_parallel, guard)?;
                 SolverReport {
                     value,
                     method: Method::Fo2,
@@ -1043,11 +834,10 @@ impl Plan {
             })
     }
 
-    /// One grounded evaluation: the lineage is cached per domain size, and
-    /// the circuit backend additionally caches a compiled d-DNNF per `n`, so
-    /// repeated counts cost one linear circuit pass each. `backend` is
-    /// explicit (rather than read from the solver) so the degradation chain
-    /// can force cheaper backends through the same caches.
+    /// One exact grounded evaluation: the [`Exact`] instance of
+    /// [`ground_count_in_guarded`](Self::ground_count_in_guarded), reported.
+    /// `backend` is explicit (rather than read from the solver) so the
+    /// degradation chain can force cheaper backends through the same caches.
     fn ground_count_guarded(
         &self,
         n: usize,
@@ -1055,36 +845,9 @@ impl Plan {
         backend: WmcBackend,
         guard: &Guard,
     ) -> Result<SolverReport, SolveError> {
-        // Fail fast on an expired budget even when everything below is
-        // cached, so the degradation stages honor their sub-budgets the
-        // same way `count_point_guarded` honors the solve budget.
-        guard.check("plan.ground")?;
-        let instance = self.ground_instance_guarded(n, guard)?;
-        let value = match backend {
-            WmcBackend::Circuit => {
-                // `OnceLock::get_or_init` cannot carry the interrupt out, so
-                // compile first and publish only a *completed* circuit; a
-                // concurrent winner's circuit is identical, so dropping the
-                // loser is just wasted work, never wrong.
-                let compiled = match instance.compiled.get() {
-                    Some(compiled) => compiled,
-                    None => {
-                        let built =
-                            CompiledWfomc::from_lineage_guarded(instance.lineage.clone(), guard)?;
-                        instance.compiled.get_or_init(|| built)
-                    }
-                };
-                compiled.wfomc(weights)
-            }
-            backend => wmc_formula_via_guarded(
-                &instance.lineage.prop,
-                &instance.lineage.symmetric_weights(weights),
-                backend,
-                guard,
-            )?,
-        };
+        let lifted = AlgebraWeights::lift(&Exact, weights);
         Ok(SolverReport {
-            value,
+            value: self.ground_count_in_guarded(n, &Exact, &lifted, backend, guard)?,
             method: Method::Ground,
             backend: Some(backend),
             fo2_stats: None,
@@ -1179,84 +942,38 @@ impl Plan {
         algebra: &A,
         weights: &AlgebraWeights<A>,
     ) -> Result<A::Elem, LiftError> {
-        self.count_in_inner(n, algebra, weights, true)
+        self.count_in_guarded_point(n, algebra, weights, true, &Guard::unarmed())
+            .map_err(demote)
     }
 
-    fn count_in_inner<A: Algebra>(
-        &self,
-        n: usize,
-        algebra: &A,
-        weights: &AlgebraWeights<A>,
-        allow_parallel: bool,
-    ) -> Result<A::Elem, LiftError> {
-        match &self.state {
-            PlanState::Qs4 { extra } => Ok(algebra.mul(
-                &wfomc_qs4_in(n, algebra, weights),
-                &predicate_factor_in(extra, n, algebra, weights),
-            )),
-            PlanState::Fo2(prepared) => {
-                Ok(prepared.count_in(n, algebra, weights, allow_parallel).0)
-            }
-            PlanState::Cq { .. } if !self.solver.allow_ground_fallback => Err(no_lifted_method()),
-            PlanState::Cq { .. } | PlanState::Ground => {
-                Ok(self.ground_count_in(n, algebra, weights))
-            }
-        }
-    }
-
-    /// [`count_batch`](Self::count_batch) in an arbitrary [`Algebra`]:
-    /// results are ring elements in input order.
+    /// [`count_batch_results`](Self::count_batch_results) in an arbitrary
+    /// [`Algebra`]: results are ring elements in input order. This API has
+    /// no panic-shaped error (`LiftError` is purely algorithmic), so a panic
+    /// while evaluating a point is resumed here with its original payload.
     pub fn count_batch_in<A: Algebra>(
         &self,
         points: &[(usize, AlgebraWeights<A>)],
         algebra: &A,
     ) -> Result<Vec<A::Elem>, LiftError> {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        let workers = cores.min(points.len());
-        if workers <= 1 {
-            return points
-                .iter()
-                .map(|(n, w)| self.count_in_inner(*n, algebra, w, true))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let results = points
-                            .iter()
-                            .enumerate()
-                            .skip(t)
-                            .step_by(workers)
-                            .map(|(i, (n, w))| (i, self.count_in_inner(*n, algebra, w, false)))
-                            .collect::<Vec<_>>();
-                        // Scope joins can outrun TLS destructors; push this
-                        // worker's span stats to the global table explicitly.
-                        wfomc_obs::flush_thread();
-                        results
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<Result<A::Elem, LiftError>>> =
-                (0..points.len()).map(|_| None).collect();
-            for handle in handles {
-                // This API has no panic-shaped error (`LiftError` is purely
-                // algorithmic), so resume the original payload rather than
-                // replacing it with a generic join message.
-                let results = handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                for (i, result) in results {
-                    slots[i] = Some(result);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|r| r.expect("every point evaluated"))
-                .collect()
-        })
+        let guard = Guard::unarmed();
+        let (workers, alone) = batch_workers(points.len());
+        let (outcomes, _) = fanout::run(
+            points.len(),
+            workers,
+            || (),
+            |_, i| {
+                let (n, weights) = &points[i];
+                self.count_in_guarded_point(*n, algebra, weights, alone, &guard)
+            },
+        );
+        outcomes
+            .into_iter()
+            .map(|outcome| {
+                outcome
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    .map_err(demote)
+            })
+            .collect()
     }
 
     /// [`probability`](Self::probability) in an arbitrary [`Algebra`] with
@@ -1282,34 +999,31 @@ impl Plan {
         })
     }
 
-    /// One grounded evaluation in an arbitrary algebra, against the same
-    /// per-domain-size lineage / d-DNNF cache as the exact path — compiling
-    /// once serves every ring.
-    fn ground_count_in<A: Algebra>(
-        &self,
-        n: usize,
-        algebra: &A,
-        weights: &AlgebraWeights<A>,
-    ) -> A::Elem {
-        self.ground_count_in_guarded(n, algebra, weights, &Guard::unarmed())
-            .expect("an unarmed guard cannot interrupt")
-    }
-
-    /// [`ground_count_in`](Self::ground_count_in) under a resource [`Guard`]:
-    /// the grounding and d-DNNF compilation are metered (and only *completed*
-    /// circuits are published to the per-`n` cache), so governed lane
-    /// batches stay interruptible on ground-method plans too.
+    /// One grounded evaluation in an arbitrary algebra under a resource
+    /// [`Guard`]. The lineage is cached per domain size, and the circuit
+    /// backend additionally caches a compiled d-DNNF per `n` (publishing
+    /// only *completed* circuits), so repeated counts cost one linear
+    /// circuit pass each and compiling once serves every ring. Grounding,
+    /// compilation and the DPLL / enumeration counters are all metered.
     fn ground_count_in_guarded<A: Algebra>(
         &self,
         n: usize,
         algebra: &A,
         weights: &AlgebraWeights<A>,
+        backend: WmcBackend,
         guard: &Guard,
     ) -> Result<A::Elem, SolveError> {
+        // Fail fast on an expired budget even when everything below is
+        // cached, so the degradation stages honor their sub-budgets the
+        // same way `count_point_guarded` honors the solve budget.
         guard.check("plan.ground")?;
         let instance = self.ground_instance_guarded(n, guard)?;
-        Ok(match self.solver.ground_backend {
+        Ok(match backend {
             WmcBackend::Circuit => {
+                // `OnceLock::get_or_init` cannot carry the interrupt out, so
+                // compile first and publish only a *completed* circuit; a
+                // concurrent winner's circuit is identical, so dropping the
+                // loser is just wasted work, never wrong.
                 let compiled = match instance.compiled.get() {
                     Some(compiled) => compiled,
                     None => {
@@ -1325,7 +1039,8 @@ impl Plan {
                 algebra,
                 &instance.lineage.weights_in(algebra, weights),
                 backend,
-            ),
+                guard,
+            )?,
         })
     }
 }
@@ -1414,6 +1129,25 @@ fn limits_report(guard: &Guard, limits: &ExecutionLimits) -> Option<LimitsReport
         work_cap: limits.work_cap,
         work_done: guard.work_done(),
         elapsed: guard.elapsed(),
+    })
+}
+
+/// Worker count for a batch of `len` points, and whether each point may fan
+/// out internally: only a lone worker leaves the other cores idle.
+fn batch_workers(len: usize) -> (usize, bool) {
+    let workers = fanout::cores().min(len);
+    (workers, workers <= 1)
+}
+
+/// One batch point's outcome with a contained panic reported as
+/// [`SolveError::WorkerPanicked`]. Sound to contain because every plan
+/// cache inserts only completed entries — an unwinding evaluation leaves
+/// them consistent.
+fn contained<R>(outcome: thread::Result<Result<R, SolveError>>) -> Result<R, SolveError> {
+    outcome.unwrap_or_else(|payload| {
+        Err(SolveError::WorkerPanicked {
+            message: panic_message(payload.as_ref()),
+        })
     })
 }
 
@@ -1986,10 +1720,14 @@ mod tests {
         let points: Vec<(usize, Weights)> = (0..=6)
             .map(|n| (n, Weights::from_ints([("R", n as i64, 1)])))
             .collect();
-        let batch = plan.count_batch(&points).unwrap();
+        let batch = plan.count_batch_results(&points);
         assert_eq!(batch.len(), points.len());
         for (report, (n, w)) in batch.iter().zip(&points) {
-            assert_eq!(report.value, plan.count(*n, w).unwrap().value, "n = {n}");
+            assert_eq!(
+                report.as_ref().unwrap().value,
+                plan.count(*n, w).unwrap().value,
+                "n = {n}"
+            );
         }
     }
 
@@ -2066,7 +1804,9 @@ mod tests {
         assert_eq!(a.backend, Some(WmcBackend::Circuit));
         assert_eq!(
             a.value,
-            Solver::ground_only()
+            Solver::builder()
+                .lifted(false)
+                .build()
                 .wfomc(
                     &catalog::transitivity(),
                     &catalog::transitivity().vocabulary(),
@@ -2078,7 +1818,9 @@ mod tests {
         );
         assert_eq!(
             b.value,
-            Solver::ground_only()
+            Solver::builder()
+                .lifted(false)
+                .build()
                 .wfomc(
                     &catalog::transitivity(),
                     &catalog::transitivity().vocabulary(),
@@ -2315,9 +2057,13 @@ mod tests {
         let points: Vec<(usize, Weights)> = (1..=6)
             .map(|n| (n, Weights::from_ints([("R1", n as i64, 1)])))
             .collect();
-        let batch = plan.count_batch(&points).unwrap();
+        let batch = plan.count_batch_results(&points);
         for (report, (n, w)) in batch.iter().zip(&points) {
-            assert_eq!(report.value, plan.count(*n, w).unwrap().value, "n = {n}");
+            assert_eq!(
+                report.as_ref().unwrap().value,
+                plan.count(*n, w).unwrap().value,
+                "n = {n}"
+            );
         }
         // The workers' discoveries were folded back into the shared memo.
         let memo_len = match &plan.state {
@@ -2433,20 +2179,6 @@ mod tests {
     }
 
     #[test]
-    fn count_batch_results_matches_count_batch_on_clean_points() {
-        let plan = Problem::new(catalog::table1_sentence()).plan().unwrap();
-        let points: Vec<(usize, Weights)> = (0..=6)
-            .map(|n| (n, Weights::from_ints([("R", n as i64, 1)])))
-            .collect();
-        let all = plan.count_batch(&points).unwrap();
-        let per_point = plan.count_batch_results(&points);
-        assert_eq!(all.len(), per_point.len());
-        for (a, b) in all.iter().zip(&per_point) {
-            assert_eq!(a.value, b.as_ref().unwrap().value);
-        }
-    }
-
-    #[test]
     fn batch_under_a_shared_expired_deadline_fails_per_point_not_wholesale() {
         let plan = Problem::new(catalog::table1_sentence()).plan().unwrap();
         let points: Vec<(usize, Weights)> = (2..=5).map(|n| (n, Weights::ones())).collect();
@@ -2501,6 +2233,47 @@ mod tests {
             .unwrap();
         assert!(!clean.degraded);
         assert_eq!(clean.method, Method::Fo2);
+    }
+
+    #[test]
+    fn work_caps_stop_grounded_dpll_on_the_exact_and_log_batch_paths() {
+        // Transitivity has no lifted method, so the plan grounds and counts
+        // with DPLL. With the n = 4 grounding cached, the DPLL search is the
+        // only metered work left, and the same cap must stop it whether the
+        // point is counted exactly or through a log batch.
+        let plan = Problem::new(catalog::transitivity()).plan().unwrap();
+        assert_eq!(plan.method(), Method::Ground);
+        let clean = plan.count(4, &Weights::ones()).unwrap().value;
+        let points = [(4, Weights::ones())];
+        for cap in [1, 1024, 4096] {
+            let limits = ExecutionLimits::none().with_work_cap(cap);
+            let exact = plan
+                .count_with_limits(4, &Weights::ones(), &limits, None)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    exact,
+                    SolveError::WorkCapExceeded {
+                        phase: "prop.dpll",
+                        ..
+                    }
+                ),
+                "cap {cap}: {exact}"
+            );
+            let batch = plan.count_batch_log_with_limits(&points, &limits, None);
+            assert!(
+                matches!(
+                    batch[0],
+                    Err(SolveError::WorkCapExceeded {
+                        phase: "prop.dpll",
+                        ..
+                    })
+                ),
+                "cap {cap}: {:?}",
+                batch[0]
+            );
+        }
+        assert_eq!(plan.count(4, &Weights::ones()).unwrap().value, clean);
     }
 
     #[test]

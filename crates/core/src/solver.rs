@@ -388,28 +388,6 @@ impl Solver {
         SolverBuilder::new()
     }
 
-    /// A solver that only uses lifted methods (errors if none applies).
-    ///
-    /// Deprecated shim: prefer `Solver::builder().ground_fallback(false).build()`.
-    pub fn lifted_only() -> Self {
-        Solver::builder().ground_fallback(false).build()
-    }
-
-    /// A solver that always grounds (the baseline in the benchmarks).
-    ///
-    /// Deprecated shim: prefer `Solver::builder().lifted(false).build()`.
-    pub fn ground_only() -> Self {
-        Solver::builder().lifted(false).build()
-    }
-
-    /// A solver whose grounded fallback uses the chosen propositional
-    /// backend (e.g. [`WmcBackend::Circuit`] for knowledge compilation).
-    ///
-    /// Deprecated shim: prefer `Solver::builder().ground_backend(backend).build()`.
-    pub fn with_ground_backend(backend: WmcBackend) -> Self {
-        Solver::builder().ground_backend(backend).build()
-    }
-
     /// Symmetric WFOMC of a sentence over `vocabulary` and a domain of size
     /// `n` — a one-shot [`Solver::plan`] + [`crate::Plan::count`].
     ///
@@ -540,7 +518,7 @@ mod tests {
 
     #[test]
     fn lifted_only_solver_errors_on_hard_sentences() {
-        let solver = Solver::lifted_only();
+        let solver = Solver::builder().ground_fallback(false).build();
         let err = solver.fomc(&catalog::transitivity(), 2).unwrap_err();
         assert!(matches!(err, LiftError::PatternMismatch { .. }));
         // But still solves FO² sentences.
@@ -551,7 +529,7 @@ mod tests {
     fn lifted_only_solver_still_answers_any_sentence_at_n_zero() {
         // The empty domain has exactly one structure, so even sentences
         // outside every lifted fragment are answered without grounding.
-        let solver = Solver::lifted_only();
+        let solver = Solver::builder().ground_fallback(false).build();
         let report = solver.fomc(&catalog::transitivity(), 0).unwrap();
         assert_eq!(report.value, weight_int(1));
         // An existential sentence is false on the empty domain.
@@ -561,7 +539,7 @@ mod tests {
 
     #[test]
     fn ground_only_solver_always_grounds() {
-        let solver = Solver::ground_only();
+        let solver = Solver::builder().lifted(false).build();
         let report = solver.fomc(&catalog::table1_sentence(), 2).unwrap();
         assert_eq!(report.method, Method::Ground);
         assert_eq!(report.value, weight_int(161));
@@ -570,11 +548,11 @@ mod tests {
     #[test]
     fn circuit_ground_backend_matches_dpll_and_is_reported() {
         let f = catalog::transitivity();
-        let dpll = Solver::ground_only().fomc(&f, 2).unwrap();
-        let circuit_solver = Solver {
-            use_lifted: false,
-            ..Solver::with_ground_backend(WmcBackend::Circuit)
-        };
+        let dpll = Solver::builder().lifted(false).build().fomc(&f, 2).unwrap();
+        let circuit_solver = Solver::builder()
+            .lifted(false)
+            .ground_backend(WmcBackend::Circuit)
+            .build();
         let circuit = circuit_solver.fomc(&f, 2).unwrap();
         assert_eq!(dpll.value, circuit.value);
         assert_eq!(circuit.method, Method::Ground);
@@ -598,7 +576,9 @@ mod tests {
         );
         // Other methods never carry FO² statistics.
         assert!(solver.fomc(&catalog::qs4(), 2).unwrap().fo2_stats.is_none());
-        assert!(Solver::ground_only()
+        assert!(Solver::builder()
+            .lifted(false)
+            .build()
             .fomc(&catalog::table1_sentence(), 2)
             .unwrap()
             .fo2_stats
@@ -606,21 +586,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_the_legacy_constructor_shims() {
+    fn builder_sets_each_field_and_keeps_the_defaults() {
         let lifted = Solver::builder().ground_fallback(false).build();
-        assert_eq!(
-            lifted.allow_ground_fallback,
-            Solver::lifted_only().allow_ground_fallback
-        );
+        assert!(!lifted.allow_ground_fallback && lifted.use_lifted);
         let ground = Solver::builder().lifted(false).build();
-        assert_eq!(ground.use_lifted, Solver::ground_only().use_lifted);
+        assert!(!ground.use_lifted && ground.allow_ground_fallback);
         let circuit = Solver::builder()
             .ground_backend(WmcBackend::Circuit)
             .build();
-        assert_eq!(
-            circuit.ground_backend,
-            Solver::with_ground_backend(WmcBackend::Circuit).ground_backend
-        );
+        assert_eq!(circuit.ground_backend, WmcBackend::Circuit);
         // Defaults are preserved by the builder.
         let default = Solver::builder().build();
         assert!(default.use_lifted && default.allow_ground_fallback);
@@ -633,7 +607,9 @@ mod tests {
         let text = fo2.to_string();
         assert!(text.contains("fo2-cells"), "{text}");
         assert!(text.contains("compositions"), "{text}");
-        let ground = Solver::ground_only()
+        let ground = Solver::builder()
+            .lifted(false)
+            .build()
             .fomc(&catalog::table1_sentence(), 2)
             .unwrap();
         let text = ground.to_string();
@@ -664,7 +640,9 @@ mod tests {
         let again = Solver::new().fomc(&catalog::table1_sentence(), 4).unwrap();
         assert_eq!(json, again.to_json());
         // Grounded reports carry the backend and a rational-valued string.
-        let ground = Solver::ground_only()
+        let ground = Solver::builder()
+            .lifted(false)
+            .build()
             .fomc(&catalog::table1_sentence(), 2)
             .unwrap();
         let gjson = ground.to_json();

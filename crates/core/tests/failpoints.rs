@@ -9,6 +9,7 @@ use std::sync::Mutex;
 
 use wfomc_core::{ExecutionLimits, Problem, SolveError, Solver};
 use wfomc_guard::{arm_failpoint, clear_failpoints, FailAction};
+use wfomc_logic::algebra::{AlgebraWeights, LogF64};
 use wfomc_logic::catalog;
 use wfomc_logic::weights::Weights;
 use wfomc_prop::WmcBackend;
@@ -147,18 +148,32 @@ fn forced_worker_panics_are_contained_per_point() {
     let (_lock, _armed) = serialized();
     let plan = Problem::new(catalog::table1_sentence()).plan().unwrap();
     let points: Vec<(usize, Weights)> = (2..=5).map(|n| (n, Weights::ones())).collect();
+    // A same-n sweep runs as lanes; mixed domain sizes fan out per point.
+    let same_n: Vec<(usize, Weights)> = (1..=3)
+        .map(|r| (4, Weights::from_ints([("R", r, 1), ("S", 1, r)])))
+        .collect();
+    let log_batches = [&same_n, &points];
     arm_failpoint("fo2.cellsum", FailAction::Panic);
+    let assert_contained = |result: Result<(), &SolveError>| match result {
+        Err(SolveError::WorkerPanicked { message }) => {
+            assert!(message.contains("fo2.cellsum"), "{message}")
+        }
+        other => panic!("forced panic must be contained per point, got {other:?}"),
+    };
     let results = plan.count_batch_results(&points);
     assert_eq!(results.len(), points.len());
     for result in &results {
-        match result {
-            Err(SolveError::WorkerPanicked { message }) => {
-                assert!(message.contains("fo2.cellsum"), "{message}")
-            }
-            other => panic!("forced panic must be contained per point, got {other:?}"),
+        assert_contained(result.as_ref().map(|_| ()));
+    }
+    for batch in log_batches {
+        let results = plan.count_batch_log(batch);
+        assert_eq!(results.len(), batch.len());
+        for result in &results {
+            assert_contained(result.as_ref().map(|_| ()));
         }
     }
-    // Containment never poisons the plan: disarm and the same batch is clean.
+    // Containment never poisons the plan: disarm and the same batches are
+    // clean, the log ones bit-identical to scalar log-space counts.
     clear_failpoints();
     let clean = plan.count_batch_results(&points);
     for (result, (n, w)) in clean.iter().zip(&points) {
@@ -166,5 +181,15 @@ fn forced_worker_panics_are_contained_per_point() {
             result.as_ref().unwrap().value,
             plan.count(*n, w).unwrap().value
         );
+    }
+    for batch in log_batches {
+        for (result, (n, w)) in plan.count_batch_log(batch).iter().zip(batch) {
+            let got = result.as_ref().unwrap();
+            let scalar = plan
+                .count_in(*n, &LogF64, &AlgebraWeights::lift(&LogF64, w))
+                .unwrap();
+            assert_eq!(got.signum(), scalar.signum(), "n = {n}");
+            assert_eq!(got.ln_abs().to_bits(), scalar.ln_abs().to_bits(), "n = {n}");
+        }
     }
 }

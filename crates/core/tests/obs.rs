@@ -1,7 +1,8 @@
 //! Observability invariants of the solver pipeline, exercised only when the
 //! `obs` feature is on (without it the registry is a compiled-out no-op and
 //! there is nothing to test): identical single-threaded runs produce
-//! identical counter snapshots, counters are monotone under `count_batch`,
+//! identical counter snapshots, counters are monotone under
+//! `count_batch_results`,
 //! and the cell-merge counter matches the report.
 //!
 //! The metric registry is process-global, so every test takes the `serial`
@@ -83,7 +84,7 @@ fn cells_merged_counter_matches_the_report() {
 }
 
 #[test]
-fn counters_are_monotone_under_count_batch() {
+fn counters_are_monotone_under_count_batch_results() {
     let _guard = serial();
     wfomc_obs::set_enabled(true);
     wfomc_obs::reset();
@@ -94,8 +95,9 @@ fn counters_are_monotone_under_count_batch() {
     let mut previous = wfomc_obs::snapshot();
     for round in 0..3 {
         let points: Vec<(usize, Weights)> = (1..=4).map(|n| (n, weights.clone())).collect();
-        let reports = plan.count_batch(&points).expect("batch evaluates");
+        let reports = plan.count_batch_results(&points);
         assert_eq!(reports.len(), points.len());
+        assert!(reports.iter().all(Result::is_ok), "batch evaluates");
         let current = wfomc_obs::snapshot();
         for (name, value) in &current.counters {
             let before = previous.counter(name).unwrap_or(0);

@@ -60,7 +60,14 @@ impl GroundSolver {
     ) -> A::Elem {
         let lineage = Lineage::build(formula, vocabulary, n);
         let var_weights = lineage.weights_in(algebra, weights);
-        wmc_formula_via_in(&lineage.prop, algebra, &var_weights, self.backend)
+        wmc_formula_via_in(
+            &lineage.prop,
+            algebra,
+            &var_weights,
+            self.backend,
+            &wfomc_guard::Guard::unarmed(),
+        )
+        .expect("an unarmed guard cannot interrupt")
     }
 
     /// FOMC (all weights 1) of a sentence over its own vocabulary.

@@ -13,9 +13,10 @@
 //!   unarmed guard short-circuits on one boolean; an armed one pays a single
 //!   relaxed atomic add per tick and runs the full check (cancel load, clock
 //!   read, cap compare) once per [`CHECK_PERIOD`] units of work;
-//! * [`Gate`] / [`Ungated`] / [`Meter`] — a monomorphizing gate for the
-//!   hottest loops (the cell-sum DFS), so the default ungated path compiles
-//!   to exactly the code it had before governance existed;
+//! * [`Meter`] — a per-worker tick batcher for the hottest loops (the
+//!   cell-sum DFS): one local add and compare per tick, one guard tick per
+//!   [`CHECK_PERIOD`] units, so even the unarmed default path stays within
+//!   measurement noise of an ungoverned loop;
 //! * [`Interrupt`] — the structured exhaustion report (`phase` + kind),
 //!   converted by `wfomc-core` into its `SolveError` variants;
 //! * [`failpoint`] — feature-gated fault injection (compiled out by
@@ -218,8 +219,8 @@ impl std::error::Error for Interrupt {}
 /// Constructed once per solve from [`ExecutionLimits`] and an optional
 /// [`CancelToken`], then shared by reference across worker threads (all
 /// state is atomic). When nothing is armed every method short-circuits on a
-/// plain boolean, so ungoverned solves through the guarded code path stay
-/// within measurement noise of the ungated one (see `BENCH_guard.json`).
+/// plain boolean, so ungoverned solves run the guarded code path with an
+/// unarmed guard at no measurable cost (see `BENCH_guard.json`).
 #[derive(Debug)]
 pub struct Guard {
     armed: bool,
@@ -357,32 +358,11 @@ impl Guard {
     }
 }
 
-/// A monomorphizing per-loop gate for the hottest inner loops.
-///
-/// Generic code written against `Gate` compiles to *exactly* the ungoverned
-/// code when instantiated with [`Ungated`] (the tick is an inlined `Ok(())`
-/// and the `?` disappears), and to locally-batched guard ticks when
-/// instantiated with [`Meter`]. This is how the cell-sum DFS keeps its
-/// by-construction zero overhead on the default path.
-pub trait Gate {
-    /// Records `n` units of work; may interrupt.
-    fn tick(&mut self, n: u64) -> Result<(), Interrupt>;
-}
-
-/// The no-op gate: always `Ok`, compiles away entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Ungated;
-
-impl Gate for Ungated {
-    #[inline(always)]
-    fn tick(&mut self, _n: u64) -> Result<(), Interrupt> {
-        Ok(())
-    }
-}
-
-/// A gate that batches ticks locally and flushes them into a shared
-/// [`Guard`] once per [`CHECK_PERIOD`] units — one integer add and compare
-/// per tick, no atomics until the flush.
+/// A per-worker meter for the hottest inner loops: it batches ticks locally
+/// and flushes them into a shared [`Guard`] once per [`CHECK_PERIOD`] units
+/// — one integer add and compare per tick, no atomics until the flush. Every
+/// cell-sum DFS worker owns one; with an unarmed guard the flush is a single
+/// branch, which is why there is no separate ungoverned path.
 #[derive(Debug)]
 pub struct Meter<'a> {
     guard: &'a Guard,
@@ -399,11 +379,10 @@ impl<'a> Meter<'a> {
             pending: 0,
         }
     }
-}
 
-impl Gate for Meter<'_> {
+    /// Records `n` units of work; may interrupt once the batch is flushed.
     #[inline]
-    fn tick(&mut self, n: u64) -> Result<(), Interrupt> {
+    pub fn tick(&mut self, n: u64) -> Result<(), Interrupt> {
         self.pending += n;
         if self.pending >= CHECK_PERIOD {
             let batch = std::mem::take(&mut self.pending);
@@ -588,14 +567,6 @@ mod tests {
             assert_eq!(guard.work_done(), CHECK_PERIOD);
         }
         assert_eq!(guard.work_done(), CHECK_PERIOD + 10);
-    }
-
-    #[test]
-    fn ungated_gate_is_infallible() {
-        let mut gate = Ungated;
-        for _ in 0..100 {
-            gate.tick(123).unwrap();
-        }
     }
 
     #[cfg(feature = "failpoints")]

@@ -4,6 +4,7 @@
 //! counter and by tests on tiny instances. Guarded by a hard cap so an
 //! accidental call on a large instance fails fast instead of hanging.
 
+use wfomc_guard::{Guard, Interrupt};
 use wfomc_logic::algebra::{Algebra, Exact, VarPairs};
 use wfomc_logic::weights::Weight;
 
@@ -81,40 +82,23 @@ pub fn wmc_formula_in<A: Algebra, W: VarPairs<A> + ?Sized>(
     algebra: &A,
     weights: &W,
 ) -> A::Elem {
-    let n = formula.num_vars().max(weights.table_len());
-    assert!(
-        n <= MAX_ENUMERATION_VARS,
-        "refusing to enumerate 2^{n} assignments; use the DPLL backend"
-    );
-    let mut total = algebra.zero();
-    let mut assignment = vec![false; n];
-    for bits in 0u64..(1u64 << n) {
-        for (v, slot) in assignment.iter_mut().enumerate() {
-            *slot = (bits >> v) & 1 == 1;
-        }
-        if formula.evaluate(&assignment) {
-            algebra.add_assign(
-                &mut total,
-                &assignment_weight(algebra, weights, &assignment),
-            );
-        }
-    }
-    total
+    wmc_formula_guarded(formula, algebra, weights, &Guard::unarmed())
+        .expect("an unarmed guard cannot interrupt")
 }
 
-/// [`wmc_formula`] under a resource [`Guard`](wfomc_guard::Guard): the
-/// identical enumeration, ticking once per assignment so deadlines, work
-/// caps and cancellation interrupt mid-sweep.
+/// [`wmc_formula_in`] under a resource [`Guard`]: the identical
+/// enumeration, ticking once per assignment so deadlines, work caps and
+/// cancellation interrupt mid-sweep.
 ///
 /// # Panics
 /// Panics if the universe exceeds [`MAX_ENUMERATION_VARS`].
-pub fn wmc_formula_guarded(
+pub fn wmc_formula_guarded<A: Algebra, W: VarPairs<A> + ?Sized>(
     formula: &PropFormula,
-    weights: &VarWeights,
-    guard: &wfomc_guard::Guard,
-) -> Result<Weight, wfomc_guard::Interrupt> {
-    let algebra = &Exact;
-    let n = formula.num_vars().max(weights.len());
+    algebra: &A,
+    weights: &W,
+    guard: &Guard,
+) -> Result<A::Elem, Interrupt> {
+    let n = formula.num_vars().max(weights.table_len());
     assert!(
         n <= MAX_ENUMERATION_VARS,
         "refusing to enumerate 2^{n} assignments; use the DPLL backend"

@@ -83,29 +83,6 @@ pub fn wmc_formula_via(formula: &PropFormula, weights: &VarWeights, backend: Wmc
     }
 }
 
-/// [`wmc_formula_via`] under a resource [`Guard`]: every backend ticks the
-/// guard from its innermost loop, so deadlines, work caps and cancellation
-/// interrupt mid-count. The guard's work unit is backend-specific
-/// (assignments enumerated, DPLL sub-problems, compiler sub-problems).
-pub fn wmc_formula_via_guarded(
-    formula: &PropFormula,
-    weights: &VarWeights,
-    backend: WmcBackend,
-    guard: &Guard,
-) -> Result<Weight, Interrupt> {
-    match backend {
-        WmcBackend::Enumerate => wmc_formula_guarded(formula, weights, guard),
-        WmcBackend::Dpll => {
-            let t = to_cnf(formula, weights);
-            wmc_dpll_guarded(&t.cnf, &t.weights, guard)
-        }
-        WmcBackend::Circuit => {
-            let t = to_cnf(formula, weights);
-            Ok(CompiledWmc::compile_guarded(&t.cnf, guard)?.wmc(&t.weights))
-        }
-    }
-}
-
 /// Unweighted model count of a CNF (all weights 1).
 pub fn count_models(cnf: &Cnf, backend: WmcBackend) -> Weight {
     wmc(cnf, &VarWeights::ones(cnf.num_vars), backend)
@@ -126,7 +103,12 @@ pub fn wmc_in<A: Algebra, W: VarPairs<A> + ?Sized>(
     }
 }
 
-/// [`wmc_formula_via`] in an arbitrary [`Algebra`].
+/// [`wmc_formula_via`] in an arbitrary [`Algebra`], under a resource
+/// [`Guard`]: every backend ticks the guard from its innermost loop, so
+/// deadlines, work caps and cancellation interrupt mid-count. The guard's
+/// work unit is backend-specific (assignments enumerated, DPLL
+/// sub-problems, compiler sub-problems); ungoverned callers pass
+/// [`Guard::unarmed`].
 ///
 /// The Tseitin transform is weight-independent (definition variables carry
 /// the pair `(1, 1)`, which is exactly what variables beyond the weight
@@ -137,17 +119,18 @@ pub fn wmc_formula_via_in<A: Algebra, W: VarPairs<A> + ?Sized>(
     algebra: &A,
     weights: &W,
     backend: WmcBackend,
-) -> A::Elem {
+    guard: &Guard,
+) -> Result<A::Elem, Interrupt> {
+    if backend == WmcBackend::Enumerate {
+        return wmc_formula_guarded(formula, algebra, weights, guard);
+    }
+    let universe = formula.num_vars().max(weights.table_len());
+    let t = to_cnf(formula, &VarWeights::ones(universe));
     match backend {
-        WmcBackend::Enumerate => wmc_formula_in(formula, algebra, weights),
-        WmcBackend::Dpll | WmcBackend::Circuit => {
-            let universe = formula.num_vars().max(weights.table_len());
-            let t = to_cnf(formula, &VarWeights::ones(universe));
-            match backend {
-                WmcBackend::Dpll => wmc_dpll_in(&t.cnf, algebra, weights),
-                _ => CompiledWmc::compile(&t.cnf).wmc_in(algebra, weights),
-            }
+        WmcBackend::Circuit => {
+            Ok(CompiledWmc::compile_guarded(&t.cnf, guard)?.wmc_in(algebra, weights))
         }
+        _ => wmc_dpll_guarded_in(&t.cnf, algebra, weights, guard),
     }
 }
 

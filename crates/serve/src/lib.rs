@@ -39,11 +39,10 @@
 //! let value = reply.json().unwrap().get("value").unwrap().as_str().unwrap().to_string();
 //!
 //! // Served values are bit-identical to a direct `Plan::count`.
-//! let direct = wfomc_core::Problem::new(wfomc_logic::parser::parse(sentence).unwrap())
+//! let plan = wfomc_core::Problem::new(wfomc_logic::parser::parse(sentence).unwrap())
 //!     .plan()
-//!     .unwrap()
-//!     .count_default(5)
 //!     .unwrap();
+//! let direct = plan.count(5, plan.default_weights()).unwrap();
 //! assert_eq!(value, direct.value.to_string());
 //!
 //! handle.shutdown();

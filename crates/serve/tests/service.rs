@@ -42,10 +42,8 @@ fn temp_registry(tag: &str) -> PathBuf {
 }
 
 fn direct_value(sentence: &str, n: usize) -> String {
-    Problem::new(parse(sentence).unwrap())
-        .plan()
-        .unwrap()
-        .count_default(n)
+    let plan = Problem::new(parse(sentence).unwrap()).plan().unwrap();
+    plan.count(n, plan.default_weights())
         .unwrap()
         .value
         .to_string()

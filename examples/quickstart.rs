@@ -75,9 +75,12 @@ fn main() {
     // 5. Batch evaluation: one plan, many (n, weights) points at once.
     // -----------------------------------------------------------------------
     let points: Vec<(usize, Weights)> = (1..=6).map(|n| (n, Weights::ones())).collect();
-    let reports = plan.count_batch(&points).expect("plan always answers");
+    let reports = plan.count_batch_results(&points);
     println!("\nbatched counts of Φ at n = 1..6:");
     for ((n, _), report) in points.iter().zip(&reports) {
-        println!("  n = {n}: {report}");
+        println!(
+            "  n = {n}: {}",
+            report.as_ref().expect("plan always answers")
+        );
     }
 }
