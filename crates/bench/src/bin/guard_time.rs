@@ -70,9 +70,9 @@ fn main() {
         });
     }
 
-    // The plan-reuse sweep re-plans inside the timed closure, mirroring
-    // obs_time / the perf gate's plan workload; planning cost is identical
-    // across modes so the comparison stays honest.
+    // The plan-reuse sweep re-plans inside the timed closure, mirroring the
+    // perf gate's plan workload; planning cost is identical across modes so
+    // the comparison stays honest.
     let (name, solver, sentence, points) = plan_reuse_workloads(16)
         .into_iter()
         .find(|(name, ..)| *name == "fo2/quad-binary-n-sweep")

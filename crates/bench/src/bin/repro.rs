@@ -23,8 +23,8 @@
 //! (override with `TRACE_JSON`).
 //! Both `smoke` and `perf-gate` also write a `wfomc-obs/v1` metrics
 //! snapshot (`target/metrics-smoke.json` / `target/metrics-perf-gate.json`)
-//! for CI artifacts; the counters are live when the harness is built with
-//! `--features obs` and all zeros otherwise.
+//! for CI artifacts. The harness switches `wfomc-obs` recording on at start,
+//! so the counters and spans are live.
 
 use std::env;
 use std::time::Instant;
@@ -44,8 +44,7 @@ use wfomc_bench::{
 };
 
 fn main() {
-    // No-op unless the harness is built with `--features obs`; with it, every
-    // experiment below feeds the counter registry and the span table.
+    // Every experiment below feeds the counter registry and the span table.
     wfomc_obs::set_enabled(true);
     let which = env::args().nth(1).unwrap_or_else(|| "all".to_string());
     if which == "smoke" {
@@ -404,18 +403,10 @@ fn smoke() {
 }
 
 /// Writes the current `wfomc-obs/v1` metrics snapshot for CI artifacts.
-/// Counters are live under `--features obs` and all zeros otherwise — the
-/// file exists either way, so artifact uploads never dangle.
 fn write_metrics_snapshot(run: &str, env_override: &str, default_path: &str) {
     wfomc_obs::flush_thread();
     let path = env::var(env_override).unwrap_or_else(|_| default_path.to_string());
-    let json = wfomc_obs::snapshot()
-        .label("run", run)
-        .label(
-            "obs_feature",
-            if cfg!(feature = "obs") { "on" } else { "off" },
-        )
-        .to_json();
+    let json = wfomc_obs::snapshot().label("run", run).to_json();
     if let Some(dir) = std::path::Path::new(&path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -439,9 +430,9 @@ fn trace_experiment(experiment: &str) {
         "{:<12} {sum:>10.3}   (wall {:.3} ms)",
         "total", trace.wall_ms
     );
-    // Steal balance of the work-stealing fan-outs under the trace (live
-    // under `--features obs`, all zeros otherwise): how many queue transfers
-    // rebalanced uneven subtrees, and how many lane batches the run packed.
+    // Steal balance of the work-stealing fan-outs under the trace: how many
+    // queue transfers rebalanced uneven subtrees, and how many lane batches
+    // the run packed.
     wfomc_obs::flush_thread();
     println!(
         "steal balance: {} steals, {} lane batches ({} lane points) across {} cores",
@@ -646,8 +637,8 @@ fn perf_gate() {
     }
     // Cache-effectiveness gate: the whole point of plan-then-execute is that
     // repeated counts hit the prepared caches. Re-run two plan-reuse
-    // workloads on fresh plans and require their cache hit rates (always-on
-    // accounting, no obs feature needed) to clear the bar: 16 points with
+    // workloads on fresh plans and require their cache hit rates (the plans'
+    // own always-on accounting) to clear the bar: 16 points with
     // one distinct weight function / domain size ⇒ 15/16 = 93.75% ≥ 90%.
     let min_rate: f64 = env::var("PERF_GATE_MIN_HIT_RATE")
         .ok()

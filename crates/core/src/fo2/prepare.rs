@@ -106,7 +106,7 @@ pub struct Fo2Prepared {
     bound: Mutex<Vec<(Weights, Arc<Fo2Bound>)>>,
     /// Lifetime hits of the binding LRU. Always-on (one relaxed add next to
     /// a lock the cache takes anyway) so reports and the CI hit-rate gate
-    /// see cache behavior without the `obs` feature.
+    /// see cache behavior while `wfomc_obs` recording is off.
     bind_hits: AtomicU64,
     /// Lifetime misses of the binding LRU (each one ran a full bind).
     bind_misses: AtomicU64,

@@ -179,7 +179,8 @@ struct GroundCache {
     /// Monotone use counter backing the LRU stamps.
     clock: u64,
     /// Lifetime lookup hits — always-on accounting inside the lock the cache
-    /// takes anyway, so reports see cache behavior without the `obs` feature.
+    /// takes anyway, so reports see cache behavior while `wfomc_obs`
+    /// recording is off.
     hits: u64,
     /// Lifetime lookup misses (each one ground the sentence).
     misses: u64,
@@ -250,9 +251,10 @@ impl GroundPrep {
 /// work (method selection, normalization, cell decomposition, query
 /// recognition) has already happened.
 ///
-/// A `Plan` is `Sync`: [`Plan::count_batch_results`] fans independent points
-/// over scoped threads, and the internal caches (FO² weight binding, CQ memo,
-/// groundings and compiled circuits per domain size) are shared behind locks.
+/// A `Plan` is `Sync`: [`Plan::count_batch_results`] hands independent points
+/// to the crate's work-stealing fan-out, and the internal caches (FO² weight
+/// binding, CQ memo, groundings and compiled circuits per domain size) are
+/// shared behind locks.
 #[must_use = "a Plan only pays off when its count/probability methods are called"]
 #[derive(Debug)]
 pub struct Plan {
@@ -620,7 +622,8 @@ impl Plan {
     /// per-domain-size grounding LRU, and γ-acyclic CQ reduction memo.
     ///
     /// Always on — these tallies ride inside locks the caches already take,
-    /// so they cost nothing measurable and work without the `obs` feature.
+    /// so they cost nothing measurable and work while `wfomc_obs` recording
+    /// is off.
     pub fn cache_stats(&self) -> PlanCacheStats {
         let mut stats = PlanCacheStats::default();
         match &self.state {
@@ -647,9 +650,9 @@ impl Plan {
     }
 
     /// A structured [`wfomc_obs::MetricsSnapshot`] for this plan: the
-    /// process-global metric registry (all zeros unless the `obs` feature is
-    /// enabled and [`wfomc_obs::set_enabled`] was called) overlaid with the
-    /// plan's always-on cache accounting, labelled with the planned method.
+    /// process-global metric registry (always compiled in, but all zeros
+    /// until [`wfomc_obs::set_enabled`]`(true)`) overlaid with the plan's
+    /// always-on cache accounting, labelled with the planned method.
     ///
     /// The cache-related entries are authoritative per plan rather than
     /// process-global, so two plans report their own hit rates even in one

@@ -54,8 +54,8 @@ impl std::fmt::Display for Method {
 
 /// Hit/miss accounting of a plan's internal caches at the time a count
 /// returned. Maintained unconditionally (plain integers updated inside locks
-/// the caches already take), so one-shot runs print cache behavior without
-/// the `obs` feature and the CI hit-rate gate works on default builds.
+/// the caches already take), so one-shot runs print cache behavior and the CI
+/// hit-rate gate works while `wfomc_obs` recording is off.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// FO² weight-binding LRU hits across the plan's lifetime.

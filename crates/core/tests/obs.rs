@@ -1,13 +1,10 @@
-//! Observability invariants of the solver pipeline, exercised only when the
-//! `obs` feature is on (without it the registry is a compiled-out no-op and
-//! there is nothing to test): identical single-threaded runs produce
-//! identical counter snapshots, counters are monotone under
-//! `count_batch_results`,
-//! and the cell-merge counter matches the report.
+//! Observability invariants of the solver pipeline, with recording switched
+//! on: identical single-threaded runs produce identical counter snapshots,
+//! counters are monotone under `count_batch_results`, and the cell-merge
+//! counter matches the report.
 //!
 //! The metric registry is process-global, so every test takes the `serial`
 //! lock and starts from `wfomc_obs::reset()`.
-#![cfg(feature = "obs")]
 
 use std::sync::{Mutex, MutexGuard};
 

@@ -23,8 +23,8 @@
 //!   default) that forces deadline expiry or worker panics inside each
 //!   instrumented loop, for CI to prove the failure paths work.
 //!
-//! The design mirrors `wfomc-obs`: zero-sized no-ops when compiled out,
-//! one relaxed atomic load when compiled in but not armed.
+//! Failpoints are zero-sized no-ops when compiled out, and one relaxed
+//! atomic load when compiled in but not armed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! # wfomc-obs — zero-cost tracing and metrics for the WFOMC engine
+//! # wfomc-obs — tracing and metrics for the WFOMC engine
 //!
 //! A deliberately small observability core (no `tracing`/`metrics`
 //! dependencies, consistent with the workspace's vendored-deps-only policy)
@@ -17,17 +17,12 @@
 //!   a [`MetricsSnapshot`], serialized by hand (no serde) as JSON with the
 //!   stable `wfomc-obs/v1` schema.
 //!
-//! ## The zero-cost contract
+//! ## The runtime switch
 //!
-//! Everything here is compiled out unless the `enabled` cargo feature is on
-//! (consumer crates forward it as their own `obs` feature): without it,
-//! counters are zero-sized, [`span`] returns a zero-sized guard and every
-//! method is an empty `#[inline]` function, so instrumented hot paths run at
-//! exactly their uninstrumented speed (see `BENCH_obs.json` for the measured
-//! A/B). With the feature compiled in, recording is additionally gated at
-//! runtime behind one relaxed atomic load ([`set_enabled`]), so a binary
-//! built with observability still pays only that load until it is switched
-//! on.
+//! Observability is always compiled in and off until [`set_enabled`]`(true)`.
+//! Every record is gated behind one relaxed atomic load of that switch, so
+//! while it is off a counter add or a span costs that load and nothing else:
+//! no clock read, no atomic write, no lock.
 //!
 //! ## Worked example
 //!
@@ -41,10 +36,8 @@
 //!     // ... the work the span measures ...
 //! }
 //! let snap = obs::snapshot();
-//! if cfg!(feature = "enabled") {
-//!     assert!(snap.counters["plan.counts"] >= 1);
-//!     assert_eq!(snap.spans["doc.example"].count, 1);
-//! }
+//! assert!(snap.counters["plan.counts"] >= 1);
+//! assert_eq!(snap.spans["doc.example"].count, 1);
 //! let json = snap.to_json();
 //! assert!(json.starts_with("{\"schema\":\"wfomc-obs/v1\""));
 //! obs::reset();
@@ -55,317 +48,207 @@
 
 pub mod json;
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 pub use json::json_escape;
 
-#[cfg(feature = "enabled")]
-mod live {
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::Instant;
+/// The one runtime switch: a single relaxed load gates every record.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-    use crate::SpanStat;
+/// Turns runtime recording on or off (every process starts disabled).
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
+}
 
-    /// The one runtime switch: a single relaxed load gates every record.
-    static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Whether recording is currently enabled (one relaxed atomic load).
+#[inline]
+pub fn is_enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
 
-    /// Turns runtime recording on or off (compiled builds start disabled).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
+/// A monotonically increasing metric backed by one [`AtomicU64`].
+#[derive(Debug)]
+pub struct Counter {
+    name: &'static str,
+    value: AtomicU64,
+}
+
+impl Counter {
+    /// A counter registered under `name` (used by [`define_metrics!`]).
+    pub const fn new(name: &'static str) -> Counter {
+        Counter {
+            name,
+            value: AtomicU64::new(0),
+        }
     }
 
-    /// Whether recording is currently enabled (one relaxed atomic load).
+    /// The registered name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Adds `n` (lock-free; dropped while recording is disabled).
     #[inline]
-    pub fn is_enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// A monotonically increasing metric backed by one [`AtomicU64`].
-    #[derive(Debug)]
-    pub struct Counter {
-        name: &'static str,
-        value: AtomicU64,
-    }
-
-    impl Counter {
-        /// A counter registered under `name` (used by [`define_metrics!`]).
-        pub const fn new(name: &'static str) -> Counter {
-            Counter {
-                name,
-                value: AtomicU64::new(0),
-            }
-        }
-
-        /// The registered name.
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-
-        /// Adds `n` (lock-free; dropped while recording is disabled).
-        #[inline]
-        pub fn add(&self, n: u64) {
-            if is_enabled() {
-                self.value.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-
-        /// Adds 1.
-        #[inline]
-        pub fn inc(&self) {
-            self.add(1);
-        }
-
-        /// The current value.
-        pub fn get(&self) -> u64 {
-            self.value.load(Ordering::Relaxed)
-        }
-
-        /// Zeroes the counter (used by [`crate::reset`]).
-        pub fn reset(&self) {
-            self.value.store(0, Ordering::Relaxed);
+    pub fn add(&self, n: u64) {
+        if is_enabled() {
+            self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// A last-written-value metric backed by one [`AtomicU64`].
-    #[derive(Debug)]
-    pub struct Gauge {
-        name: &'static str,
-        value: AtomicU64,
-    }
-
-    impl Gauge {
-        /// A gauge registered under `name` (used by [`define_metrics!`]).
-        pub const fn new(name: &'static str) -> Gauge {
-            Gauge {
-                name,
-                value: AtomicU64::new(0),
-            }
-        }
-
-        /// The registered name.
-        pub fn name(&self) -> &'static str {
-            self.name
-        }
-
-        /// Records the current level (dropped while recording is disabled).
-        #[inline]
-        pub fn set(&self, v: u64) {
-            if is_enabled() {
-                self.value.store(v, Ordering::Relaxed);
-            }
-        }
-
-        /// The last recorded level.
-        pub fn get(&self) -> u64 {
-            self.value.load(Ordering::Relaxed)
-        }
-
-        /// Zeroes the gauge (used by [`crate::reset`]).
-        pub fn reset(&self) {
-            self.value.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Global span table: name → aggregated stat. `BTreeMap::new` is const,
-    /// so no lazy-init cell is needed.
-    static GLOBAL_SPANS: Mutex<BTreeMap<&'static str, SpanStat>> = Mutex::new(BTreeMap::new());
-
-    /// Per-thread span tallies; merged into [`GLOBAL_SPANS`] when the thread
-    /// exits (the [`LocalSpans`] drop) or when the thread snapshots.
-    struct LocalSpans {
-        map: BTreeMap<&'static str, SpanStat>,
-    }
-
-    impl LocalSpans {
-        fn flush(&mut self) {
-            if self.map.is_empty() {
-                return;
-            }
-            let mut global = GLOBAL_SPANS.lock().expect("span table poisoned");
-            for (name, stat) in std::mem::take(&mut self.map) {
-                global.entry(name).or_default().absorb(&stat);
-            }
-        }
-    }
-
-    impl Drop for LocalSpans {
-        fn drop(&mut self) {
-            self.flush();
-        }
-    }
-
-    thread_local! {
-        static LOCAL_SPANS: RefCell<LocalSpans> = const {
-            RefCell::new(LocalSpans { map: BTreeMap::new() })
-        };
-    }
-
-    /// An in-flight span; records its elapsed time on drop.
-    #[must_use = "a span guard measures until it is dropped"]
-    #[derive(Debug)]
-    pub struct Span {
-        live: Option<(&'static str, Instant)>,
-    }
-
-    /// Opens a span under a static name. When recording is disabled this is
-    /// one relaxed load and no clock read.
+    /// Adds 1.
     #[inline]
-    pub fn span(name: &'static str) -> Span {
-        Span {
-            live: is_enabled().then(|| (name, Instant::now())),
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// The current value.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+
+    /// Zeroes the counter (used by [`crate::reset`]).
+    pub fn reset(&self) {
+        self.value.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A last-written-value metric backed by one [`AtomicU64`].
+#[derive(Debug)]
+pub struct Gauge {
+    name: &'static str,
+    value: AtomicU64,
+}
+
+impl Gauge {
+    /// A gauge registered under `name` (used by [`define_metrics!`]).
+    pub const fn new(name: &'static str) -> Gauge {
+        Gauge {
+            name,
+            value: AtomicU64::new(0),
         }
     }
 
-    impl Drop for Span {
-        fn drop(&mut self) {
-            if let Some((name, start)) = self.live.take() {
-                let elapsed = start.elapsed().as_nanos();
-                // A thread-local tally: no locks on the recording path. If
-                // the thread-local is already torn down (thread exit), the
-                // observation is dropped rather than panicking.
-                let _ = LOCAL_SPANS.try_with(|local| {
-                    let mut local = local.borrow_mut();
-                    let stat = local.map.entry(name).or_default();
-                    stat.count += 1;
-                    stat.total_ns += elapsed;
-                });
-            }
+    /// The registered name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Records the current level (dropped while recording is disabled).
+    #[inline]
+    pub fn set(&self, v: u64) {
+        if is_enabled() {
+            self.value.store(v, Ordering::Relaxed);
         }
     }
 
-    /// Merges the *current thread's* tallies into the global table. Worker
-    /// threads should call this before finishing: the thread-local drop also
-    /// flushes on thread exit, but TLS destruction can race a joiner's
-    /// snapshot, so the exit-time flush is best-effort only.
-    pub fn flush_thread() {
-        let _ = LOCAL_SPANS.try_with(|local| local.borrow_mut().flush());
+    /// The last recorded level.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
     }
 
-    /// The aggregated span table (flushes the current thread first).
-    pub fn spans() -> BTreeMap<&'static str, SpanStat> {
-        flush_thread();
-        GLOBAL_SPANS.lock().expect("span table poisoned").clone()
+    /// Zeroes the gauge (used by [`crate::reset`]).
+    pub fn reset(&self) {
+        self.value.store(0, Ordering::Relaxed);
     }
+}
 
-    /// Clears all span aggregates, including the current thread's tallies.
-    pub fn clear_spans() {
-        let _ = LOCAL_SPANS.try_with(|local| local.borrow_mut().map.clear());
-        GLOBAL_SPANS.lock().expect("span table poisoned").clear();
-    }
+/// Global span table: name → aggregated stat. `BTreeMap::new` is const,
+/// so no lazy-init cell is needed.
+static GLOBAL_SPANS: Mutex<BTreeMap<&'static str, SpanStat>> = Mutex::new(BTreeMap::new());
 
-    impl SpanStat {
-        fn absorb(&mut self, other: &SpanStat) {
-            self.count += other.count;
-            self.total_ns += other.total_ns;
+/// Per-thread span tallies; merged into [`GLOBAL_SPANS`] when the thread
+/// exits (the [`LocalSpans`] drop) or when the thread snapshots.
+struct LocalSpans {
+    map: BTreeMap<&'static str, SpanStat>,
+}
+
+impl LocalSpans {
+    fn flush(&mut self) {
+        if self.map.is_empty() {
+            return;
+        }
+        let mut global = GLOBAL_SPANS.lock().expect("span table poisoned");
+        for (name, stat) in std::mem::take(&mut self.map) {
+            global.entry(name).or_default().absorb(&stat);
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod live {
-    use std::collections::BTreeMap;
-
-    use crate::SpanStat;
-
-    /// Turns runtime recording on or off — a no-op without the `enabled`
-    /// feature.
-    #[inline]
-    pub fn set_enabled(_on: bool) {}
-
-    /// Whether recording is enabled — always `false` without the `enabled`
-    /// feature.
-    #[inline]
-    pub fn is_enabled() -> bool {
-        false
+impl Drop for LocalSpans {
+    fn drop(&mut self) {
+        self.flush();
     }
-
-    /// A monotonically increasing metric — zero-sized no-op in this build.
-    #[derive(Debug)]
-    pub struct Counter;
-
-    impl Counter {
-        /// A counter registered under a name — no-op in this build.
-        pub const fn new(_name: &'static str) -> Counter {
-            Counter
-        }
-
-        /// The registered name (empty in a no-op build).
-        pub fn name(&self) -> &'static str {
-            ""
-        }
-
-        /// Adds `n` — compiled to nothing.
-        #[inline]
-        pub fn add(&self, _n: u64) {}
-
-        /// Adds 1 — compiled to nothing.
-        #[inline]
-        pub fn inc(&self) {}
-
-        /// The current value — always 0 in this build.
-        pub fn get(&self) -> u64 {
-            0
-        }
-
-        /// Zeroes the counter — compiled to nothing.
-        pub fn reset(&self) {}
-    }
-
-    /// A last-written-value metric — zero-sized no-op in this build.
-    #[derive(Debug)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// A gauge registered under a name — no-op in this build.
-        pub const fn new(_name: &'static str) -> Gauge {
-            Gauge
-        }
-
-        /// The registered name (empty in a no-op build).
-        pub fn name(&self) -> &'static str {
-            ""
-        }
-
-        /// Records the current level — compiled to nothing.
-        #[inline]
-        pub fn set(&self, _v: u64) {}
-
-        /// The last recorded level — always 0 in this build.
-        pub fn get(&self) -> u64 {
-            0
-        }
-
-        /// Zeroes the gauge — compiled to nothing.
-        pub fn reset(&self) {}
-    }
-
-    /// A zero-sized span guard — the drop does nothing.
-    #[must_use = "a span guard measures until it is dropped"]
-    #[derive(Debug)]
-    pub struct Span;
-
-    /// Opens a span — compiled to a zero-sized value in this build.
-    #[inline]
-    pub fn span(_name: &'static str) -> Span {
-        Span
-    }
-
-    /// Merges the current thread's tallies — no-op in this build.
-    pub fn flush_thread() {}
-
-    /// The aggregated span table — always empty in this build.
-    pub fn spans() -> BTreeMap<&'static str, SpanStat> {
-        BTreeMap::new()
-    }
-
-    /// Clears all span aggregates — no-op in this build.
-    pub fn clear_spans() {}
 }
 
-pub use live::{flush_thread, is_enabled, set_enabled, span, Counter, Gauge, Span};
+thread_local! {
+    static LOCAL_SPANS: RefCell<LocalSpans> = const {
+        RefCell::new(LocalSpans { map: BTreeMap::new() })
+    };
+}
+
+/// An in-flight span; records its elapsed time on drop.
+#[must_use = "a span guard measures until it is dropped"]
+#[derive(Debug)]
+pub struct Span {
+    live: Option<(&'static str, Instant)>,
+}
+
+/// Opens a span under a static name. When recording is disabled this is
+/// one relaxed load and no clock read.
+#[inline]
+pub fn span(name: &'static str) -> Span {
+    Span {
+        live: is_enabled().then(|| (name, Instant::now())),
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some((name, start)) = self.live.take() {
+            let elapsed = start.elapsed().as_nanos();
+            // A thread-local tally: no locks on the recording path. If
+            // the thread-local is already torn down (thread exit), the
+            // observation is dropped rather than panicking.
+            let _ = LOCAL_SPANS.try_with(|local| {
+                let mut local = local.borrow_mut();
+                let stat = local.map.entry(name).or_default();
+                stat.count += 1;
+                stat.total_ns += elapsed;
+            });
+        }
+    }
+}
+
+/// Merges the *current thread's* tallies into the global table. Worker
+/// threads should call this before finishing: the thread-local drop also
+/// flushes on thread exit, but TLS destruction can race a joiner's
+/// snapshot, so the exit-time flush is best-effort only.
+pub fn flush_thread() {
+    let _ = LOCAL_SPANS.try_with(|local| local.borrow_mut().flush());
+}
+
+/// The aggregated span table (flushes the current thread first).
+fn spans() -> BTreeMap<&'static str, SpanStat> {
+    flush_thread();
+    GLOBAL_SPANS.lock().expect("span table poisoned").clone()
+}
+
+/// Clears all span aggregates, including the current thread's tallies.
+fn clear_spans() {
+    let _ = LOCAL_SPANS.try_with(|local| local.borrow_mut().map.clear());
+    GLOBAL_SPANS.lock().expect("span table poisoned").clear();
+}
+
+impl SpanStat {
+    fn absorb(&mut self, other: &SpanStat) {
+        self.count += other.count;
+        self.total_ns += other.total_ns;
+    }
+}
 
 /// Declares the static counter/gauge registry: one `pub static` per metric
 /// plus `counters()` / `gauges()` accessors enumerating them for snapshots.
@@ -447,22 +330,13 @@ pub mod metrics {
             pub GUARD_DEADLINE_HITS => "guard.deadline_hits";
             pub GUARD_WORK_CAP_HITS => "guard.work_cap_hits";
             pub GUARD_DEGRADED_SOLVES => "guard.degraded_solves";
-            // The wfomc-serve HTTP front end.
-            pub SERVE_REQUESTS => "serve.requests";
-            pub SERVE_ERRORS => "serve.errors";
-            pub SERVE_LATENCY_NS => "serve.latency_ns";
+            // The wfomc-serve HTTP front end. Request, registry and snapshot
+            // tallies are per server (`wfomc_serve::ServeStats` and friends).
             pub SERVE_PLANS_REGISTERED => "serve.plans_registered";
-            pub SERVE_REGISTRY_EVICTIONS => "serve.registry.evictions";
-            // Plan-state snapshots (wfomc-snap/v1).
-            pub SNAP_HITS => "snap.hits";
-            pub SNAP_MISSES => "snap.misses";
-            pub SNAP_INVALID => "snap.invalid";
-            pub SNAP_WRITES => "snap.writes";
         }
         gauges {
             pub FO2_BIND_CACHED => "fo2.bind.cached";
             pub GROUND_CACHE_LEN => "plan.ground_cache.len";
-            pub SERVE_REGISTRY_LEN => "serve.registry.len";
         }
     }
 }
@@ -512,8 +386,8 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// A snapshot with only labels (used by builds without the `enabled`
-    /// feature, and as the base the caller extends with plan-level stats).
+    /// A snapshot with only labels (the base the caller extends with
+    /// plan-level stats).
     pub fn with_label(key: &str, value: &str) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         snap.labels.insert(key.to_string(), value.to_string());
@@ -580,8 +454,7 @@ impl MetricsSnapshot {
 }
 
 /// Freezes the current state of the [`metrics`] registry and the aggregated
-/// span table (flushing the calling thread's span tallies first). Without
-/// the `enabled` feature this returns an empty snapshot.
+/// span table (flushing the calling thread's span tallies first).
 pub fn snapshot() -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
     for (name, counter) in metrics::counters() {
@@ -590,7 +463,7 @@ pub fn snapshot() -> MetricsSnapshot {
     for (name, gauge) in metrics::gauges() {
         snap.gauges.insert((*name).to_string(), gauge.get());
     }
-    for (name, stat) in live::spans() {
+    for (name, stat) in spans() {
         snap.spans.insert(name.to_string(), stat);
     }
     snap
@@ -606,7 +479,7 @@ pub fn reset() {
     for (_, gauge) in metrics::gauges() {
         gauge.reset();
     }
-    live::clear_spans();
+    clear_spans();
 }
 
 #[cfg(test)]
@@ -671,7 +544,6 @@ mod tests {
         assert!(snap.counter("no.such.metric").is_none());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn counters_spans_and_reset_work_when_enabled() {
         let _guard = serial();

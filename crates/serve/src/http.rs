@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 use wfomc_guard::CancelToken;
 use wfomc_logic::weights::Weights;
 use wfomc_obs::json::{JsonArray, JsonObject};
-use wfomc_obs::metrics as obs;
 
 use wfomc_core::Plan;
 
@@ -77,8 +76,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Always-on request accounting (plain atomics; independent of the `obs`
-/// feature so `/v1/metrics` is never empty).
+/// Per-server request accounting (plain atomics, always recorded, whether or
+/// not `wfomc_obs` recording is switched on).
 #[derive(Debug, Default)]
 pub struct ServeStats {
     requests: AtomicU64,
@@ -379,14 +378,11 @@ fn handle_connection(ctx: &ServerCtx, mut stream: TcpStream) {
         Err(e) => (e.status, e.to_body()),
     };
     ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-    obs::SERVE_REQUESTS.inc();
     if status >= 400 {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-        obs::SERVE_ERRORS.inc();
     }
     let elapsed = started.elapsed().as_nanos() as u64;
     ctx.stats.latency_ns.fetch_add(elapsed, Ordering::Relaxed);
-    obs::SERVE_LATENCY_NS.add(elapsed);
     if let Err(e) = write_response(&mut stream, status, &body) {
         eprintln!("wfomc-serve: write failed: {e}");
     }
@@ -753,9 +749,9 @@ fn handle_stats(ctx: &ServerCtx, id: &str) -> Result<(u16, String), ApiError> {
 }
 
 fn metrics_body(ctx: &ServerCtx) -> String {
-    // The obs snapshot is schema-first (`wfomc-obs/v1`); overlay the
-    // always-on serve counters so the endpoint is informative even when
-    // the crate is built without the `obs` feature.
+    // The obs snapshot is schema-first (`wfomc-obs/v1`) and records only
+    // while `wfomc_obs::set_enabled(true)`; overlay this server's own
+    // always-on request, registry and snapshot tallies.
     let mut snap = wfomc_obs::snapshot();
     snap.set_counter("serve.requests", ctx.stats.requests());
     snap.set_counter("serve.errors", ctx.stats.errors());
@@ -763,13 +759,15 @@ fn metrics_body(ctx: &ServerCtx) -> String {
     let registry = ctx.registry.stats();
     snap.set_gauge("serve.registry.len", registry.len as u64);
     snap.set_counter("serve.registry.evictions", registry.evictions);
-    if let Some(store) = &ctx.snap {
-        let stats = store.stats();
-        snap.set_counter("snap.hits", stats.hits);
-        snap.set_counter("snap.misses", stats.misses);
-        snap.set_counter("snap.invalid", stats.invalid);
-        snap.set_counter("snap.writes", stats.writes);
-    }
+    let stats = ctx
+        .snap
+        .as_ref()
+        .map(SnapshotStore::stats)
+        .unwrap_or_default();
+    snap.set_counter("snap.hits", stats.hits);
+    snap.set_counter("snap.misses", stats.misses);
+    snap.set_counter("snap.invalid", stats.invalid);
+    snap.set_counter("snap.writes", stats.writes);
     snap.to_json()
 }
 

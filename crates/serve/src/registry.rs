@@ -212,9 +212,7 @@ impl PlanRegistry {
             }
         }
         self.insert_locked(&mut shard, key, Arc::clone(&registered));
-        drop(shard); // len() re-locks every shard, including this one
         obs::SERVE_PLANS_REGISTERED.inc();
-        obs::SERVE_REGISTRY_LEN.set(self.len() as u64);
         Ok((registered, true))
     }
 
@@ -241,9 +239,7 @@ impl PlanRegistry {
         });
         let mut shard = self.shard_of(key).write().expect("registry shard poisoned");
         self.insert_locked(&mut shard, key, Arc::clone(&registered));
-        drop(shard);
         obs::SERVE_PLANS_REGISTERED.inc();
-        obs::SERVE_REGISTRY_LEN.set(self.len() as u64);
         registered
     }
 
@@ -260,7 +256,6 @@ impl PlanRegistry {
             {
                 shard.map.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                obs::SERVE_REGISTRY_EVICTIONS.inc();
             }
         }
         let stamp = self.next_stamp();

@@ -42,7 +42,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wfomc_logic::snap::{fnv1a, Dec};
-use wfomc_obs::metrics as obs;
 
 /// Version of the snapshot container format. Bump on any layout change;
 /// older files then fall back to replan silently.
@@ -56,8 +55,8 @@ pub const MAGIC: [u8; 4] = *b"WSNP";
 /// difference invalidates a snapshot wholesale — replanning is always safe.
 const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
-/// Always-on counters describing a store's lifetime (mirrored to the
-/// `wfomc-obs` `snap.*` metrics when that feature is compiled in).
+/// Always-on counters describing a store's lifetime (reported as the
+/// `snap.*` counters of the server's `/v1/metrics`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapStats {
     /// Snapshots loaded and validated successfully.
@@ -143,7 +142,6 @@ impl SnapshotStore {
         }
         fs::rename(&tmp_path, &final_path)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
-        obs::SNAP_WRITES.inc();
         Ok(final_path)
     }
 
@@ -156,24 +154,20 @@ impl SnapshotStore {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                obs::SNAP_MISSES.inc();
                 return None;
             }
             Err(_) => {
                 self.invalid.fetch_add(1, Ordering::Relaxed);
-                obs::SNAP_INVALID.inc();
                 return None;
             }
         };
         match validate(&bytes, key) {
             Ok(payload) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::SNAP_HITS.inc();
                 Some(payload)
             }
             Err(_) => {
                 self.invalid.fetch_add(1, Ordering::Relaxed);
-                obs::SNAP_INVALID.inc();
                 None
             }
         }
@@ -184,7 +178,6 @@ impl SnapshotStore {
     /// described a different registration than the log expects.
     pub fn note_invalid(&self) {
         self.invalid.fetch_add(1, Ordering::Relaxed);
-        obs::SNAP_INVALID.inc();
     }
 
     /// Removes the snapshot for `id` if present (used when an invalid file

@@ -367,6 +367,17 @@ fn error_paths_are_typed() {
     assert_eq!(reply.status, 200);
     let body = json_of(&reply);
     assert_eq!(str_field(&body, "schema"), "wfomc-obs/v1");
+    // The tallies are this server's own, so other servers booted by tests
+    // running concurrently in this process do not leak in. Five typed errors
+    // plus the health check; the metrics request itself is counted only
+    // after its body is built.
+    let counters = body.get("counters").expect("counters section");
+    let counter = |name: &str| counters.get(name).and_then(Value::as_u64);
+    assert_eq!(counter("serve.requests"), Some(6), "{}", reply.body);
+    assert_eq!(counter("serve.errors"), Some(5), "{}", reply.body);
+    // No registry path, so no snapshot store: the snapshot keys are still
+    // reported, as zeros.
+    assert_eq!(counter("snap.hits"), Some(0), "{}", reply.body);
 
     handle.shutdown();
     daemon.join().unwrap().unwrap();
