@@ -87,6 +87,9 @@ fn main() {
     if all || which == "fo2-scaling" {
         fo2_scaling();
     }
+    if all || which == "cq" {
+        cq_algebras();
+    }
     if all || which == "mln" {
         mln();
     }
@@ -172,6 +175,41 @@ fn figure1() {
     for n in [2usize, 4, 8, 16] {
         let v = gamma_acyclic_wfomc(&chain, n, &Weights::ones()).unwrap();
         println!("  n = {n:>3}: {}", short(&v));
+    }
+}
+
+/// Theorem 3.6 in two algebras: the chain and star CQs counted exactly and
+/// in `LogF64` through one plan each, which must agree to 1e-9 (relative)
+/// without grounding a single point.
+fn cq_algebras() {
+    header("CQ  Theorem 3.6: γ-acyclic CQs, exact vs LogF64");
+    println!(
+        "{:<8} {:>4} {:>22} {:>22} {:>10}",
+        "query", "n", "ln FOMC (exact)", "ln FOMC (LogF64)", "|Δ ln|"
+    );
+    let ones = AlgebraWeights::lift(&LogF64, &Weights::ones());
+    for (name, query) in [
+        ("chain3", catalog::chain_query(3)),
+        ("star3", catalog::star_query(3)),
+    ] {
+        let plan = Problem::new(query.to_formula()).plan().expect("CQs plan");
+        assert_eq!(plan.method(), Method::GammaAcyclicCq, "{name}");
+        for n in [2usize, 4, 8, 16, 50] {
+            let exact = plan.count(n, &Weights::ones()).expect("exact count").value;
+            let want = LogF64.from_weight(&exact);
+            let got = plan.count_in(n, &LogF64, &ones).expect("log count");
+            let delta = (got.ln_abs() - want.ln_abs()).abs();
+            println!(
+                "{name:<8} {n:>4} {:>22.6} {:>22.6} {delta:>10.1e}",
+                want.ln_abs(),
+                got.ln_abs()
+            );
+            assert!(
+                got.signum() == want.signum() && delta < 1e-9,
+                "{name} at n={n}: LogF64 {got} disagrees with exact {want}"
+            );
+        }
+        assert_eq!(plan.cache_stats().ground_misses, 0, "{name} ran lifted");
     }
 }
 
@@ -362,6 +400,7 @@ fn smoke() {
     phase("qs4", &mut qs4);
     phase("fo2", &mut fo2);
     phase("fo2-scaling-25", &mut || fo2_scaling_with_sizes(&[25]));
+    phase("cq", &mut cq_algebras);
     phase("plan-reuse-k4", &mut || plan_reuse_with_k(4));
     phase("algebra-8-4", &mut || algebra_with_sizes(&[8], &[4]));
     phase("bignum", &mut bignum);

@@ -95,8 +95,10 @@ mod tests {
     use wfomc_logic::catalog;
     use wfomc_logic::weights::weight_ratio;
 
-    use crate::cq::gamma_acyclic::gamma_acyclic_probability;
+    use crate::cq::gamma_acyclic::gamma_acyclic_probability_in;
     use wfomc_ground::probability as ground_probability;
+    use wfomc_guard::Guard;
+    use wfomc_logic::algebra::Exact;
     use wfomc_logic::weights::Weights;
 
     #[test]
@@ -120,7 +122,10 @@ mod tests {
                 .collect();
             for n in 0..=4 {
                 let closed = chain_probability_uniform(m, n, &probs);
-                let generic = gamma_acyclic_probability(&q, n, &by_name).unwrap();
+                let domains = q.variables().into_iter().map(|v| (v, n)).collect();
+                let generic =
+                    gamma_acyclic_probability_in(&q, &domains, &Exact, &by_name, &Guard::unarmed())
+                        .unwrap();
                 assert_eq!(closed, generic, "m = {m}, n = {n}");
             }
         }

@@ -16,250 +16,217 @@
 //! recursion is memoized on the residual query shape (which is what makes the
 //! linear-chain case of Example 3.10 polynomial rather than exponential).
 //!
-//! The computation is done in probability space; the WFOMC entry point
-//! converts weights to probabilities (`p = w/(w+w̄)`) and multiplies back the
-//! normalization `Π_R (w_R + w̄_R)^{#tuples}`.
+//! The computation is done in probability space, in any [`Algebra`]: the
+//! WFOMC entry point converts weights to probabilities (`p = w/(w+w̄)`, one
+//! [`Algebra::try_div`] per predicate) and multiplies back the normalization
+//! `Π_R (w_R + w̄_R)^{#tuples}`. The memo is keyed by structure, never by
+//! value: each edge carries a weight-free label recording how its
+//! probability was built, so under one weight function equal labels mean
+//! equal values, no float is ever hashed, and lane runs stay bit-identical
+//! to scalar ones.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-use num_traits::{One, Zero};
+use std::sync::Mutex;
 
 use wfomc_guard::Guard;
+use wfomc_logic::algebra::{Algebra, AlgebraWeights, Exact};
 use wfomc_logic::cq::ConjunctiveQuery;
 use wfomc_logic::term::Variable;
-use wfomc_logic::weights::{weight_pow, Weight, Weights};
+use wfomc_logic::weights::{Weight, Weights};
 
 use crate::combinatorics::binomial_weight;
-use crate::error::{LiftError, SolveError};
+use crate::error::{demote, LiftError, SolveError};
 
 /// Guard phase name for the reduction loops.
 const PHASE: &str = "cq.reduce";
 
-/// Demotes a [`SolveError`] produced under an unarmed guard back to the
-/// [`LiftError`] it wraps (an unarmed guard cannot interrupt).
-fn demote(e: SolveError) -> LiftError {
-    match e {
-        SolveError::Lift(err) => err,
-        _ => unreachable!("an unarmed guard cannot interrupt"),
-    }
-}
-
-/// Symmetric WFOMC of a γ-acyclic conjunctive query over a domain of size `n`.
+/// Symmetric WFOMC of a γ-acyclic conjunctive query over a domain of size `n`:
+/// the [`Exact`] instance of [`gamma_acyclic_wfomc_in`].
 ///
 /// The count is taken over the query's own vocabulary; callers with a larger
-/// vocabulary multiply the usual `(w + w̄)^{n^arity}` factors themselves (the
-/// [`crate::solver::Solver`] does).
+/// vocabulary multiply the usual `(w + w̄)^{n^arity}` factors themselves (a
+/// [`crate::plan::Plan`] does).
 pub fn gamma_acyclic_wfomc(
     query: &ConjunctiveQuery,
     n: usize,
     weights: &Weights,
 ) -> Result<Weight, LiftError> {
-    gamma_acyclic_wfomc_memo(query, n, weights, &mut CqMemo::default())
+    let lifted = AlgebraWeights::lift(&Exact, weights);
+    gamma_acyclic_wfomc_in(query, n, &Exact, &lifted, &Guard::unarmed()).map_err(demote)
 }
 
-/// As [`gamma_acyclic_wfomc`], with an externally owned memo table.
+/// Symmetric WFOMC of a γ-acyclic conjunctive query in an arbitrary
+/// [`Algebra`], under a resource [`Guard`] ticked once per reduction step
+/// (deadlines, work caps and cancellation interrupt rule (b)'s recursion).
 ///
-/// The memo key captures the residual query shape *including* the tuple
-/// probabilities and domain sizes, so one [`CqMemo`] is sound to share across
-/// calls at different domain sizes and weight functions — this is what a
-/// [`crate::plan::Plan`] holds so repeated counts on one query share the
-/// reduction work of rule (b)'s recursion.
-pub fn gamma_acyclic_wfomc_memo(
+/// Fails with [`LiftError::NoProbabilityNormalization`] when the algebra
+/// cannot divide `w` by `w + w̄` for some predicate (always the case for
+/// `w + w̄ = 0`), and with [`LiftError::DomainTooLarge`] when a ground tuple
+/// count overflows `usize`.
+pub fn gamma_acyclic_wfomc_in<A: Algebra>(
     query: &ConjunctiveQuery,
     n: usize,
-    weights: &Weights,
-    memo: &mut CqMemo,
-) -> Result<Weight, LiftError> {
-    gamma_acyclic_wfomc_memo_guarded(query, n, weights, memo, &Guard::unarmed()).map_err(demote)
-}
-
-/// As [`gamma_acyclic_wfomc_memo`], under a resource [`Guard`]: the guard is
-/// ticked once per reduction step, so deadlines, work caps and cancellation
-/// interrupt rule (b)'s recursion. An interrupted call leaves the memo
-/// holding only *completed* sub-reductions, so retrying on the same memo is
-/// sound and resumes the saved work.
-pub fn gamma_acyclic_wfomc_memo_guarded(
-    query: &ConjunctiveQuery,
-    n: usize,
-    weights: &Weights,
-    memo: &mut CqMemo,
+    algebra: &A,
+    weights: &AlgebraWeights<A>,
     guard: &Guard,
-) -> Result<Weight, SolveError> {
-    let mut probabilities = BTreeMap::new();
-    let mut normalization = Weight::one();
-    for p in query.vocabulary().iter() {
-        let pair = weights.pair_of(p);
-        let total = pair.total();
-        if total.is_zero() {
-            return Err(LiftError::NoProbabilityNormalization {
-                predicate: p.name().to_string(),
-            }
-            .into());
-        }
-        probabilities.insert(p.name().to_string(), &pair.pos / &total);
-        normalization *= weight_pow(&total, p.num_ground_tuples(n));
-    }
-    let domains = query
-        .variables()
-        .into_iter()
-        .map(|v| (v, n))
-        .collect::<BTreeMap<_, _>>();
+) -> Result<A::Elem, SolveError> {
+    let (probabilities, normalization) = tuple_probabilities(query, n, algebra, weights)?;
     let prob =
-        gamma_acyclic_probability_multi_memo_guarded(query, &domains, &probabilities, memo, guard)?;
-    Ok(prob * normalization)
+        gamma_acyclic_probability_in(query, &uniform(query, n), algebra, &probabilities, guard)?;
+    Ok(algebra.mul(&prob, &normalization))
 }
 
-/// Probability that a γ-acyclic conjunctive query is true over a domain of
-/// size `n`, when each tuple of relation `R` is present independently with
-/// probability `probabilities[R]` (missing entries default to probability
-/// 1/2, i.e. the unweighted case).
-pub fn gamma_acyclic_probability(
+/// Probability that a γ-acyclic conjunctive query is true when each tuple of
+/// relation `R` is present independently with probability
+/// `probabilities[R]` (missing entries default to 1/2, the unweighted case)
+/// and every variable `xᵢ` ranges over its own domain of size `domains[xᵢ]`
+/// — the generalized form used in the proof of Theorem 3.6. The guard is
+/// ticked as in [`gamma_acyclic_wfomc_in`].
+pub fn gamma_acyclic_probability_in<A: Algebra>(
+    query: &ConjunctiveQuery,
+    domains: &BTreeMap<Variable, usize>,
+    algebra: &A,
+    probabilities: &BTreeMap<String, A::Elem>,
+    guard: &Guard,
+) -> Result<A::Elem, SolveError> {
+    let mut table = Table::default();
+    reduce_query(query, domains, algebra, probabilities, &mut table, guard)
+}
+
+/// Tuple probabilities by predicate name.
+type Probabilities<E> = BTreeMap<String, E>;
+
+/// The tuple probability `w/(w+w̄)` of every query predicate, and the
+/// normalization `Π_R (w_R + w̄_R)^{n^arity}` back to the weighted count.
+fn tuple_probabilities<A: Algebra>(
     query: &ConjunctiveQuery,
     n: usize,
-    probabilities: &BTreeMap<String, Weight>,
-) -> Result<Weight, LiftError> {
-    let domains = query
-        .variables()
-        .into_iter()
-        .map(|v| (v, n))
-        .collect::<BTreeMap<_, _>>();
-    gamma_acyclic_probability_multi(query, &domains, probabilities)
+    algebra: &A,
+    weights: &AlgebraWeights<A>,
+) -> Result<(Probabilities<A::Elem>, A::Elem), LiftError> {
+    let (mut probabilities, mut normalization) = (BTreeMap::new(), algebra.one());
+    for p in query.vocabulary().iter() {
+        let (pos, neg) = weights.pair_of(algebra, p);
+        let total = algebra.add(&pos, &neg);
+        let undefined = || LiftError::NoProbabilityNormalization {
+            predicate: p.name().to_string(),
+        };
+        let prob = algebra.try_div(&pos, &total).ok_or_else(undefined)?;
+        let tuples = u32::try_from(p.arity())
+            .ok()
+            .and_then(|arity| n.checked_pow(arity));
+        let tuples = tuples.ok_or(LiftError::DomainTooLarge)?;
+        algebra.mul_assign(&mut normalization, &algebra.pow(&total, tuples));
+        probabilities.insert(p.name().to_string(), prob);
+    }
+    Ok((probabilities, normalization))
 }
 
-/// The generalized form used in the proof of Theorem 3.6: every variable `xᵢ`
-/// ranges over its own domain of size `domains[xᵢ]`.
-pub fn gamma_acyclic_probability_multi(
-    query: &ConjunctiveQuery,
-    domains: &BTreeMap<Variable, usize>,
-    probabilities: &BTreeMap<String, Weight>,
-) -> Result<Weight, LiftError> {
-    gamma_acyclic_probability_multi_memo(query, domains, probabilities, &mut CqMemo::default())
+/// Every query variable ranging over one domain of size `n`.
+fn uniform(query: &ConjunctiveQuery, n: usize) -> BTreeMap<Variable, usize> {
+    query.variables().into_iter().map(|v| (v, n)).collect()
 }
 
-/// As [`gamma_acyclic_probability_multi`], with an externally owned memo
-/// table (see [`gamma_acyclic_wfomc_memo`] for why sharing it is sound).
-pub fn gamma_acyclic_probability_multi_memo(
-    query: &ConjunctiveQuery,
-    domains: &BTreeMap<Variable, usize>,
-    probabilities: &BTreeMap<String, Weight>,
-    memo: &mut CqMemo,
-) -> Result<Weight, LiftError> {
-    gamma_acyclic_probability_multi_memo_guarded(
-        query,
-        domains,
-        probabilities,
-        memo,
-        &Guard::unarmed(),
-    )
-    .map_err(demote)
-}
-
-/// As [`gamma_acyclic_probability_multi_memo`], under a resource [`Guard`]
-/// (see [`gamma_acyclic_wfomc_memo_guarded`] for the interrupt contract).
-pub fn gamma_acyclic_probability_multi_memo_guarded(
-    query: &ConjunctiveQuery,
-    domains: &BTreeMap<Variable, usize>,
-    probabilities: &BTreeMap<String, Weight>,
-    memo: &mut CqMemo,
-    guard: &Guard,
-) -> Result<Weight, SolveError> {
-    wfomc_guard::failpoint(PHASE)?;
-    if !query.is_self_join_free() {
-        return Err(LiftError::HasSelfJoin.into());
-    }
-    if !query.is_constant_free() {
-        return Err(LiftError::NotAConjunctiveQuery.into());
-    }
-    let vars = query.variables();
-    let mut state = State {
-        edges: Vec::new(),
-        domains: Vec::new(),
-    };
-    for v in &vars {
-        let size = *domains.get(v).ok_or_else(|| {
-            LiftError::Internal(format!("no domain size supplied for variable {v}"))
-        })?;
-        state.domains.push(size);
-    }
-    let half = Weight::new(1.into(), 2.into());
-    for atom in &query.atoms {
-        let p = probabilities
-            .get(atom.predicate.name())
-            .cloned()
-            .unwrap_or_else(|| half.clone());
-        let vars_of_atom: BTreeSet<usize> = atom
-            .variables()
-            .iter()
-            .map(|v| vars.iter().position(|u| u == v).expect("indexed"))
-            .collect();
-        state.edges.push(Edge {
-            prob: p,
-            vars: vars_of_atom,
-        });
-    }
-    reduce(&state, memo, guard)
-}
-
-/// A memo table for the γ-acyclic reduction, reusable across calls (the key
-/// includes probabilities and domain sizes, so no invalidation is needed).
-#[derive(Clone, Debug, Default)]
-pub struct CqMemo {
-    map: HashMap<Key, Weight>,
-    /// Lifetime lookup hits — always-on accounting (the memo is only touched
-    /// under `&mut`, so these are plain integers, not atomics).
+/// The exact reduction tables of one [`crate::plan::Plan`]: one table per
+/// probability vector, so repeated counts under one weight function reuse
+/// rule (b)'s sub-reductions across calls and domain sizes.
+#[derive(Debug, Default)]
+pub(crate) struct CqMemo {
+    tables: HashMap<Vec<Weight>, Table<Weight>>,
+    /// Lifetime lookup hits and misses of the tables checked back in.
     hits: u64,
-    /// Lifetime lookup misses (each one ran a reduction rule).
     misses: u64,
 }
 
 impl CqMemo {
-    /// Number of memoized residual query shapes.
-    pub fn len(&self) -> usize {
-        self.map.len()
+    /// [`gamma_acyclic_wfomc_in`] in [`Exact`] with this weight function's
+    /// table, checked out for the reduction: the lock is never held while
+    /// reducing, so counts do not serialize and a panic cannot poison it.
+    /// The table holds only completed sub-reductions, so it goes back in
+    /// after an interrupt too (replacing one a concurrent count checked in
+    /// meanwhile; both are sound).
+    pub(crate) fn wfomc(
+        memo: &Mutex<CqMemo>,
+        query: &ConjunctiveQuery,
+        n: usize,
+        weights: &AlgebraWeights<Exact>,
+        guard: &Guard,
+    ) -> Result<Weight, SolveError> {
+        let (probabilities, normalization) = tuple_probabilities(query, n, &Exact, weights)?;
+        let key: Vec<Weight> = probabilities.values().cloned().collect();
+        let checked_out = memo.lock().expect("cq memo poisoned").tables.remove(&key);
+        let mut table = checked_out.unwrap_or_default();
+        let domains = uniform(query, n);
+        let prob = reduce_query(query, &domains, &Exact, &probabilities, &mut table, guard);
+        let mut memo = memo.lock().expect("cq memo poisoned");
+        memo.hits += std::mem::take(&mut table.hits);
+        memo.misses += std::mem::take(&mut table.misses);
+        memo.tables.insert(key, table);
+        Ok(prob? * normalization)
     }
 
-    /// True if nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// Number of memoized residual query shapes, over all tables.
+    pub(crate) fn len(&self) -> usize {
+        self.tables.values().map(|t| t.memo.len()).sum()
     }
 
-    /// Lifetime `(hits, misses)` of the memo's lookups. Always-on — no `obs`
-    /// feature needed.
-    pub fn hit_stats(&self) -> (u64, u64) {
+    /// Lifetime `(hits, misses)` of the memo's lookups.
+    pub(crate) fn hit_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+}
 
-    /// A copy sharing this memo's entries but with zeroed hit/miss tallies —
-    /// what batch workers clone in, so folding their tallies back through
-    /// [`absorb`](Self::absorb) counts each lookup exactly once.
-    pub fn clone_for_worker(&self) -> CqMemo {
-        CqMemo {
-            map: self.map.clone(),
+/// How an edge's probability was built, free of any weight. Child labels
+/// are ids into the table that interned them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Label {
+    /// The tuple probability of query atom `i`.
+    Atom(usize),
+    /// Rule (d): the product of two edges' probabilities.
+    Product(usize, usize),
+    /// Rule (a): `1 − (1 − p)^d` after deleting a node of domain size `d`.
+    Isolated(usize, usize),
+}
+
+/// The reduction's memo under one weight function: interned labels with
+/// their values (indexed by label id), and completed residual states.
+#[derive(Debug)]
+struct Table<E> {
+    ids: HashMap<Label, usize>,
+    values: Vec<E>,
+    memo: HashMap<Key, E>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<E> Default for Table<E> {
+    fn default() -> Self {
+        Table {
+            ids: HashMap::new(),
+            values: Vec::new(),
+            memo: HashMap::new(),
             hits: 0,
             misses: 0,
         }
     }
+}
 
-    /// Merges another memo's entries and hit/miss tallies into this one.
-    /// Keys are pure functions of the residual query shape (probabilities
-    /// and domain sizes included), so divergent entries cannot exist and the
-    /// merge is a plain union — this is what lets batch evaluation clone a
-    /// memo into each worker and fold the workers' discoveries back in at
-    /// the end.
-    pub fn absorb(&mut self, other: CqMemo) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        if self.map.is_empty() {
-            self.map = other.map;
-        } else {
-            self.map.extend(other.map);
+impl<E> Table<E> {
+    /// The id of `label`, computing its value only the first time it is seen.
+    fn intern(&mut self, label: Label, value: impl FnOnce(&[E]) -> E) -> usize {
+        if let Some(&id) = self.ids.get(&label) {
+            return id;
         }
+        let value = value(&self.values);
+        self.values.push(value);
+        self.ids.insert(label, self.values.len() - 1);
+        self.values.len() - 1
     }
 }
 
 #[derive(Clone, Debug)]
 struct Edge {
-    prob: Weight,
+    label: usize,
     vars: BTreeSet<usize>,
 }
 
@@ -269,11 +236,11 @@ struct State {
     domains: Vec<usize>,
 }
 
-/// Memoization key: edges with variables renumbered by first occurrence,
-/// paired with the domain sizes of those variables in that order.
+/// Memoization key: edge labels with variables renumbered by first
+/// occurrence, paired with the domain sizes of those variables in that order.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Key {
-    edges: Vec<(Weight, Vec<usize>)>,
+    edges: Vec<(usize, Vec<usize>)>,
     domains: Vec<usize>,
 }
 
@@ -293,7 +260,7 @@ impl State {
                 vars.push(id);
             }
             vars.sort_unstable();
-            edges.push((e.prob.clone(), vars));
+            edges.push((e.label, vars));
         }
         Key { edges, domains }
     }
@@ -316,39 +283,91 @@ impl State {
     }
 }
 
-fn reduce(state: &State, memo: &mut CqMemo, guard: &Guard) -> Result<Weight, SolveError> {
+/// Checks the query's shape and reduces it with its atoms labelled by their
+/// predicates' probabilities.
+fn reduce_query<A: Algebra>(
+    query: &ConjunctiveQuery,
+    domains: &BTreeMap<Variable, usize>,
+    algebra: &A,
+    probabilities: &BTreeMap<String, A::Elem>,
+    table: &mut Table<A::Elem>,
+    guard: &Guard,
+) -> Result<A::Elem, SolveError> {
+    wfomc_guard::failpoint(PHASE)?;
+    if !query.is_self_join_free() {
+        return Err(LiftError::HasSelfJoin.into());
+    }
+    if !query.is_constant_free() {
+        return Err(LiftError::NotAConjunctiveQuery.into());
+    }
+    let vars = query.variables();
+    let domains = vars
+        .iter()
+        .map(|v| {
+            let missing = || LiftError::Internal(format!("no domain size supplied for {v}"));
+            domains.get(v).copied().ok_or_else(missing)
+        })
+        .collect::<Result<_, _>>()?;
+    let mut edges = Vec::new();
+    for (i, atom) in query.atoms.iter().enumerate() {
+        let label = table.intern(Label::Atom(i), |_| {
+            let half = || algebra.from_weight(&Weight::new(1.into(), 2.into()));
+            probabilities
+                .get(atom.predicate.name())
+                .cloned()
+                .unwrap_or_else(half)
+        });
+        let index = |v| vars.iter().position(|u| u == v).expect("indexed");
+        let vars = atom.variables().iter().map(index).collect();
+        edges.push(Edge { label, vars });
+    }
+    reduce(algebra, &State { edges, domains }, table, guard)
+}
+
+fn reduce<A: Algebra>(
+    algebra: &A,
+    state: &State,
+    table: &mut Table<A::Elem>,
+    guard: &Guard,
+) -> Result<A::Elem, SolveError> {
     if state.edges.is_empty() {
-        return Ok(Weight::one());
+        return Ok(algebra.one());
     }
     // A variable with an empty domain occurring in some edge makes the query
     // false (the existential quantifier has no witnesses).
     if state.active_vars().iter().any(|&v| state.domains[v] == 0) {
-        return Ok(Weight::zero());
+        return Ok(algebra.zero());
     }
     let key = state.key();
-    if let Some(hit) = memo.map.get(&key) {
-        memo.hits += 1;
+    if let Some(hit) = table.memo.get(&key) {
+        table.hits += 1;
         wfomc_obs::metrics::CQ_MEMO_HITS.inc();
         return Ok(hit.clone());
     }
-    memo.misses += 1;
+    table.misses += 1;
     wfomc_obs::metrics::CQ_MEMO_MISSES.inc();
     guard.tick(PHASE, 1)?;
 
     // The memo only ever records *completed* reductions: an interrupt below
-    // propagates before this insert, so a cancelled solve leaves the memo
+    // propagates before this insert, so a cancelled solve leaves the table
     // consistent and a retry resumes from the finished sub-problems.
-    let result = apply_rule(state, memo, guard)?;
-    memo.map.insert(key, result.clone());
+    let result = apply_rule(algebra, state, table, guard)?;
+    table.memo.insert(key, result.clone());
     Ok(result)
 }
 
-fn apply_rule(state: &State, memo: &mut CqMemo, guard: &Guard) -> Result<Weight, SolveError> {
+fn apply_rule<A: Algebra>(
+    algebra: &A,
+    state: &State,
+    table: &mut Table<A::Elem>,
+    guard: &Guard,
+) -> Result<A::Elem, SolveError> {
     // Rule (c): empty edge.
     if let Some(i) = state.edges.iter().position(|e| e.vars.is_empty()) {
         let mut next = state.clone();
         let edge = next.edges.remove(i);
-        return Ok(edge.prob * reduce(&next, memo, guard)?);
+        let rest = reduce(algebra, &next, table, guard)?;
+        return Ok(algebra.mul(&table.values[edge.label], &rest));
     }
 
     // Rule (d): duplicate edges.
@@ -356,9 +375,11 @@ fn apply_rule(state: &State, memo: &mut CqMemo, guard: &Guard) -> Result<Weight,
         for j in (i + 1)..state.edges.len() {
             if state.edges[i].vars == state.edges[j].vars {
                 let mut next = state.clone();
-                let removed = next.edges.remove(j);
-                next.edges[i].prob = &next.edges[i].prob * &removed.prob;
-                return reduce(&next, memo, guard);
+                let (a, b) = (next.edges[i].label, next.edges.remove(j).label);
+                next.edges[i].label = table.intern(Label::Product(a, b), |values| {
+                    algebra.mul(&values[a], &values[b])
+                });
+                return reduce(algebra, &next, table, guard);
             }
         }
     }
@@ -368,12 +389,16 @@ fn apply_rule(state: &State, memo: &mut CqMemo, guard: &Guard) -> Result<Weight,
         let containing = state.edges_of(v);
         if containing.len() == 1 {
             let e = containing[0];
+            let d = state.domains[v];
             let mut next = state.clone();
             next.edges[e].vars.remove(&v);
-            let p = next.edges[e].prob.clone();
-            let absent = weight_pow(&(Weight::one() - &p), state.domains[v]);
-            next.edges[e].prob = Weight::one() - absent;
-            return reduce(&next, memo, guard);
+            let inner = next.edges[e].label;
+            next.edges[e].label = table.intern(Label::Isolated(inner, d), |values| {
+                let one = algebra.one();
+                let absent = algebra.pow(&algebra.sub(&one, &values[inner]), d);
+                algebra.sub(&one, &absent)
+            });
+            return reduce(algebra, &next, table, guard);
         }
     }
 
@@ -388,8 +413,10 @@ fn apply_rule(state: &State, memo: &mut CqMemo, guard: &Guard) -> Result<Weight,
                 for e in next.edges.iter_mut() {
                     e.vars.remove(&b);
                 }
-                next.domains[a] = state.domains[a] * state.domains[b];
-                return reduce(&next, memo, guard);
+                next.domains[a] = state.domains[a]
+                    .checked_mul(state.domains[b])
+                    .ok_or(LiftError::DomainTooLarge)?;
+                return reduce(algebra, &next, table, guard);
             }
         }
     }
@@ -397,22 +424,27 @@ fn apply_rule(state: &State, memo: &mut CqMemo, guard: &Guard) -> Result<Weight,
     // Rule (b): singleton edge whose variable also occurs elsewhere.
     if let Some(i) = state.edges.iter().position(|e| e.vars.len() == 1) {
         let v = *state.edges[i].vars.iter().next().expect("singleton");
-        let p = state.edges[i].prob.clone();
+        let p = table.values[state.edges[i].label].clone();
+        let absent = algebra.sub(&algebra.one(), &p);
         let n_v = state.domains[v];
         let mut residual = state.clone();
         residual.edges.remove(i);
-        let mut total = Weight::zero();
+        let mut total = algebra.zero();
         for k in 0..=n_v {
             let mut branch = residual.clone();
             branch.domains[v] = k;
-            let sub = reduce(&branch, memo, guard)?;
-            if sub.is_zero() {
+            let sub = reduce(algebra, &branch, table, guard)?;
+            if algebra.is_zero(&sub) {
                 continue;
             }
-            let coeff = binomial_weight(n_v, k)
-                * weight_pow(&p, k)
-                * weight_pow(&(Weight::one() - &p), n_v - k);
-            total += coeff * sub;
+            let coeff = algebra.mul(
+                &algebra.mul(
+                    &algebra.from_weight(&binomial_weight(n_v, k)),
+                    &algebra.pow(&p, k),
+                ),
+                &algebra.pow(&absent, n_v - k),
+            );
+            algebra.add_assign(&mut total, &algebra.mul(&coeff, &sub));
         }
         return Ok(total);
     }
@@ -423,9 +455,10 @@ fn apply_rule(state: &State, memo: &mut CqMemo, guard: &Guard) -> Result<Weight,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use num_traits::{One, Zero};
     use wfomc_ground::{probability as ground_probability, wfomc as ground_wfomc};
     use wfomc_logic::catalog;
-    use wfomc_logic::weights::{weight_int, weight_ratio};
+    use wfomc_logic::weights::{weight_int, weight_pow, weight_ratio};
 
     fn uniform_probs(query: &ConjunctiveQuery, p: Weight) -> BTreeMap<String, Weight> {
         query
@@ -435,12 +468,31 @@ mod tests {
             .collect()
     }
 
+    /// The exact multi-domain probability.
+    fn probability_multi(
+        query: &ConjunctiveQuery,
+        domains: &BTreeMap<Variable, usize>,
+        probabilities: &BTreeMap<String, Weight>,
+    ) -> Result<Weight, LiftError> {
+        gamma_acyclic_probability_in(query, domains, &Exact, probabilities, &Guard::unarmed())
+            .map_err(demote)
+    }
+
+    /// The exact probability over one domain of size `n`.
+    fn probability(
+        query: &ConjunctiveQuery,
+        n: usize,
+        probabilities: &BTreeMap<String, Weight>,
+    ) -> Result<Weight, LiftError> {
+        probability_multi(query, &uniform(query, n), probabilities)
+    }
+
     #[test]
     fn single_edge_query() {
         // ∃x∃y R(x,y) with p = 1/2 over n = 2: 1 − (1/2)⁴ = 15/16.
         let q = catalog::chain_query(1);
         let probs = uniform_probs(&q, weight_ratio(1, 2));
-        let prob = gamma_acyclic_probability(&q, 2, &probs).unwrap();
+        let prob = probability(&q, 2, &probs).unwrap();
         assert_eq!(prob, weight_ratio(15, 16));
     }
 
@@ -489,7 +541,7 @@ mod tests {
         }
         // Probability form against the grounded probability at n = 3.
         let probs = uniform_probs(&q, weight_ratio(1, 2));
-        let lifted_prob = gamma_acyclic_probability(&q, 3, &probs).unwrap();
+        let lifted_prob = probability(&q, 3, &probs).unwrap();
         let grounded_prob = ground_probability(&f, &voc, 3, &Weights::ones());
         assert_eq!(lifted_prob, grounded_prob);
     }
@@ -518,6 +570,23 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_tuple_counts_are_rejected_cleanly() {
+        let q = catalog::chain_query(2);
+        let n = 1usize << (usize::BITS / 2 + 1);
+        let err = gamma_acyclic_wfomc(&q, n, &Weights::ones()).unwrap_err();
+        assert_eq!(err, LiftError::DomainTooLarge);
+        // Rule (e) merges the edge-equivalent nodes x and y into one domain.
+        let f = wfomc_logic::parser::parse(
+            "exists x. exists y. exists a. exists b. R(x,y,a) & S(x,y,b) & T(a) & U(b)",
+        )
+        .unwrap();
+        let q = ConjunctiveQuery::from_formula(&f).unwrap();
+        let domains = q.variables().into_iter().map(|v| (v, n)).collect();
+        let err = probability_multi(&q, &domains, &BTreeMap::new()).unwrap_err();
+        assert_eq!(err, LiftError::DomainTooLarge);
+    }
+
+    #[test]
     fn multi_domain_generalization() {
         // Chain of length 1 with |x0| = 2, |x1| = 3 and p = 1/3:
         // Pr = 1 − (2/3)⁶.
@@ -527,7 +596,7 @@ mod tests {
             .into_iter()
             .collect();
         let probs = uniform_probs(&q, weight_ratio(1, 3));
-        let prob = gamma_acyclic_probability_multi(&q, &domains, &probs).unwrap();
+        let prob = probability_multi(&q, &domains, &probs).unwrap();
         let expected = Weight::one() - weight_pow(&weight_ratio(2, 3), 6);
         assert_eq!(prob, expected);
     }
@@ -540,9 +609,31 @@ mod tests {
         domains.insert(vars[1].clone(), 0);
         let probs = uniform_probs(&q, weight_ratio(1, 2));
         assert_eq!(
-            gamma_acyclic_probability_multi(&q, &domains, &probs).unwrap(),
+            probability_multi(&q, &domains, &probs).unwrap(),
             Weight::zero()
         );
+    }
+
+    #[test]
+    fn log_space_tracks_exact_at_large_domains() {
+        // Tuple probabilities near 1 make rule (a) produce 1 − 10⁻⁶¹-sized
+        // values whose complements must survive in log space.
+        use wfomc_logic::algebra::LogF64;
+        let weights = Weights::from_ints([("R1", 11, 2), ("R2", 3, 11), ("R3", 7, 1)]);
+        let lifted = AlgebraWeights::lift(&LogF64, &weights);
+        for q in [catalog::chain_query(3), catalog::star_query(3)] {
+            for n in [8, 20] {
+                let exact = gamma_acyclic_wfomc(&q, n, &weights).unwrap();
+                let log =
+                    gamma_acyclic_wfomc_in(&q, n, &LogF64, &lifted, &Guard::unarmed()).unwrap();
+                let want = LogF64.from_weight(&exact);
+                assert_eq!(log.signum(), want.signum(), "n = {n}");
+                assert!(
+                    (log.ln_abs() - want.ln_abs()).abs() < 1e-9,
+                    "n = {n}: {log} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -553,7 +644,7 @@ mod tests {
         // it terminates and produces a probability in (0, 1).
         let q = catalog::chain_query(6);
         let probs = uniform_probs(&q, weight_ratio(1, 10));
-        let p = gamma_acyclic_probability(&q, 12, &probs).unwrap();
+        let p = probability(&q, 12, &probs).unwrap();
         assert!(p > Weight::zero() && p < Weight::one());
     }
 }

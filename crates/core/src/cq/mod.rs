@@ -6,9 +6,7 @@ pub mod gamma_acyclic;
 
 pub use chain::chain_probability;
 pub use gamma_acyclic::{
-    gamma_acyclic_probability, gamma_acyclic_probability_multi,
-    gamma_acyclic_probability_multi_memo, gamma_acyclic_probability_multi_memo_guarded,
-    gamma_acyclic_wfomc, gamma_acyclic_wfomc_memo, gamma_acyclic_wfomc_memo_guarded, CqMemo,
+    gamma_acyclic_probability_in, gamma_acyclic_wfomc, gamma_acyclic_wfomc_in,
 };
 
 use wfomc_hypergraph::Hypergraph;

@@ -44,6 +44,9 @@ pub enum LiftError {
         /// The offending predicate.
         predicate: String,
     },
+    /// The domain is too large to count over: a ground tuple count overflows
+    /// `usize`.
+    DomainTooLarge,
     /// The sentence does not match the special-case algorithm it was handed to
     /// (e.g. a non-QS4 sentence given to the QS4 dynamic program).
     PatternMismatch {
@@ -84,6 +87,12 @@ impl fmt::Display for LiftError {
                 f,
                 "predicate {predicate} has w + w̄ = 0, so tuple probabilities are undefined"
             ),
+            LiftError::DomainTooLarge => {
+                write!(
+                    f,
+                    "the domain is too large: a ground tuple count overflows usize"
+                )
+            }
             LiftError::PatternMismatch { expected } => {
                 write!(
                     f,
@@ -164,6 +173,15 @@ impl SolveError {
 impl From<LiftError> for SolveError {
     fn from(e: LiftError) -> SolveError {
         SolveError::Lift(e)
+    }
+}
+
+/// Unwraps a [`SolveError`] coming back through an *unarmed* guard, where
+/// exhaustion is impossible by construction.
+pub(crate) fn demote(e: SolveError) -> LiftError {
+    match e {
+        SolveError::Lift(e) => e,
+        other => unreachable!("an unarmed guard cannot interrupt: {other}"),
     }
 }
 

@@ -25,105 +25,85 @@ pub(crate) fn cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `work(state, i)` for `i in 0..len` on up to `workers` scoped
-/// threads and returns the outcomes in index order, plus each worker's
-/// state.
+/// Runs `work(i)` for `i in 0..len` on up to `workers` scoped threads and
+/// returns the outcomes in index order.
 ///
-/// `state` is called once per worker on the caller's thread before any item
-/// runs (the CQ memo clones in there); the states come back after every item
-/// finished, for the caller to merge out. Each worker thread flushes its
-/// span tallies with [`wfomc_obs::flush_thread`] before it is joined, since
-/// scope joins can outrun thread-local destructors.
-pub(crate) fn run<S: Send, R: Send>(
+/// Each worker thread flushes its span tallies with
+/// [`wfomc_obs::flush_thread`] before it is joined, since scope joins can
+/// outrun thread-local destructors.
+pub(crate) fn run<R: Send>(
     len: usize,
     workers: usize,
-    mut state: impl FnMut() -> S,
-    work: impl Fn(&mut S, usize) -> R + Sync,
-) -> (Vec<thread::Result<R>>, Vec<S>) {
-    let contained = |s: &mut S, i: usize| catch_unwind(AssertUnwindSafe(|| work(s, i)));
+    work: impl Fn(usize) -> R + Sync,
+) -> Vec<thread::Result<R>> {
+    let contained = |i: usize| catch_unwind(AssertUnwindSafe(|| work(i)));
     let workers = workers.min(len);
     if workers <= 1 {
-        let mut s = state();
-        let outcomes = (0..len).map(|i| contained(&mut s, i)).collect();
-        return (outcomes, vec![s]);
+        return (0..len).map(contained).collect();
     }
     let pool = stealer::Pool::new(workers);
     pool.seed(0..len);
     let mut slots: Vec<Option<thread::Result<R>>> = (0..len).map(|_| None).collect();
-    let states = thread::scope(|scope| {
+    thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|t| {
-                let mut s = state();
                 let mut queue = pool.worker(t);
                 let contained = &contained;
                 scope.spawn(move || {
                     let mut done = Vec::new();
                     while let Some(i) = queue.pop() {
-                        done.push((i, contained(&mut s, i)));
+                        done.push((i, contained(i)));
                     }
                     wfomc_obs::flush_thread();
-                    (done, s)
+                    done
                 })
             })
             .collect();
-        let mut states = Vec::with_capacity(workers);
         for handle in handles {
             // Items are contained one by one, so a worker can only fail
             // outside them (in the queue or the obs flush): a bug that is
             // resumed rather than mistaken for a point's failure.
-            let (done, s) = handle
+            let done = handle
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
             for (i, outcome) in done {
                 slots[i] = Some(outcome);
             }
-            states.push(s);
         }
-        states
     });
     wfomc_obs::metrics::CELLSUM_STEALS.add(pool.steals());
-    let outcomes = slots
+    slots
         .into_iter()
         .map(|slot| slot.expect("every item ran"))
-        .collect();
-    (outcomes, states)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn outcomes_come_back_in_index_order_with_every_state() {
+    fn outcomes_come_back_in_index_order() {
         for workers in [1, 2, 4] {
-            let (outcomes, states) = run(
-                37,
-                workers,
-                || 0usize,
-                |seen, i| {
-                    *seen += 1;
-                    i * i
-                },
-            );
+            let seen = AtomicUsize::new(0);
+            let outcomes = run(37, workers, |i| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                i * i
+            });
             let values: Vec<usize> = outcomes.into_iter().map(Result::unwrap).collect();
             assert_eq!(values, (0..37).map(|i| i * i).collect::<Vec<_>>());
-            assert_eq!(states.len(), workers);
-            assert_eq!(states.iter().sum::<usize>(), 37, "each item ran once");
+            assert_eq!(seen.load(Ordering::Relaxed), 37, "each item ran once");
         }
     }
 
     #[test]
     fn a_panicking_item_is_contained_alone() {
         for workers in [1, 3] {
-            let (outcomes, _) = run(
-                9,
-                workers,
-                || (),
-                |_, i| {
-                    assert!(i != 4, "item {i} fails");
-                    i
-                },
-            );
+            let outcomes = run(9, workers, |i| {
+                assert!(i != 4, "item {i} fails");
+                i
+            });
             assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1);
             for (i, outcome) in outcomes.into_iter().enumerate() {
                 match outcome {
@@ -140,8 +120,7 @@ mod tests {
 
     #[test]
     fn no_items_means_no_work() {
-        let (outcomes, states) = run(0, 4, || (), |_, i| i);
+        let outcomes = run(0, 4, |i| -> usize { panic!("item {i} ran") });
         assert!(outcomes.is_empty());
-        assert_eq!(states.len(), 1);
     }
 }

@@ -215,12 +215,7 @@ impl Fo2Prepared {
         };
         let total_masks = 1usize << nullary.len();
         let workers = if total_masks >= 4 { fanout::cores() } else { 1 };
-        let (built, _) = fanout::run(
-            total_masks,
-            workers,
-            || (),
-            |_, mask| build_branch(mask as u64),
-        );
+        let built = fanout::run(total_masks, workers, |mask| build_branch(mask as u64));
         let mut branches = Vec::new();
         // Surface the mask-order-first error so the parallel build fails
         // exactly like a serial loop regardless of the steal schedule.
@@ -472,12 +467,9 @@ impl Fo2Prepared {
             1
         };
         let parallel_within = allow_parallel && workers < cores;
-        let (sums, _) = fanout::run(
-            branches.len(),
-            workers,
-            || (),
-            |_, i| eval(&branches[i], parallel_within),
-        );
+        let sums = fanout::run(branches.len(), workers, |i| {
+            eval(&branches[i], parallel_within)
+        });
         let mut total = algebra.zero();
         for (branch, outcome) in branches.iter().zip(sums) {
             let (value, branch_stats) =

@@ -26,8 +26,9 @@
 //! * **FO²** — the normalized sentence, Shannon branch matrices, valid cells
 //!   and satisfying cross-assignment sets ([`crate::fo2::Fo2Prepared`]);
 //!   each count binds the weights (cached) and runs the cell-sum engine.
-//! * **γ-acyclic CQ** — the recognized query plus a shared reduction memo
-//!   ([`crate::cq::CqMemo`]) reused across domain sizes and weights.
+//! * **γ-acyclic CQ** — the recognized query plus exact reduction tables,
+//!   one per probability vector, reused across counts and domain sizes;
+//!   every algebra runs the same Theorem 3.6 reduction.
 //! * **Ground** — a domain-size-keyed cache of groundings, each with a
 //!   lazily compiled d-DNNF circuit for the circuit backend.
 //!
@@ -39,7 +40,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
-use num_traits::{One, Zero};
+use num_traits::Zero;
 
 use wfomc_ground::{CompiledWfomc, Lineage};
 use wfomc_guard::{CancelToken, ExecutionLimits, Guard, Interrupt};
@@ -50,14 +51,12 @@ use wfomc_logic::cq::ConjunctiveQuery;
 use wfomc_logic::snap;
 use wfomc_logic::syntax::Formula;
 use wfomc_logic::vocabulary::{Predicate, Vocabulary};
-use wfomc_logic::weights::{weight_pow, Weight, Weights};
+use wfomc_logic::weights::Weights;
 use wfomc_prop::counter::wmc_formula_via_in;
 use wfomc_prop::{PropFormula, WmcBackend};
 
-use crate::cq::gamma_acyclic::{
-    gamma_acyclic_probability, gamma_acyclic_wfomc_memo_guarded, CqMemo,
-};
-use crate::error::{LiftError, SolveError};
+use crate::cq::gamma_acyclic::{gamma_acyclic_wfomc_in, CqMemo};
+use crate::error::{demote, LiftError, SolveError};
 use crate::fanout;
 use crate::fo2::Fo2Prepared;
 use crate::qs4::{is_qs4, wfomc_qs4, wfomc_qs4_in};
@@ -148,7 +147,7 @@ enum PlanState {
         query: ConjunctiveQuery,
         /// Vocabulary predicates outside the query.
         extra: Vec<Predicate>,
-        /// Reduction memo shared across all counts of this plan.
+        /// Exact reduction tables shared across all counts of this plan.
         memo: Mutex<CqMemo>,
     },
     /// No lifted method applies: every count grounds (with caching).
@@ -327,8 +326,8 @@ impl Plan {
             // probe at a tiny domain size decides applicability for every n;
             // weight pathologies (w + w̄ = 0) are handled per count.
             if let Some(query) = ConjunctiveQuery::from_formula(sentence) {
-                let probe =
-                    gamma_acyclic_probability(&query, 2, &std::collections::BTreeMap::new());
+                let ones = AlgebraWeights::ones();
+                let probe = gamma_acyclic_wfomc_in(&query, 2, &Exact, &ones, &Guard::unarmed());
                 if probe.is_ok() {
                     let extra = extra_predicates(vocabulary, &query.vocabulary());
                     return Ok(PlanState::Cq {
@@ -379,7 +378,7 @@ impl Plan {
     /// repeatable half of the solve. This is the governed path of
     /// [`count_with_limits`](Self::count_with_limits) with nothing armed.
     pub fn count(&self, n: usize, weights: &Weights) -> Result<SolverReport, LiftError> {
-        self.count_point_guarded(n, weights, true, None, &Guard::unarmed())
+        self.count_point_guarded(n, weights, true, &Guard::unarmed())
             .map_err(demote)
     }
 
@@ -393,7 +392,9 @@ impl Plan {
     /// structured [`SolveError`] naming the phase that stopped. Exhaustion
     /// is not corruption — the plan's caches only ever hold completed
     /// entries, so retrying the same point with larger (or no) limits
-    /// succeeds and agrees with an unbudgeted solve.
+    /// succeeds and agrees with an unbudgeted solve. A panic while counting
+    /// is contained the same way and reported as
+    /// [`SolveError::WorkerPanicked`], as the batch paths do per point.
     ///
     /// ```
     /// use std::time::Duration;
@@ -426,22 +427,24 @@ impl Plan {
         cancel: Option<CancelToken>,
     ) -> Result<SolverReport, SolveError> {
         let guard = Guard::new(limits, cancel);
-        let mut report = self.count_point_guarded(n, weights, true, None, &guard)?;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.count_point_guarded(n, weights, true, &guard)
+        }));
+        let mut report = contained(outcome)?;
         report.limits = limits_report(&guard, limits);
         Ok(report)
     }
 
-    /// Evaluates many independent `(n, weights)` points, fanning them over
-    /// scoped threads (each point then evaluates serially, so the machine is
-    /// not oversubscribed). Each point gets its own `Result`, so one
-    /// pathological point (an algorithmic error, or — contained via
+    /// Evaluates many independent `(n, weights)` points, handing them to the
+    /// crate's work-stealing fan-out (each point then evaluates serially, so
+    /// the machine is not oversubscribed). Each point gets its own `Result`,
+    /// so one pathological point (an algorithmic error, or — contained via
     /// `catch_unwind` — a panic, reported as [`SolveError::WorkerPanicked`])
     /// never takes the whole batch down with it. Results are in input order.
     ///
-    /// CQ-method plans give each worker its own clone of the shared
-    /// reduction memo and fold the workers' discoveries back in afterwards,
-    /// so the points run truly concurrently instead of serializing on one
-    /// memo lock.
+    /// CQ-method points check their weight function's reduction table out of
+    /// the shared memo and back in, so they run concurrently instead of
+    /// serializing on one memo lock.
     pub fn count_batch_results(
         &self,
         points: &[(usize, Weights)],
@@ -463,32 +466,11 @@ impl Plan {
         cancel: Option<CancelToken>,
     ) -> Vec<Result<SolverReport, SolveError>> {
         let guard = Guard::new(limits, cancel);
-        let shared_memo = match &self.state {
-            PlanState::Cq { memo, .. } => Some(memo),
-            _ => None,
-        };
         let (workers, alone) = batch_workers(points.len());
-        let (outcomes, worker_memos) = fanout::run(
-            points.len(),
-            workers,
-            // Clone-in: a private memo snapshot per worker. The worker clone
-            // starts with zeroed hit/miss tallies so that `absorb` can sum
-            // them back without double counting the shared memo's history.
-            || shared_memo.map(|memo| memo.lock().expect("cq memo poisoned").clone_for_worker()),
-            |memo, i| {
-                let (n, weights) = &points[i];
-                self.count_point_guarded(*n, weights, alone, memo.as_mut(), &guard)
-            },
-        );
-        // Merge-out: every residual shape any worker discovered becomes
-        // available to future counts. Panics were contained per point, so
-        // worker memos hold only completed reductions.
-        if let Some(memo) = shared_memo {
-            let mut memo = memo.lock().expect("cq memo poisoned");
-            for local in worker_memos.into_iter().flatten() {
-                memo.absorb(local);
-            }
-        }
+        let outcomes = fanout::run(points.len(), workers, |i| {
+            let (n, weights) = &points[i];
+            self.count_point_guarded(*n, weights, alone, &guard)
+        });
         let mut results: Vec<_> = outcomes.into_iter().map(contained).collect();
         if let Some(limits) = limits_report(&guard, limits) {
             for report in results.iter_mut().flatten() {
@@ -506,8 +488,10 @@ impl Plan {
     /// scalar [`LogF64`] run of point `i` — the lane algebra delegates every
     /// per-lane step to the scalar implementation — so this is a throughput
     /// optimization, not an approximation change. Mixed-`n` batches fall
-    /// back to per-point scalar [`LogF64`] evaluation fanned over scoped
-    /// threads (nothing can share a traversal). Results are in input order.
+    /// back to per-point scalar [`LogF64`] evaluation through the
+    /// work-stealing fan-out (nothing can share a traversal), as does a CQ
+    /// chunk with a lane whose weights admit no tuple probabilities (lane
+    /// division is all-or-nothing). Results are in input order.
     pub fn count_batch_log(
         &self,
         points: &[(usize, Weights)],
@@ -527,45 +511,45 @@ impl Plan {
         cancel: Option<CancelToken>,
     ) -> Vec<Result<LogWeight, SolveError>> {
         let guard = Guard::new(limits, cancel);
+        let scalar = |(n, weights): &(usize, Weights), alone| {
+            let lifted = AlgebraWeights::lift(&LogF64, weights);
+            self.count_in_guarded_point(*n, &LogF64, &lifted, alone, &guard)
+        };
         let Some(&(n, _)) = points.first() else {
             return Vec::new();
         };
         if points.iter().any(|(m, _)| *m != n) {
             let (workers, alone) = batch_workers(points.len());
-            let (outcomes, _) = fanout::run(
-                points.len(),
-                workers,
-                || (),
-                |_, i| {
-                    let (n, weights) = &points[i];
-                    let lifted = AlgebraWeights::lift(&LogF64, weights);
-                    self.count_in_guarded_point(*n, &LogF64, &lifted, alone, &guard)
-                },
-            );
+            let outcomes = fanout::run(points.len(), workers, |i| scalar(&points[i], alone));
             return outcomes.into_iter().map(contained).collect();
         }
         wfomc_obs::metrics::BATCH_LANE_POINTS.add(points.len() as u64);
         // The chunks run in order on this thread (each one already fans its
         // traversal out); one worker still contains a panic per chunk.
         let chunks: Vec<&[(usize, Weights)]> = points.chunks(LOG_LANES).collect();
-        let (outcomes, _) = fanout::run(
-            chunks.len(),
-            1,
-            || (),
-            |_, c| {
-                wfomc_obs::metrics::CELLSUM_LANE_BATCHES.inc();
-                let lane_weights: Vec<&Weights> = chunks[c].iter().map(|(_, w)| w).collect();
-                // A ragged final chunk repeats its last point in the tail
-                // lanes (see `pack_weights`); only the real lanes are
-                // unpacked below.
-                let packed = LogF64xN::pack_weights(&lane_weights);
-                self.count_in_guarded_point(n, &LogF64xN, &packed, true, &guard)
-            },
-        );
+        let outcomes = fanout::run(chunks.len(), 1, |c| {
+            wfomc_obs::metrics::CELLSUM_LANE_BATCHES.inc();
+            let lane_weights: Vec<&Weights> = chunks[c].iter().map(|(_, w)| w).collect();
+            // A ragged final chunk repeats its last point in the tail
+            // lanes (see `pack_weights`); only the real lanes are
+            // unpacked below.
+            let packed = LogF64xN::pack_weights(&lane_weights);
+            match self.count_in_planned(n, &LogF64xN, &packed, true, &guard) {
+                Ok(lanes) => Ok((0..lane_weights.len()).map(|i| Ok(lanes.lane(i))).collect()),
+                // One lane without tuple probabilities fails a whole CQ
+                // chunk; its points count as scalars, so every lane still
+                // equals its scalar run.
+                Err(e) if undefined_probabilities(&e) => Ok(chunks[c]
+                    .iter()
+                    .map(|p| scalar(p, true))
+                    .collect::<Vec<_>>()),
+                Err(e) => Err(e),
+            }
+        });
         let mut out = Vec::with_capacity(points.len());
         for (chunk, outcome) in chunks.iter().zip(outcomes) {
             match contained(outcome) {
-                Ok(lanes) => out.extend((0..chunk.len()).map(|i| Ok(lanes.lane(i)))),
+                Ok(lanes) => out.extend(lanes),
                 Err(e) => out.extend((0..chunk.len()).map(|_| Err(e.clone()))),
             }
         }
@@ -575,6 +559,26 @@ impl Plan {
     /// One governed evaluation point in an arbitrary algebra, behind
     /// [`count_in`](Self::count_in), the generic and log batches.
     fn count_in_guarded_point<A: Algebra>(
+        &self,
+        n: usize,
+        algebra: &A,
+        weights: &AlgebraWeights<A>,
+        allow_parallel: bool,
+        guard: &Guard,
+    ) -> Result<A::Elem, SolveError> {
+        let backend = self.solver.ground_backend;
+        self.count_in_planned(n, algebra, weights, allow_parallel, guard)
+            .or_else(|e| {
+                self.or_ground(e, || {
+                    self.ground_count_in_guarded(n, algebra, weights, backend, guard)
+                })
+            })
+    }
+
+    /// [`count_in_guarded_point`](Self::count_in_guarded_point) with the
+    /// planned method alone: a CQ point whose weights admit no tuple
+    /// probabilities returns that error instead of grounding.
+    fn count_in_planned<A: Algebra>(
         &self,
         n: usize,
         algebra: &A,
@@ -593,12 +597,29 @@ impl Plan {
             PlanState::Fo2(prepared) => Ok(prepared
                 .count_in(n, algebra, weights, allow_parallel, guard)?
                 .0),
-            PlanState::Cq { .. } if !self.solver.allow_ground_fallback => {
-                Err(no_lifted_method().into())
-            }
-            PlanState::Cq { .. } | PlanState::Ground => {
+            PlanState::Cq { query, extra, .. } => Ok(algebra.mul(
+                &gamma_acyclic_wfomc_in(query, n, algebra, weights, guard)?,
+                &predicate_factor_in(extra, n, algebra, weights),
+            )),
+            PlanState::Ground => {
                 self.ground_count_in_guarded(n, algebra, weights, self.solver.ground_backend, guard)
             }
+        }
+    }
+
+    /// Answers a CQ point whose weights admit no tuple probabilities
+    /// (`w + w̄ = 0`, or a divisor the algebra cannot divide by) by
+    /// grounding, unless the solver disables grounding. Every other error
+    /// of the planned method propagates, exhaustion included.
+    fn or_ground<R>(
+        &self,
+        e: SolveError,
+        ground: impl FnOnce() -> Result<R, SolveError>,
+    ) -> Result<R, SolveError> {
+        match e {
+            e if !undefined_probabilities(&e) => Err(e),
+            _ if self.solver.allow_ground_fallback => ground(),
+            _ => Err(no_lifted_method().into()),
         }
     }
 
@@ -710,15 +731,12 @@ impl Plan {
             }
             PlanState::Cq { query, memo, .. } => {
                 details.push(format!(
-                    "γ-acyclic conjunctive query with {} atom(s); counts share one reduction \
-                     memo ({} residual shape(s) cached so far)",
+                    "γ-acyclic conjunctive query with {} atom(s); every algebra runs the \
+                     reduction, exact counts keep one table per weight function ({} shape(s))",
                     query.atoms.len(),
                     memo.lock().expect("cq memo poisoned").len(),
                 ));
-                details.push(
-                    "weight functions with w + w̄ = 0 fall back to the grounded pipeline"
-                        .to_string(),
-                );
+                details.push("weights with w + w̄ = 0 ground, in every algebra".to_string());
             }
             PlanState::Ground => {
                 details.push(
@@ -739,16 +757,13 @@ impl Plan {
         }
     }
 
-    /// One evaluation point. `cq_memo` optionally overrides the plan's
-    /// shared CQ memo with a caller-private one (the batch workers' clone-in
-    /// memos); `None` uses the shared memo behind its lock. The guard is
-    /// consulted by every long-running loop underneath.
+    /// One exact evaluation point. The guard is consulted by every
+    /// long-running loop underneath.
     fn count_point_guarded(
         &self,
         n: usize,
         weights: &Weights,
         allow_parallel: bool,
-        cq_memo: Option<&mut CqMemo>,
         guard: &Guard,
     ) -> Result<SolverReport, SolveError> {
         wfomc_obs::metrics::PLAN_COUNTS.inc();
@@ -758,59 +773,27 @@ impl Plan {
         guard.check("plan.count")?;
         let mut report = match &self.state {
             PlanState::Qs4 { extra } => {
-                let value = wfomc_qs4(n, weights) * predicate_factor(extra, n, weights);
-                SolverReport {
-                    value,
-                    method: Method::Qs4,
-                    backend: None,
-                    fo2_stats: None,
-                    cache: None,
-                    degraded: false,
-                    limits: None,
-                }
+                let lifted = AlgebraWeights::lift(&Exact, weights);
+                let factor = predicate_factor_in(extra, n, &Exact, &lifted);
+                SolverReport::new(wfomc_qs4(n, weights) * factor, Method::Qs4)
             }
             PlanState::Fo2(prepared) => {
                 let (value, stats) = prepared.count(n, weights, allow_parallel, guard)?;
                 SolverReport {
-                    value,
-                    method: Method::Fo2,
-                    backend: None,
                     fo2_stats: Some(stats),
-                    cache: None,
-                    degraded: false,
-                    limits: None,
+                    ..SolverReport::new(value, Method::Fo2)
                 }
             }
             PlanState::Cq { query, extra, memo } => {
-                let result = match cq_memo {
-                    Some(local) => {
-                        gamma_acyclic_wfomc_memo_guarded(query, n, weights, local, guard)
+                let lifted = AlgebraWeights::lift(&Exact, weights);
+                match CqMemo::wfomc(memo, query, n, &lifted, guard) {
+                    Ok(value) => {
+                        let value = value * predicate_factor_in(extra, n, &Exact, &lifted);
+                        SolverReport::new(value, Method::GammaAcyclicCq)
                     }
-                    None => {
-                        let mut memo = memo.lock().expect("cq memo poisoned");
-                        gamma_acyclic_wfomc_memo_guarded(query, n, weights, &mut memo, guard)
-                    }
-                };
-                match result {
-                    Ok(value) => SolverReport {
-                        value: value * predicate_factor(extra, n, weights),
-                        method: Method::GammaAcyclicCq,
-                        backend: None,
-                        fo2_stats: None,
-                        cache: None,
-                        degraded: false,
-                        limits: None,
-                    },
-                    // Exhaustion propagates: grounding after burning the
-                    // budget on the reduction would only exhaust again.
-                    Err(e) if e.is_exhaustion() => return Err(e),
-                    // Weight pathologies (w + w̄ = 0) make the probability
-                    // space undefined; mirror the one-shot dispatch and fall
-                    // back to grounding.
-                    Err(_) if self.solver.allow_ground_fallback => {
-                        self.ground_count_guarded(n, weights, self.solver.ground_backend, guard)?
-                    }
-                    Err(_) => return Err(no_lifted_method().into()),
+                    Err(e) => self.or_ground(e, || {
+                        self.ground_count_guarded(n, weights, self.solver.ground_backend, guard)
+                    })?,
                 }
             }
             PlanState::Ground => {
@@ -849,14 +832,10 @@ impl Plan {
         guard: &Guard,
     ) -> Result<SolverReport, SolveError> {
         let lifted = AlgebraWeights::lift(&Exact, weights);
+        let value = self.ground_count_in_guarded(n, &Exact, &lifted, backend, guard)?;
         Ok(SolverReport {
-            value: self.ground_count_in_guarded(n, &Exact, &lifted, backend, guard)?,
-            method: Method::Ground,
             backend: Some(backend),
-            fo2_stats: None,
-            cache: None,
-            degraded: false,
-            limits: None,
+            ..SolverReport::new(value, Method::Ground)
         })
     }
 
@@ -917,15 +896,16 @@ impl Plan {
     ///   signature multisets and runs the prefix-sharing engine;
     /// * **Ground** evaluates the cached lineage (or compiled d-DNNF, for
     ///   the circuit backend) in the ring;
-    /// * **γ-acyclic CQ** plans ground here: the CQ reduction's probability
-    ///   bookkeeping needs divisions an arbitrary ring may not have, while
-    ///   grounded evaluation is fully ring-generic. (Exact counts keep using
-    ///   the lifted CQ algorithm through [`count`](Self::count).) This
-    ///   requires the solver's grounded fallback, which is on by default.
+    /// * **γ-acyclic CQ** runs the Theorem 3.6 reduction over the ring, with
+    ///   one [`Algebra::try_div`] per predicate for its tuple probability.
+    ///   When that division fails (`w + w̄ = 0`, or a polynomial that does
+    ///   not divide) the point grounds, as exact counts do; this requires
+    ///   the solver's grounded fallback, which is on by default.
     ///
     /// For exact-rational evaluation prefer [`count`](Self::count): it keeps
-    /// the FO² weight-binding LRU and the denominator-clearing fast path,
-    /// which this generic entry point bypasses (identical values, slower).
+    /// the FO² weight-binding LRU, the denominator-clearing fast path and
+    /// the CQ tables shared across calls, which this generic entry point
+    /// bypasses (identical values, slower).
     ///
     /// ```
     /// use wfomc_core::Problem;
@@ -960,15 +940,10 @@ impl Plan {
     ) -> Result<Vec<A::Elem>, LiftError> {
         let guard = Guard::unarmed();
         let (workers, alone) = batch_workers(points.len());
-        let (outcomes, _) = fanout::run(
-            points.len(),
-            workers,
-            || (),
-            |_, i| {
-                let (n, weights) = &points[i];
-                self.count_in_guarded_point(*n, algebra, weights, alone, &guard)
-            },
-        );
+        let outcomes = fanout::run(points.len(), workers, |i| {
+            let (n, weights) = &points[i];
+            self.count_in_guarded_point(*n, algebra, weights, alone, &guard)
+        });
         outcomes
             .into_iter()
             .map(|outcome| {
@@ -1114,15 +1089,6 @@ impl DegradePolicy {
     }
 }
 
-/// Unwraps a [`SolveError`] coming back through an *unarmed* guard, where
-/// exhaustion is impossible by construction.
-fn demote(e: SolveError) -> LiftError {
-    match e {
-        SolveError::Lift(e) => e,
-        other => unreachable!("an unarmed guard cannot interrupt: {other}"),
-    }
-}
-
 /// The [`LimitsReport`] for a finished governed solve, or `None` when
 /// nothing was armed (so ungoverned reports stay bit-identical to the
 /// pre-governance ones).
@@ -1165,6 +1131,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// True for the CQ reduction's error when a weight pair admits no tuple
+/// probability — the one error a CQ point answers by grounding.
+fn undefined_probabilities(e: &SolveError) -> bool {
+    matches!(
+        e,
+        SolveError::Lift(LiftError::NoProbabilityNormalization { .. })
+    )
+}
+
 /// The error returned when no lifted method applies and grounding is
 /// disabled (identical to the one-shot solver's).
 fn no_lifted_method() -> LiftError {
@@ -1182,15 +1157,6 @@ fn extra_predicates(full: &Vocabulary, counted: &Vocabulary) -> Vec<Predicate> {
 }
 
 /// `(w + w̄)^{n^arity}` for predicates a lifted method did not account for.
-fn predicate_factor(extra: &[Predicate], n: usize, weights: &Weights) -> Weight {
-    let mut factor = Weight::one();
-    for p in extra {
-        factor *= weight_pow(&weights.pair_of(p).total(), p.num_ground_tuples(n));
-    }
-    factor
-}
-
-/// [`predicate_factor`] in an arbitrary algebra.
 fn predicate_factor_in<A: Algebra>(
     extra: &[Predicate],
     n: usize,
@@ -1645,9 +1611,10 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use num_traits::One;
     use proptest::prelude::*;
     use wfomc_logic::catalog;
-    use wfomc_logic::weights::{weight_int, weight_ratio};
+    use wfomc_logic::weights::{weight_int, weight_ratio, Weight};
 
     /// The four-method workload: one sentence per dispatch target, with the
     /// largest domain size the test should use for it.
@@ -1995,7 +1962,7 @@ mod tests {
     }
 
     #[test]
-    fn cq_plans_ground_under_generic_algebras() {
+    fn cq_plans_run_lifted_under_generic_algebras() {
         use wfomc_logic::algebra::{AlgebraWeights, Exact, LogF64};
 
         let sentence = catalog::chain_query(3).to_formula();
@@ -2013,12 +1980,15 @@ mod tests {
         let expected = LogF64.from_weight(&exact);
         assert_eq!(log.signum(), expected.signum());
         assert!((log.ln_abs() - expected.ln_abs()).abs() < 1e-9);
-        // Lifted-only solvers refuse: the generic CQ path needs grounding.
+        assert_eq!(plan.cache_stats().ground_misses, 0, "no point grounded");
+        // Lifted-only solvers count too: these weights need no grounding.
         let lifted_only = Solver::builder().ground_fallback(false).build();
         let plan = lifted_only.plan(&Problem::new(sentence)).unwrap();
-        assert!(plan
-            .count_in(2, &LogF64, &AlgebraWeights::lift(&LogF64, &weights))
-            .is_err());
+        assert_eq!(
+            plan.count_in(2, &Exact, &AlgebraWeights::lift(&Exact, &weights))
+                .unwrap(),
+            exact
+        );
     }
 
     #[test]
@@ -2337,6 +2307,38 @@ mod tests {
         scale
     }
 
+    /// The γ-acyclic CQ workload of the generic-path proptest.
+    fn cq_workload() -> Vec<ConjunctiveQuery> {
+        let mut queries: Vec<_> = (1..=4).map(catalog::chain_query).collect();
+        queries.extend((1..=3).map(catalog::star_query));
+        queries.push(catalog::table1_dual_cq());
+        queries
+    }
+
+    /// Weight pairs for the CQ proptest: positive, zero, negative, and
+    /// pairs with `w + w̄ = 0`, which leave no tuple probability.
+    const CQ_PAIRS: [(i64, i64); 9] = [
+        (1, 1),
+        (2, 1),
+        (1, 3),
+        (0, 1),
+        (1, 0),
+        (-1, 2),
+        (2, -1),
+        (1, -1),
+        (-2, 3),
+    ];
+
+    /// Each predicate of `vocabulary` gets the pair `CQ_PAIRS[picks[i + shift]]`.
+    fn cq_weights(vocabulary: &Vocabulary, picks: &[usize], shift: usize) -> Weights {
+        let mut weights = Weights::ones();
+        for (i, p) in vocabulary.iter().enumerate() {
+            let (pos, neg) = CQ_PAIRS[picks[(i + shift) % picks.len()]];
+            weights.set(p.name(), weight_int(pos), weight_int(neg));
+        }
+        weights
+    }
+
     #[test]
     fn snapshot_round_trip_preserves_ground_cache_and_circuits() {
         let mut solver = Solver::new();
@@ -2603,6 +2605,111 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The γ-acyclic CQ reduction agrees with itself across algebras on
+        /// chains, stars and the table-1 dual, under weights drawn from
+        /// positive, zero, negative and `w + w̄ = 0` pairs: exact counts
+        /// equal grounding, `LogF64` is within 1e-9 relative of exact,
+        /// `Poly` equals exact wherever its divisions succeed, log lanes are
+        /// bit-identical to scalar `LogF64` (in the reduction and through
+        /// the plan), and a repeated exact count is served from the plan's
+        /// table.
+        #[test]
+        fn cq_reduction_agrees_across_algebras(
+            which in 0usize..8,
+            n in 0usize..4,
+            picks in proptest::collection::vec(0usize..CQ_PAIRS.len(), 4..5),
+            k in 1usize..LOG_LANES + 1,
+        ) {
+            use wfomc_logic::algebra::{Algebra, Exact, LogF64, Poly};
+            use wfomc_logic::poly::Polynomial;
+            let query = &cq_workload()[which];
+            let sentence = query.to_formula();
+            let vocabulary = sentence.vocabulary();
+            // Grounding is exponential in the ground atoms (27 take seconds),
+            // so each query runs at the largest n ≤ 3 with at most 16.
+            let n = (0..=n)
+                .rev()
+                .find(|&m| vocabulary.num_ground_tuples(m) <= 16)
+                .expect("n = 0 has no ground atoms");
+            let weights = cq_weights(&vocabulary, &picks, 0);
+            let guard = Guard::unarmed();
+            let grounded = wfomc_ground::wfomc(&sentence, &vocabulary, n, &weights);
+            let plan = Problem::new(sentence.clone()).plan().unwrap();
+            prop_assert_eq!(&plan.count(n, &weights).unwrap().value, &grounded);
+
+            let lifted = AlgebraWeights::lift(&Exact, &weights);
+            match gamma_acyclic_wfomc_in(query, n, &Exact, &lifted, &guard) {
+                Ok(exact) => {
+                    prop_assert_eq!(&exact, &grounded, "{} at n={}", sentence, n);
+                    let lifted = AlgebraWeights::lift(&LogF64, &weights);
+                    let log = gamma_acyclic_wfomc_in(query, n, &LogF64, &lifted, &guard).unwrap();
+                    let expected = LogF64.from_weight(&exact).to_f64();
+                    prop_assert!(
+                        (log.to_f64() - expected).abs() <= 1e-9 * expected.abs(),
+                        "{} at n={}: {} vs {}", sentence, n, log, exact
+                    );
+                }
+                Err(e) => prop_assert!(undefined_probabilities(&e), "{}", e),
+            }
+
+            // Constant polynomials, then the first predicate's present
+            // weight left symbolic (its division fails unless w̄ = 0).
+            let first = vocabulary.iter().next().expect("queries have predicates").name();
+            let constant = AlgebraWeights::lift(&Poly, &weights);
+            let mut symbolic = constant.clone();
+            symbolic.set(first, Polynomial::x(), Poly.from_weight(&weights.pair(first).neg));
+            for poly_weights in [&constant, &symbolic] {
+                match gamma_acyclic_wfomc_in(query, n, &Poly, poly_weights, &guard) {
+                    Ok(f) => prop_assert_eq!(
+                        &f.eval(&weights.pair(first).pos), &grounded,
+                        "{} at n={}", sentence, n
+                    ),
+                    Err(e) => prop_assert!(undefined_probabilities(&e), "{}", e),
+                }
+            }
+
+            let points: Vec<(usize, Weights)> = (0..k)
+                .map(|shift| (n, cq_weights(&vocabulary, &picks, shift)))
+                .collect();
+            let scalar: Vec<_> = points
+                .iter()
+                .map(|(n, w)| {
+                    gamma_acyclic_wfomc_in(query, *n, &LogF64, &AlgebraWeights::lift(&LogF64, w), &guard)
+                })
+                .collect();
+            let lane_weights: Vec<&Weights> = points.iter().map(|(_, w)| w).collect();
+            let packed = LogF64xN::pack_weights(&lane_weights);
+            match gamma_acyclic_wfomc_in(query, n, &LogF64xN, &packed, &guard) {
+                Ok(lanes) => {
+                    for (i, scalar) in scalar.iter().enumerate() {
+                        let scalar = scalar.as_ref().expect("every lane divides");
+                        prop_assert_eq!(lanes.lane(i).signum(), scalar.signum());
+                        prop_assert_eq!(lanes.lane(i).ln_abs().to_bits(), scalar.ln_abs().to_bits());
+                    }
+                }
+                Err(e) => {
+                    prop_assert!(undefined_probabilities(&e), "{}", e);
+                    prop_assert!(scalar.iter().any(Result::is_err));
+                }
+            }
+            for ((n, w), lane) in points.iter().zip(plan.count_batch_log(&points)) {
+                let scalar = plan
+                    .count_in(*n, &LogF64, &AlgebraWeights::lift(&LogF64, w))
+                    .unwrap();
+                let lane = lane.expect("lane point");
+                prop_assert_eq!(lane.signum(), scalar.signum());
+                prop_assert_eq!(lane.ln_abs().to_bits(), scalar.ln_abs().to_bits());
+            }
+
+            let misses = plan.cache_stats().cq_memo_misses;
+            prop_assert_eq!(&plan.count(n, &weights).unwrap().value, &grounded);
+            prop_assert_eq!(plan.cache_stats().cq_memo_misses, misses);
         }
     }
 }

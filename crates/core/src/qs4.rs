@@ -29,11 +29,12 @@ use crate::error::LiftError;
 
 /// True if the sentence is (syntactically) the paper's QS4 sentence.
 ///
-/// The check is deliberately conservative: it compares against the catalog
-/// formula after normalizing the quantifier variable names, so reorderings of
-/// the disjuncts are not recognized. The [`crate::solver::Solver`] only uses
-/// this as a fast path; unrecognized but equivalent sentences simply fall back
-/// to grounding.
+/// The check is the derived `==` against the catalog formula: nothing is
+/// normalized, so renaming a quantifier variable or the predicate `S`, or
+/// reordering the disjuncts, misses the match. The
+/// [`crate::solver::Solver`] only uses this as a fast path; unrecognized but
+/// equivalent sentences simply fall back to grounding. Matching up to
+/// isomorphism is open item 2 of `ROADMAP.md` ("Plan up to isomorphism").
 pub fn is_qs4(sentence: &Formula) -> bool {
     sentence == &catalog::qs4()
 }

@@ -162,6 +162,21 @@ pub struct SolverReport {
 }
 
 impl SolverReport {
+    /// A report of `value` as computed by `method`, with every optional
+    /// section empty (no backend, statistics, cache accounting or limits)
+    /// and not degraded.
+    pub(crate) fn new(value: Weight, method: Method) -> SolverReport {
+        SolverReport {
+            value,
+            method,
+            backend: None,
+            fo2_stats: None,
+            cache: None,
+            degraded: false,
+            limits: None,
+        }
+    }
+
     /// Machine-readable JSON under the stable `wfomc-report/v1` schema — the
     /// one report format shared by the `repro` harness, `repro trace`, and
     /// the `wfomc-serve` wire protocol (instead of three ad-hoc layouts).
@@ -413,13 +428,8 @@ impl Solver {
                 let (value, stats) =
                     crate::fo2::wfomc_fo2_with_stats(sentence, vocabulary, 0, weights)?;
                 Ok(SolverReport {
-                    value,
-                    method: Method::Fo2,
-                    backend: None,
                     fo2_stats: Some(stats),
-                    cache: None,
-                    degraded: false,
-                    limits: None,
+                    ..SolverReport::new(value, Method::Fo2)
                 })
             }
             Err(e) => Err(e),

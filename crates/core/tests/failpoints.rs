@@ -9,7 +9,7 @@ use std::sync::Mutex;
 
 use wfomc_core::{ExecutionLimits, Problem, SolveError, Solver};
 use wfomc_guard::{arm_failpoint, clear_failpoints, FailAction};
-use wfomc_logic::algebra::{AlgebraWeights, LogF64};
+use wfomc_logic::algebra::{Algebra, AlgebraWeights, LogF64};
 use wfomc_logic::catalog;
 use wfomc_logic::weights::Weights;
 use wfomc_prop::WmcBackend;
@@ -141,6 +141,74 @@ fn cq_reduction_expires_and_recovers() {
         plan.count_with_limits(2, &Weights::ones(), &ExecutionLimits::none(), None)
     });
     assert_eq!(plan.count(2, &Weights::ones()).unwrap().value, expected);
+
+    // The log paths run the same reduction: a same-n batch as lanes, a
+    // mixed-n batch point by point in scalar `LogF64`.
+    let same_n: Vec<(usize, Weights)> = (1..=3)
+        .map(|r| (2, Weights::from_ints([("R1", r, 1)])))
+        .collect();
+    let mixed_n: Vec<(usize, Weights)> = (1..=3).map(|n| (n, Weights::ones())).collect();
+    let none = ExecutionLimits::none();
+    for batch in [&same_n, &mixed_n] {
+        arm_failpoint("cq.reduce", FailAction::Expire);
+        for result in plan.count_batch_log_with_limits(batch, &none, None) {
+            assert!(
+                matches!(
+                    result,
+                    Err(SolveError::DeadlineExceeded {
+                        phase: "cq.reduce",
+                        ..
+                    })
+                ),
+                "armed `cq.reduce` must expire every log point, got {result:?}"
+            );
+        }
+        clear_failpoints();
+        let results = plan.count_batch_log_with_limits(batch, &none, None);
+        for (result, (n, w)) in results.iter().zip(batch) {
+            let got = result.as_ref().expect("disarmed log point");
+            let scalar = plan
+                .count_in(*n, &LogF64, &AlgebraWeights::lift(&LogF64, w))
+                .unwrap();
+            assert_eq!(got.signum(), scalar.signum(), "n = {n}");
+            assert_eq!(got.ln_abs().to_bits(), scalar.ln_abs().to_bits(), "n = {n}");
+        }
+    }
+    // `count_in` reports no exhaustion (its error is a plain `LiftError`),
+    // so a forced panic shows that it reaches the reduction too.
+    let ones = AlgebraWeights::lift(&LogF64, &Weights::ones());
+    arm_failpoint("cq.reduce", FailAction::Panic);
+    let payload = std::panic::catch_unwind(|| plan.count_in(2, &LogF64, &ones))
+        .expect_err("armed `cq.reduce` panics inside count_in");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(message.contains("cq.reduce"), "{message}");
+    clear_failpoints();
+    let log = plan.count_in(2, &LogF64, &ones).unwrap();
+    let want = LogF64.from_weight(&expected);
+    assert!((log.ln_abs() - want.ln_abs()).abs() < 1e-9);
+    assert_eq!(plan.cache_stats().ground_misses, 0, "no path grounded");
+}
+
+#[test]
+fn count_with_limits_contains_a_panic_and_the_plan_recovers() {
+    let (_lock, _armed) = serialized();
+    let plan = Problem::new(catalog::table1_sentence()).plan().unwrap();
+    let none = ExecutionLimits::none();
+    arm_failpoint("fo2.cellsum", FailAction::Panic);
+    match plan.count_with_limits(4, &Weights::ones(), &none, None) {
+        Err(SolveError::WorkerPanicked { message }) => {
+            assert!(message.contains("fo2.cellsum"), "{message}")
+        }
+        other => panic!("a panic must come back as WorkerPanicked, got {other:?}"),
+    }
+    clear_failpoints();
+    let report = plan
+        .count_with_limits(4, &Weights::ones(), &none, None)
+        .unwrap();
+    assert_eq!(report.value, plan.count(4, &Weights::ones()).unwrap().value);
 }
 
 #[test]

@@ -375,9 +375,19 @@ impl Algebra for LogF64 {
         } else if a.ln == b.ln {
             LogWeight::zero()
         } else {
+            // ln(1 − e^d): `ln(−expm1 d)` keeps the digits of a near
+            // cancellation (d → 0⁻), where `ln_1p(−e^d)` would round e^d
+            // to 1 and lose the whole difference; `ln_1p` is the accurate
+            // form further out (Mächler, "Accurately computing
+            // log(1 − exp(−|a|))", 2012).
+            let ln_rest = if d > -std::f64::consts::LN_2 {
+                (-d.exp_m1()).ln()
+            } else {
+                (-d.exp()).ln_1p()
+            };
             LogWeight {
                 sign: hi.sign,
-                ln: hi.ln + (-d.exp()).ln_1p(),
+                ln: hi.ln + ln_rest,
             }
         }
     }
@@ -1050,6 +1060,28 @@ mod tests {
         assert!(LogF64.mul(&a, &LogF64.zero()).is_zero());
         assert_eq!(LogWeight::from_f64(0.0), LogWeight::zero());
         assert_eq!(LogWeight::from_f64(-2.5).signum(), -1);
+    }
+
+    #[test]
+    fn log_algebra_keeps_near_cancellations() {
+        // 1 − (1 − 10⁻³⁰): the difference survives as ln(10⁻³⁰) instead of
+        // rounding e^d to 1 and collapsing to a signed ln = −∞.
+        let almost_one = LogWeight {
+            sign: 1,
+            ln: -1e-30,
+        };
+        let rest = LogF64.sub(&LogF64.one(), &almost_one);
+        assert_eq!(rest.signum(), 1);
+        assert_close(rest.ln_abs(), (1e-30f64).ln());
+        let rest = LogF64.sub(&almost_one, &LogF64.one());
+        assert_eq!(rest.signum(), -1);
+        assert_close(rest.ln_abs(), (1e-30f64).ln());
+        // Away from cancellation the two forms agree.
+        let a = LogF64.from_weight(&weight_int(10));
+        let b = LogF64.from_weight(&weight_int(-9));
+        assert_close(LogF64.add(&a, &b).to_f64(), 1.0);
+        let b = LogF64.from_weight(&weight_int(-1));
+        assert_close(LogF64.add(&a, &b).to_f64(), 9.0);
     }
 
     #[test]

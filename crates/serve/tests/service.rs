@@ -16,12 +16,25 @@ use wfomc_serve::json::Value;
 /// checked against a direct `Plan::count` on the same build.
 const SENTENCE: &str = "forall x. forall y. S(x) | N(x,y) | S(y)";
 
+/// γ-acyclic conjunctive queries (three and four variables, so they plan as
+/// CQs rather than FO²).
+const CHAIN2: &str = "exists x0. exists x1. exists x2. R1(x0,x1) & R2(x1,x2)";
+const CHAIN3: &str =
+    "exists x0. exists x1. exists x2. exists x3. R1(x0,x1) & R2(x1,x2) & R3(x2,x3)";
+
 fn boot(
     registry_path: Option<PathBuf>,
 ) -> (ServerHandle, SocketAddr, JoinHandle<std::io::Result<()>>) {
+    boot_with_workers(registry_path, 4)
+}
+
+fn boot_with_workers(
+    registry_path: Option<PathBuf>,
+    workers: usize,
+) -> (ServerHandle, SocketAddr, JoinHandle<std::io::Result<()>>) {
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 4,
+        workers,
         capacity: 32,
         registry_path,
     })
@@ -267,6 +280,98 @@ fn batch_log_algebra_matches_library_lanes_bitwise() {
     )
     .unwrap();
     assert_eq!(reply.status, 400, "{}", reply.body);
+
+    handle.shutdown();
+    daemon.join().unwrap().unwrap();
+}
+
+#[test]
+fn batch_log_on_a_cq_plan_runs_lifted_and_matches_library_lanes_bitwise() {
+    let (handle, addr, daemon) = boot(None);
+    let id = register(addr, CHAIN3);
+
+    // A same-`n` sweep at a size grounding cannot reach: the lanes run the
+    // γ-acyclic reduction in `LogF64xN`.
+    let weights = [[1, 1], [2, 1], [1, 3]];
+    let points: Vec<(usize, wfomc_logic::weights::Weights)> = weights
+        .iter()
+        .map(|&[pos, neg]| {
+            let w = wfomc_logic::weights::Weights::from_ints([("R1", pos, neg)]);
+            (20usize, w)
+        })
+        .collect();
+    let plan = Problem::new(parse(CHAIN3).unwrap()).plan().unwrap();
+    let expected: Vec<_> = plan
+        .count_batch_log(&points)
+        .into_iter()
+        .map(|r| r.expect("library lane count"))
+        .collect();
+    assert_eq!(
+        plan.cache_stats().ground_misses,
+        0,
+        "the library ran lifted"
+    );
+
+    let items: Vec<String> = weights
+        .iter()
+        .map(|[pos, neg]| format!(r#"{{"n": 20, "weights": {{"R1": [{pos}, {neg}]}}}}"#))
+        .collect();
+    let reply = client::post(
+        addr,
+        &format!("/v1/plans/{id}/batch"),
+        &format!(r#"{{"algebra": "log", "points": [{}]}}"#, items.join(", ")),
+    )
+    .unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let body = json_of(&reply);
+    let results = body.get("results").and_then(Value::as_arr).unwrap();
+    assert_eq!(results.len(), expected.len());
+    for (result, want) in results.iter().zip(&expected) {
+        assert_eq!(
+            result.get("sign").and_then(Value::as_i64),
+            Some(i64::from(want.signum())),
+            "{}",
+            reply.body
+        );
+        let ln = result
+            .get("ln")
+            .and_then(Value::as_f64)
+            .expect("ln is a number for a nonzero count");
+        assert_eq!(ln.to_bits(), want.ln_abs().to_bits());
+    }
+
+    handle.shutdown();
+    daemon.join().unwrap().unwrap();
+}
+
+#[test]
+fn huge_domain_fails_typed_and_the_only_worker_survives() {
+    // One worker: a count that killed it would leave nothing to answer.
+    let (handle, addr, daemon) = boot_with_workers(None, 1);
+    let id = register(addr, CHAIN2);
+    let path = format!("/v1/plans/{id}/count");
+
+    // n² overflows the ground tuple count of the binary predicates.
+    let reply = client::post(addr, &path, r#"{"n": 8589934592}"#).unwrap();
+    assert_eq!(reply.status, 422, "{}", reply.body);
+    let body = json_of(&reply);
+    let error = body.get("error").expect("error object");
+    assert_eq!(str_field(error, "kind"), "lift_error");
+    assert!(
+        str_field(error, "message").contains("too large"),
+        "{}",
+        reply.body
+    );
+
+    // The same plan keeps counting, and the registry still answers.
+    let reply = client::post(addr, &path, r#"{"n": 3}"#).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(
+        str_field(&json_of(&reply), "value"),
+        direct_value(CHAIN2, 3)
+    );
+    let reply = client::get(addr, "/v1/plans").unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
 
     handle.shutdown();
     daemon.join().unwrap().unwrap();
