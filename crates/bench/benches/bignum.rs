@@ -16,17 +16,17 @@ use wfomc::core::fo2::wfomc_fo2;
 use wfomc::prelude::*;
 use wfomc_bench::{bignum_factorial_chain, bignum_harmonic, standard_weights};
 
-/// A dense operand with `limbs` 32-bit limbs (all bits set, minus a nudge so
+/// A dense operand with `limbs` 64-bit limbs (all bits set, minus a nudge so
 /// squares are not artificially regular).
 fn dense(limbs: usize) -> BigUint {
     let mut x = BigUint::one();
-    x = x << (32 * limbs);
+    x = x << (64 * limbs);
     x - BigUint::from(41u32)
 }
 
 fn bench_mul(c: &mut Criterion) {
     let mut group = c.benchmark_group("bignum");
-    for limbs in [16usize, 32, 64, 256] {
+    for limbs in [16usize, 24, 32, 48, 64, 256] {
         let a = dense(limbs);
         let b = dense(limbs) - BigUint::from(1000u32);
         group.bench_with_input(BenchmarkId::new("mul/dispatch", limbs), &limbs, |bch, _| {

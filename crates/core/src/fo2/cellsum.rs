@@ -37,11 +37,23 @@
 //! merge are skipped for order-sensitive algebras (log-space floats and
 //! their lanes), whose traversal must not depend on the weights.
 //!
-//! Independent top-level cell splits run on scoped threads. The
-//! `term × leaf` products at the bottom of the DFS accumulate through a
-//! balanced sum tree ([`BalancedSum`]) rather than a running `+=`, so each
-//! exact-rational addition combines operands of comparable size instead of
-//! adding a small term to an ever-growing total.
+//! The sum is split by the first cell's count `m₀`: each `m₀` is one task
+//! on a work-stealing pool ([`stealer`]), drained by several threads when
+//! the caller allows parallelism and the sum is large enough, by the calling
+//! thread otherwise. Each `m₀` sums into its own partial and the partials
+//! are added in `m₀` order, so every addition groups the same way with
+//! parallelism on or off and on any number of cores: log-space results are
+//! bit-identical across those settings.
+//!
+//! At the bottom of the DFS a fused loop runs over the counts of the last two
+//! cells. Its compositions share the prefix term, so their leaf values are
+//! summed first and the prefix term multiplies that sum once per loop rather
+//! than once per composition: for exact counts the prefix term carries most
+//! of the `Θ(n²)` bits, so that product is the most expensive one. The
+//! `term × Σ leaves` products accumulate through a balanced sum tree
+//! ([`BalancedSum`]) rather than a running `+=`, so each exact-rational
+//! addition combines operands of comparable size instead of adding a small
+//! term to an ever-growing total.
 //!
 //! The engine itself ([`cell_sum_elems`]) only adds and multiplies, so it is
 //! generic over the evaluation [`Algebra`] — the zero-subtree cutoff is
@@ -94,9 +106,9 @@ pub struct CellSumStats {
 
 /// The exact cell-decomposition sum over bare cell weights `u` and the
 /// symmetric pair table (what prepared plans store), under `guard`.
-/// `parallel` allows the engine to fan the top-level cell split out over
-/// scoped threads (callers that already run branches concurrently pass
-/// `false`).
+/// `parallel` allows the engine to drain the top-level cell split with
+/// several threads (callers that already run branches concurrently pass
+/// `false`); the result does not depend on it.
 ///
 /// This is the exact-rational fast path: it clears the common denominators
 /// out of the cell weights and pair entries (every composition uses exactly
@@ -143,7 +155,7 @@ pub fn cell_sum_weights(
 /// cell weights, `table` the symmetric pair table, both as ring elements.
 /// This is the engine itself — no denominator tricks, no weight binding —
 /// shared by every algebra including [`Exact`]. Each DFS worker (one per
-/// scoped thread in the parallel split) meters its work against `guard`.
+/// thread draining the top-level split) meters its work against `guard`.
 pub fn cell_sum_elems<A: Algebra>(
     algebra: &A,
     u: &[A::Elem],
@@ -178,15 +190,7 @@ pub fn cell_sum_elems<A: Algebra>(
         return Ok((total, stats));
     }
 
-    let threads = engine.thread_count(parallel);
-    let (total, summed, pruned) = if threads > 1 {
-        engine.sum_parallel(threads, guard)?
-    } else {
-        let mut worker = Worker::new(&engine, guard);
-        let top: Vec<A::Elem> = vec![algebra.one(); engine.k];
-        worker.dfs(0, n, &algebra.one(), &top)?;
-        (worker.total.finish(algebra), worker.summed, worker.pruned)
-    };
+    let (total, summed, pruned) = engine.sum_by_first_cell(engine.thread_count(parallel), guard)?;
     stats.compositions_summed = summed;
     stats.compositions_pruned = pruned;
     Ok((total, stats))
@@ -329,7 +333,7 @@ impl<'a, A: Algebra> Engine<'a, A> {
         }
     }
 
-    /// How many scoped threads the top-level cell split should use.
+    /// How many workers the top-level cell split should use.
     fn thread_count(&self, parallel: bool) -> usize {
         if !parallel || self.k < 2 || self.n < 2 {
             return 1;
@@ -344,59 +348,64 @@ impl<'a, A: Algebra> Engine<'a, A> {
             .min(self.n + 1)
     }
 
-    /// Splits the top-level choice of `m₁` over `threads` scoped workers
-    /// draining a work-stealing pool: subtree costs vary wildly with `m₀`
-    /// (a zero `u₀^{m₀}` prunes everything, small `m₀` leaves the most
-    /// elements to distribute), so a fixed round-robin split skews badly
-    /// while stealing rebalances as workers run dry. Ring addition is
-    /// associative and commutative, so the split does not change the result
-    /// (up to rounding, for approximate algebras); per-`m₀` partials are
-    /// merged in `m₀` order regardless of which worker computed them, so the
-    /// grouping — and with it any floating-point rounding — is deterministic
-    /// across runs and steal schedules. Every worker gets its own meter; if
-    /// any worker is interrupted, the whole sum reports that interrupt (the
+    /// Sums the decomposition one top-level count `m₀` at a time, on
+    /// `threads` workers draining a work-stealing pool (the calling thread
+    /// alone when `threads == 1`): subtree costs vary wildly with `m₀` (a
+    /// zero `u₀^{m₀}` prunes everything, small `m₀` leaves the most elements
+    /// to distribute), so a fixed round-robin split skews badly while
+    /// stealing rebalances as workers run dry. Each `m₀` sums into its own
+    /// partial, and the partials are merged in `m₀` order whichever worker
+    /// computed them. The grouping of every addition — and with it any
+    /// floating-point rounding — is therefore the same for every thread
+    /// count, so a log-space count is bit-identical with parallelism on or
+    /// off, on any number of cores. Every worker gets its own meter; if any
+    /// worker is interrupted, the whole sum reports that interrupt (the
     /// other workers trip on the same shared guard state within one check
     /// period). A worker panic is resumed on the joining thread, where the
     /// plan layer's per-point containment turns it into
     /// `SolveError::WorkerPanicked`.
-    fn sum_parallel(
+    fn sum_by_first_cell(
         &self,
         threads: usize,
         guard: &Guard,
     ) -> Result<(A::Elem, usize, usize), Interrupt> {
         let n = self.n;
         let algebra = self.algebra;
-        type WorkerResult<E> = Result<(Vec<(usize, E)>, usize, usize), Interrupt>;
         let pool = stealer::Pool::new(threads);
-        pool.seed(0..=n);
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let mut queue = pool.worker(t);
-                    scope.spawn(move || -> WorkerResult<A::Elem> {
-                        let mut worker = Worker::new(self, guard);
-                        let mut row0: Vec<Powers<A>> = (1..self.k)
-                            .map(|j| Powers::new(algebra, self.cross[0][j].clone(), n))
-                            .collect();
-                        let mut partials = Vec::new();
-                        while let Some(m0) = queue.pop() {
-                            worker.top_level(m0, &mut row0)?;
-                            let sum =
-                                std::mem::replace(&mut worker.total, BalancedSum::new(algebra));
-                            partials.push((m0, sum.finish(algebra)));
-                        }
-                        Ok((partials, worker.summed, worker.pruned))
-                    })
-                })
+        // With a single cell, `m₀ = n` is the only composition.
+        pool.seed(if self.k == 1 { n..=n } else { 0..=n });
+        type WorkerResult<E> = Result<(Vec<(usize, E)>, usize, usize), Interrupt>;
+        let drain = |t: usize| -> WorkerResult<A::Elem> {
+            let mut queue = pool.worker(t);
+            let mut worker = Worker::new(self, guard);
+            let mut row0: Vec<Powers<A>> = (1..self.k)
+                .map(|j| Powers::new(algebra, self.cross[0][j].clone(), n))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect::<Vec<_>>()
-        });
+            let mut partials = Vec::new();
+            while let Some(m0) = queue.pop() {
+                worker.top_level(m0, &mut row0)?;
+                let sum = std::mem::replace(&mut worker.total, BalancedSum::new(algebra));
+                partials.push((m0, sum.finish(algebra)));
+            }
+            Ok((partials, worker.summed, worker.pruned))
+        };
+        let results = if threads == 1 {
+            vec![drain(0)]
+        } else {
+            let drain = &drain;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| scope.spawn(move || drain(t)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join()
+                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
         wfomc_obs::metrics::CELLSUM_STEALS.add(pool.steals());
         let mut slots: Vec<Option<A::Elem>> = vec![None; n + 1];
         let mut summed = 0usize;
@@ -513,6 +522,11 @@ struct Worker<'e, 'g, A: Algebra> {
     /// Per-cell power caches for `r_{cc}` (exponents `C(m,2)` can exceed `n`,
     /// where the caches fall back to memoized square-and-multiply).
     diag_pows: Vec<Powers<A>>,
+    /// `own[c][m] = u_c^m · r_cc^{C(m,2)}`, the factor cell `c` contributes
+    /// for count `m`, filled on first use: every prefix that reaches cell `c`
+    /// needs the same few factors, and the fused bottom loop reads two per
+    /// composition.
+    own: Vec<Vec<A::Elem>>,
     /// Power cache for `r_{ab}` of the two cells fixed last, whose exponents
     /// `m_a · m_b` the fused bottom loop looks up directly.
     last_pair_pows: Option<Powers<A>>,
@@ -541,6 +555,7 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
                 .iter()
                 .map(|d| Powers::new(algebra, d.clone(), eng.n))
                 .collect(),
+            own: vec![Vec::new(); eng.k],
             last_pair_pows: (eng.k >= 2)
                 .then(|| Powers::new(algebra, eng.cross[eng.k - 2][eng.k - 1].clone(), eng.n)),
             tail_pows: Vec::new(),
@@ -551,26 +566,34 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
         }
     }
 
-    /// The factor a single cell contributes for count `m`: `u^m · r_cc^{C(m,2)}`.
-    /// Multiplies two borrowed cache entries instead of cloning one and
-    /// multiplying in place — the caches hand out references, so the only
-    /// allocation is the product itself.
-    fn own_factor(&mut self, cell: usize, m: usize) -> A::Elem {
+    /// The factor a single cell contributes for count `m`:
+    /// `u^m · r_cc^{C(m,2)}`, memoized in [`Worker::own`] (filled up to `m`).
+    fn own_factor(&mut self, cell: usize, m: usize) -> &A::Elem {
         let algebra = self.eng.algebra;
-        let u = self.u_pows[cell].pow_ref(algebra, m);
-        if m < 2 || algebra.is_zero(u) {
-            return u.clone();
+        while self.own[cell].len() <= m {
+            let j = self.own[cell].len();
+            let u = self.u_pows[cell].pow_ref(algebra, j);
+            let factor = if j < 2 || algebra.is_zero(u) {
+                u.clone()
+            } else {
+                let d = self.diag_pows[cell].pow_ref(algebra, j * (j - 1) / 2);
+                algebra.mul(u, d)
+            };
+            self.own[cell].push(factor);
         }
-        let d = self.diag_pows[cell].pow_ref(algebra, m * (m - 1) / 2);
-        algebra.mul(u, d)
+        &self.own[cell][m]
     }
 
     /// Handles one top-level count `m₀` (the unit of parallel work): cells
-    /// `1..k` then run through the ordinary DFS.
+    /// `1..k` then run through the ordinary DFS. A single cell (`k = 1`,
+    /// seeded with `m₀ = n` only) is the DFS leaf itself.
     fn top_level(&mut self, m0: usize, row0: &mut [Powers<A>]) -> Result<(), Interrupt> {
         let algebra = self.eng.algebra;
         let n = self.eng.n;
-        let mut factor = self.own_factor(0, m0);
+        if self.eng.k == 1 {
+            return self.dfs(0, n, &algebra.one(), &[algebra.one()]);
+        }
+        let mut factor = self.own_factor(0, m0).clone();
         if algebra.is_zero(&factor) {
             self.pruned = self
                 .pruned
@@ -601,7 +624,7 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
         if i + 1 == self.eng.k {
             // Last cell: its count is forced to `rem`.
             self.summed += 1;
-            let mut leaf = self.own_factor(i, rem);
+            let mut leaf = self.own_factor(i, rem).clone();
             if !algebra.is_zero(&leaf) {
                 algebra.mul_assign(&mut leaf, &algebra.pow(&r[0], rem));
             }
@@ -646,10 +669,12 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
                     algebra.mul_assign(slot, &self.eng.cross[i][i + 1 + d]);
                 }
             }
-            let mut factor = self.own_factor(i, m);
-            if !algebra.is_zero(&factor) {
-                algebra.mul_assign(&mut factor, &rpow);
-            }
+            let own = self.own_factor(i, m);
+            let mut factor = if algebra.is_zero(own) {
+                own.clone()
+            } else {
+                algebra.mul(own, &rpow)
+            };
             if algebra.is_zero(&factor) {
                 // u^m, r_cc^{C(m,2)} and R^m each stay zero as m grows, so
                 // every composition with a larger count for this cell is zero
@@ -670,7 +695,10 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
     /// iteration: `R_a^m` is maintained incrementally, `R_b^t` is tabulated
     /// once per call (one multiplication per composition, amortized), and
     /// `r_{ab}^{m·t}` comes from a memoized per-pair power cache — no
-    /// per-leaf square-and-multiply.
+    /// per-leaf square-and-multiply. The leaves share the prefix term, so
+    /// they are summed on their own and `term` multiplies their sum once per
+    /// call: one product against the (typically largest) prefix term instead
+    /// of one per composition.
     fn last_two(
         &mut self,
         a: usize,
@@ -694,6 +722,7 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
             }
         }
         let mut a_pow = algebra.one(); // R_a^m
+        let mut leaves: Option<A::Elem> = None;
         for m in 0..=rem {
             if let Err(stop) = self.meter.tick(1) {
                 self.tail_pows = tail_pows;
@@ -703,10 +732,12 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
                 algebra.mul_assign(&mut a_pow, &r[0]);
             }
             let t = rem - m;
-            let mut a_side = self.own_factor(a, m);
-            if !algebra.is_zero(&a_side) {
-                algebra.mul_assign(&mut a_side, &a_pow);
-            }
+            let own = self.own_factor(a, m);
+            let a_side = if algebra.is_zero(own) {
+                own.clone()
+            } else {
+                algebra.mul(own, &a_pow)
+            };
             if algebra.is_zero(&a_side) {
                 // Zero persists as m grows: every remaining composition
                 // (one per larger m) is zero too.
@@ -714,10 +745,12 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
                 break;
             }
             self.summed += 1;
-            let mut leaf = self.own_factor(b, t);
-            if !algebra.is_zero(&leaf) {
-                algebra.mul_assign(&mut leaf, &tail_pows[t]);
-            }
+            let own = self.own_factor(b, t);
+            let mut leaf = if algebra.is_zero(own) {
+                own.clone()
+            } else {
+                algebra.mul(own, &tail_pows[t])
+            };
             if !algebra.is_zero(&leaf) && m > 0 && t > 0 {
                 let pair = self
                     .last_pair_pows
@@ -728,10 +761,16 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
             if !algebra.is_zero(&leaf) {
                 algebra.mul_assign(&mut leaf, &a_side);
                 algebra.mul_assign(&mut leaf, &self.eng.binom[rem][m]);
-                self.total.push(algebra, algebra.mul(term, &leaf));
+                match &mut leaves {
+                    Some(sum) => algebra.add_assign(sum, &leaf),
+                    None => leaves = Some(leaf),
+                }
             }
         }
         self.tail_pows = tail_pows; // hand the scratch buffer back
+        if let Some(sum) = leaves {
+            self.total.push(algebra, algebra.mul(term, &sum));
+        }
         Ok(())
     }
 }
@@ -965,6 +1004,50 @@ mod tests {
             stats.compositions_summed + stats.compositions_pruned,
             stats.compositions_total
         );
+    }
+
+    /// Log-space sums are bit-identical for every number of workers draining
+    /// the top-level split (not just the host's core count) and with
+    /// parallelism on or off, with identical composition accounting.
+    #[test]
+    fn log_space_bits_do_not_depend_on_the_worker_count() {
+        let f = catalog::table1_sentence();
+        let voc = f.vocabulary();
+        let weights = Weights::from_ints([("R", 2, 1), ("S", 1, 3), ("T", 5, -1)]);
+        let shape = fo2_normal_form(&f, &voc, &weights).unwrap();
+        let counted: Vec<_> = shape.matrix.vocabulary().predicates().to_vec();
+        let space = CellSpace {
+            unary: counted.iter().filter(|p| p.arity() == 1).cloned().collect(),
+            binary: counted.iter().filter(|p| p.arity() == 2).cloned().collect(),
+        };
+        let cells = build_cells(&shape.matrix, &space, &shape.weights).unwrap();
+        let table = build_pair_table(&shape.matrix, &space, &cells, &shape.weights).unwrap();
+        let log = LogF64;
+        let lu: Vec<_> = cells.iter().map(|c| log.from_weight(&c.weight)).collect();
+        let lt: Vec<Vec<_>> = table
+            .iter()
+            .map(|row| row.iter().map(|w| log.from_weight(w)).collect())
+            .collect();
+        let guard = Guard::unarmed();
+        for n in [1, 2, 9, 13] {
+            let engine = Engine::new(&log, &lu, &lt, n);
+            let (alone, summed, pruned) = engine.sum_by_first_cell(1, &guard).unwrap();
+            for threads in [2, 3, 5] {
+                let (split, s, p) = engine.sum_by_first_cell(threads, &guard).unwrap();
+                assert_eq!(split.signum(), alone.signum(), "n = {n}, {threads} workers");
+                assert_eq!(
+                    split.ln_abs().to_bits(),
+                    alone.ln_abs().to_bits(),
+                    "n = {n}, {threads} workers"
+                );
+                assert_eq!((s, p), (summed, pruned), "n = {n}, {threads} workers");
+            }
+            let (par, par_stats) = cell_sum_elems(&log, &lu, &lt, n, true, &guard).unwrap();
+            let (ser, ser_stats) = cell_sum_elems(&log, &lu, &lt, n, false, &guard).unwrap();
+            assert_eq!(par.ln_abs().to_bits(), ser.ln_abs().to_bits(), "n = {n}");
+            assert_eq!(par.ln_abs().to_bits(), alone.ln_abs().to_bits(), "n = {n}");
+            assert_eq!(par_stats, ser_stats, "n = {n}");
+        }
     }
 
     /// The generic engine instantiated at [`LogF64`] and [`Poly`] agrees

@@ -359,8 +359,9 @@ impl Fo2Prepared {
     /// `WFOMC` of the prepared sentence at domain size `n` under `weights`,
     /// together with the engine's cost statistics, under a resource
     /// [`Guard`]. `allow_parallel` lets the Shannon branches / top-level
-    /// cell splits fan out over scoped threads (callers that already
-    /// parallelize across evaluation points pass `false`).
+    /// cell splits fan out over several threads (callers that already
+    /// parallelize across evaluation points pass `false`); values, log-space
+    /// bits included, do not depend on it.
     ///
     /// The weight binding goes through the keyed LRU, and the exact engine
     /// clears rational denominators before the DFS. The binding and every

@@ -186,34 +186,44 @@ struct GroundCache {
 }
 
 impl GroundPrep {
-    /// The cached instance for domain size `n`, building (inside the lock,
-    /// so concurrent callers never ground twice) and evicting the least
-    /// recently used entries beyond `capacity` on a miss. A build interrupted
-    /// by an armed guard inserts *nothing*: the cache only ever holds
-    /// completed groundings, so a retry after exhaustion rebuilds cleanly.
+    /// The cached instance for domain size `n`, building and evicting the
+    /// least recently used entries beyond `capacity` on a miss. The build
+    /// runs outside the lock, so a panic inside it cannot poison the cache
+    /// and counts at other domain sizes do not wait behind it; the lock is
+    /// taken again to insert, and if a concurrent count inserted `n` first,
+    /// its instance wins and this build is dropped. A build interrupted by
+    /// an armed guard inserts *nothing*: the cache only ever holds completed
+    /// groundings, so a retry after exhaustion rebuilds cleanly.
     fn try_instance(
         &self,
         n: usize,
         capacity: Option<usize>,
         build: impl FnOnce() -> Result<GroundInstance, Interrupt>,
     ) -> Result<Arc<GroundInstance>, Interrupt> {
-        let mut cache = self.instances.lock().expect("ground cache poisoned");
-        cache.clock += 1;
-        let now = cache.clock;
-        if let Some((instance, stamp)) = cache.map.get_mut(&n) {
-            *stamp = now;
-            let instance = instance.clone();
-            cache.hits += 1;
-            wfomc_obs::metrics::GROUND_CACHE_HITS.inc();
-            return Ok(instance);
+        {
+            let mut cache = self.instances.lock().expect("ground cache poisoned");
+            cache.clock += 1;
+            let now = cache.clock;
+            if let Some((instance, stamp)) = cache.map.get_mut(&n) {
+                *stamp = now;
+                let instance = instance.clone();
+                cache.hits += 1;
+                wfomc_obs::metrics::GROUND_CACHE_HITS.inc();
+                return Ok(instance);
+            }
+            cache.misses += 1;
+            wfomc_obs::metrics::GROUND_CACHE_MISSES.inc();
         }
-        cache.misses += 1;
-        wfomc_obs::metrics::GROUND_CACHE_MISSES.inc();
-        let instance = {
+        let built = {
             let _span = wfomc_obs::span("plan.ground_build");
             Arc::new(build()?)
         };
-        cache.map.insert(n, (instance.clone(), now));
+        let mut cache = self.instances.lock().expect("ground cache poisoned");
+        cache.clock += 1;
+        let now = cache.clock;
+        let entry = cache.map.entry(n).or_insert((built, now));
+        entry.1 = now;
+        let instance = entry.0.clone();
         if let Some(capacity) = capacity {
             while cache.map.len() > capacity.max(1) {
                 let evict = cache
@@ -1724,6 +1734,36 @@ mod tests {
             );
         }
         assert!(plan.count_batch_log(&[]).is_empty());
+    }
+
+    /// Mixed-n log batches count each point on one thread, while a lone
+    /// `count_in` may split its cell sum over every core: the bits agree at
+    /// domain sizes large enough for that split (table1 from n = 9 on).
+    #[test]
+    fn count_batch_log_mixed_n_is_bit_identical_to_count_in_at_large_n() {
+        use wfomc_logic::algebra::LogF64;
+        let plan = Problem::new(catalog::table1_sentence()).plan().unwrap();
+        let points: Vec<(usize, Weights)> = (6..14)
+            .map(|n| {
+                (
+                    n,
+                    Weights::from_ints([("R", 2, 1), ("S", 1, 3), ("T", n as i64 - 9, 2)]),
+                )
+            })
+            .collect();
+        let batch = plan.count_batch_log(&points);
+        for ((n, w), lane) in points.iter().zip(&batch) {
+            let scalar = plan
+                .count_in(*n, &LogF64, &AlgebraWeights::lift(&LogF64, w))
+                .unwrap();
+            let lane = lane.as_ref().expect("mixed-n point");
+            assert_eq!(lane.signum(), scalar.signum(), "n = {n}");
+            assert_eq!(
+                lane.ln_abs().to_bits(),
+                scalar.ln_abs().to_bits(),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -212,6 +212,29 @@ fn count_with_limits_contains_a_panic_and_the_plan_recovers() {
 }
 
 #[test]
+fn a_panicking_ground_build_leaves_the_ground_cache_usable() {
+    let (_lock, _armed) = serialized();
+    // Transitivity has no lifted method: every count grounds through the
+    // plan's ground cache.
+    let plan = Problem::new(catalog::transitivity()).plan().unwrap();
+    let none = ExecutionLimits::none();
+    arm_failpoint("ground.lineage", FailAction::Panic);
+    match plan.count_with_limits(2, &Weights::ones(), &none, None) {
+        Err(SolveError::WorkerPanicked { message }) => {
+            assert!(message.contains("ground.lineage"), "{message}")
+        }
+        other => panic!("a panicking build must come back as WorkerPanicked, got {other:?}"),
+    }
+    clear_failpoints();
+    let report = plan
+        .count_with_limits(2, &Weights::ones(), &none, None)
+        .expect("the ground cache is not poisoned");
+    // 13 transitive relations on a 2-element domain.
+    assert_eq!(report.value, wfomc_logic::weights::weight_int(13));
+    assert_eq!(plan.count(2, &Weights::ones()).unwrap().value, report.value);
+}
+
+#[test]
 fn forced_worker_panics_are_contained_per_point() {
     let (_lock, _armed) = serialized();
     let plan = Problem::new(catalog::table1_sentence()).plan().unwrap();

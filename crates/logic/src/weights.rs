@@ -8,7 +8,6 @@
 //! [`num_rational::BigRational`]. Negative weights are fully supported — the
 //! Skolemization lemma (Lemma 3.3) introduces a predicate with w̄ = −1.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use num_bigint::BigInt;
@@ -175,7 +174,12 @@ impl fmt::Display for WeightPair {
 /// introduced symbols unless stated otherwise.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Weights {
-    by_predicate: BTreeMap<String, WeightPair>,
+    /// Explicit entries sorted by name, one per name. A sorted vector rather
+    /// than a `BTreeMap`: weight functions name a handful of predicates, and
+    /// a map's first leaf node reserves room for eleven entries (about
+    /// 1.7 KB), several times the entries themselves — a cost every caller
+    /// holding many weight functions (batches, caches, served requests) pays.
+    by_predicate: Vec<(String, WeightPair)>,
 }
 
 impl Weights {
@@ -196,17 +200,26 @@ impl Weights {
         w
     }
 
+    /// Sets the weight pair for a predicate name, replacing an earlier one.
+    fn insert(&mut self, name: String, pair: WeightPair) {
+        match self
+            .by_predicate
+            .binary_search_by(|(k, _)| k.as_str().cmp(&name))
+        {
+            Ok(i) => self.by_predicate[i].1 = pair,
+            Err(i) => self.by_predicate.insert(i, (name, pair)),
+        }
+    }
+
     /// Sets the weight pair for a predicate name.
     pub fn set(&mut self, name: impl Into<String>, pos: Weight, neg: Weight) -> &mut Self {
-        self.by_predicate
-            .insert(name.into(), WeightPair::new(pos, neg));
+        self.insert(name.into(), WeightPair::new(pos, neg));
         self
     }
 
     /// Sets the weight pair from a probability: `(p, 1−p)`.
     pub fn set_probability(&mut self, name: impl Into<String>, p: Weight) -> &mut Self {
-        self.by_predicate
-            .insert(name.into(), WeightPair::from_probability(p));
+        self.insert(name.into(), WeightPair::from_probability(p));
         self
     }
 
@@ -218,7 +231,12 @@ impl Weights {
 
     /// The weight pair for a predicate name (defaults to `(1,1)`).
     pub fn pair(&self, name: &str) -> WeightPair {
-        self.by_predicate.get(name).cloned().unwrap_or_default()
+        self.by_predicate
+            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .map_or_else(
+                |_| WeightPair::default(),
+                |i| self.by_predicate[i].1.clone(),
+            )
     }
 
     /// The weight pair for a predicate symbol.
@@ -233,7 +251,9 @@ impl Weights {
 
     /// True if every explicitly set weight is non-negative.
     pub fn is_nonnegative(&self) -> bool {
-        self.by_predicate.values().all(WeightPair::is_nonnegative)
+        self.by_predicate
+            .iter()
+            .all(|(_, pair)| pair.is_nonnegative())
     }
 
     /// `WFOMC(true, n, w, w̄) = Π_t (w(t) + w̄(t))` — the sum of the weights of
@@ -253,7 +273,7 @@ impl Weights {
     pub fn extended_with(&self, other: &Weights) -> Weights {
         let mut out = self.clone();
         for (name, pair) in other.iter() {
-            out.by_predicate.insert(name.to_string(), pair.clone());
+            out.insert(name.to_string(), pair.clone());
         }
         out
     }
@@ -319,6 +339,25 @@ mod tests {
         assert!(pair.to_probability().is_none());
         assert!(!pair.is_nonnegative());
         assert!(pair.total().is_zero());
+    }
+
+    #[test]
+    fn entries_stay_sorted_and_unique_whatever_the_insertion_order() {
+        let mut a = Weights::from_ints([("S", 2, 1), ("R", 3, 1), ("T", 1, 4)]);
+        a.set("R", weight_int(5), weight_int(1));
+        let names: Vec<&str> = a.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["R", "S", "T"]);
+        assert_eq!(a.pair("R"), WeightPair::new(weight_int(5), weight_int(1)));
+        assert_eq!(a.pair("U"), WeightPair::ones());
+        let b = Weights::from_ints([("T", 1, 4), ("R", 5, 1), ("S", 2, 1)]);
+        assert_eq!(a, b);
+        let merged = b.extended_with(&Weights::from_ints([("Q", 7, 1), ("S", 0, 1)]));
+        let names: Vec<&str> = merged.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["Q", "R", "S", "T"]);
+        assert_eq!(
+            merged.pair("S"),
+            WeightPair::new(weight_int(0), weight_int(1))
+        );
     }
 
     #[test]
