@@ -1,7 +1,7 @@
 //! The vendored bignum's hot paths: inline small values, Karatsuba
 //! multiplication, Euclid gcd, and the balanced sum-tree accumulation —
 //! measured both as microbenchmarks and through the multiplication-heavy
-//! lifted workloads that motivated them (snapshot in `BENCH_bignum.json`).
+//! lifted workloads that motivated them.
 //!
 //! The `mul/dispatch-vs-schoolbook` pair pins the Karatsuba crossover: at and
 //! below the threshold the two are the same code path, above it the dispatch
@@ -12,7 +12,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use num_bigint::BigUint;
 use num_traits::One;
-use wfomc::core::fo2::wfomc_fo2;
+use wfomc::core::Guard;
 use wfomc::prelude::*;
 use wfomc_bench::{bignum_factorial_chain, bignum_harmonic, standard_weights};
 
@@ -66,7 +66,12 @@ fn bench_lifted_workloads(c: &mut Criterion) {
     let smokers = catalog::smokers_constraint();
     let voc = smokers.vocabulary();
     group.bench_function("fo2/smokers-30", |b| {
-        b.iter(|| wfomc_fo2(&smokers, &voc, 30, &weights).unwrap())
+        b.iter(|| {
+            Fo2Prepared::prepare(&smokers, &voc)
+                .unwrap()
+                .count(30, &weights, true, &Guard::unarmed())
+                .unwrap()
+        })
     });
 
     // Circuit evaluation: one compiled d-DNNF, exact weight sweep.

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wfomc::core::fo2::{wfomc_fo2, wfomc_fo2_with_stats};
+use wfomc::core::Guard;
 use wfomc::ground::GroundSolver;
 use wfomc::prelude::*;
 use wfomc_bench::standard_weights;
@@ -28,7 +28,14 @@ fn bench_fo2(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("{name}/lifted"), n),
                 &n,
-                |b, &n| b.iter(|| wfomc_fo2(sentence, &voc, n, &weights).unwrap()),
+                |b, &n| {
+                    b.iter(|| {
+                        Fo2Prepared::prepare(sentence, &voc)
+                            .unwrap()
+                            .count(n, &weights, true, &Guard::unarmed())
+                            .unwrap()
+                    })
+                },
             );
         }
         group.bench_with_input(
@@ -45,7 +52,9 @@ fn bench_fo2(c: &mut Criterion) {
         let sentence = catalog::table1_sentence();
         let voc = sentence.vocabulary();
         b.iter(|| {
-            wfomc_fo2_with_stats(&sentence, &voc, 1, &weights)
+            Fo2Prepared::prepare(&sentence, &voc)
+                .unwrap()
+                .count(1, &weights, true, &Guard::unarmed())
                 .unwrap()
                 .1
         })

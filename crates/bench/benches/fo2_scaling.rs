@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wfomc::core::fo2::wfomc_fo2;
+use wfomc::core::Guard;
 use wfomc::prelude::*;
 use wfomc_bench::{fo2_scaling_workload, standard_weights};
 
@@ -21,7 +21,12 @@ fn bench_fo2_scaling(c: &mut Criterion) {
     let voc = forall_exists.vocabulary();
     for n in [25usize, 50, 100] {
         group.bench_with_input(BenchmarkId::new("forall-exists", n), &n, |b, &n| {
-            b.iter(|| wfomc_fo2(&forall_exists, &voc, n, &weights).unwrap())
+            b.iter(|| {
+                Fo2Prepared::prepare(&forall_exists, &voc)
+                    .unwrap()
+                    .count(n, &weights, true, &Guard::unarmed())
+                    .unwrap()
+            })
         });
     }
 
@@ -29,7 +34,12 @@ fn bench_fo2_scaling(c: &mut Criterion) {
     let voc = partition.vocabulary();
     for n in [25usize, 50, 100] {
         group.bench_with_input(BenchmarkId::new("partition-12cell", n), &n, |b, &n| {
-            b.iter(|| wfomc_fo2(&partition, &voc, n, &weights).unwrap())
+            b.iter(|| {
+                Fo2Prepared::prepare(&partition, &voc)
+                    .unwrap()
+                    .count(n, &weights, true, &Guard::unarmed())
+                    .unwrap()
+            })
         });
     }
     group.finish();

@@ -4,8 +4,7 @@
 //!
 //! The `plan/...` series includes plan *creation* in every iteration, so it
 //! measures the honest amortized cost; `count-only/...` measures the marginal
-//! cost of one extra point on an existing plan. Snapshot numbers live in
-//! `BENCH_plan.json` (produced by the `plan_time` bin).
+//! cost of one extra point on an existing plan.
 
 use std::time::Duration;
 

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wfomc::core::closed_form;
-use wfomc::core::fo2::wfomc_fo2;
+use wfomc::core::Guard;
 use wfomc::ground::{wfomc_asymmetric, GroundSolver};
 use wfomc::prelude::*;
 use wfomc_bench::{standard_weights, table1_workload};
@@ -24,7 +24,12 @@ fn bench_table1(c: &mut Criterion) {
             b.iter(|| closed_form::wfomc_table1(n, &weights))
         });
         group.bench_with_input(BenchmarkId::new("lifted-fo2", n), &n, |b, &n| {
-            b.iter(|| wfomc_fo2(&sentence, &voc, n, &weights).unwrap())
+            b.iter(|| {
+                Fo2Prepared::prepare(&sentence, &voc)
+                    .unwrap()
+                    .count(n, &weights, true, &Guard::unarmed())
+                    .unwrap()
+            })
         });
     }
     for n in [2usize, 3] {

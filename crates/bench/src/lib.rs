@@ -75,8 +75,8 @@ pub fn fo2_scaling_workload() -> Formula {
 /// method, one sentence plus `k` query points (`(n, weights)` pairs) of the
 /// shapes real workloads produce — domain-size sweeps (growing networks,
 /// interpolation) and weight sweeps (MLN queries, learning loops). The
-/// `plan_reuse` Criterion bench, the `plan_time` snapshot bin and the repro
-/// harness's `plan-reuse` experiment all measure exactly these inputs.
+/// `plan_reuse` Criterion bench and the repro harness's `plan-reuse`
+/// experiment measure exactly these inputs.
 #[allow(clippy::type_complexity)]
 pub fn plan_reuse_workloads(
     k: usize,
@@ -164,176 +164,18 @@ pub fn plan_reuse_workloads(
     ]
 }
 
-/// The lane-batching workload: a same-`n` weight sweep over the Table 1
-/// sentence, the shape `Plan::count_batch_log` turns into one `LogF64xN`
-/// traversal per eight points. The `lane_time` snapshot bin and the perf
-/// gate's lane check measure exactly these points, so the committed
-/// `BENCH_lanes.json` per-point baseline and the gate's re-measured lane
-/// time stay comparable.
-pub fn lane_sweep_points(n: usize, k: usize) -> Vec<(usize, Weights)> {
-    (0..k)
-        .map(|i| {
-            (
-                n,
-                Weights::from_ints([("R", i as i64 + 1, 1), ("S", 1, 3), ("T", 2, 2)]),
-            )
-        })
-        .collect()
-}
-
-/// Wall-clock time of one closure call in milliseconds — the shared
-/// measurement primitive of the snapshot bins, the repro harness's timed
-/// experiments and the perf gate.
+/// Wall-clock time of one closure call in milliseconds — the measurement
+/// primitive of the repro harness's timed experiments.
 pub fn time_ms(f: impl FnOnce()) -> f64 {
     let start = std::time::Instant::now();
     f();
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Per-phase wall-clock timings of one traced experiment, produced by
-/// [`run_trace`] and emitted by `repro trace` as `target/trace.json`.
-#[derive(Clone, Debug)]
-pub struct Trace {
-    /// The experiment that was traced (e.g. `plan-reuse`).
-    pub experiment: String,
-    /// End-to-end wall clock of the traced run, in milliseconds.
-    pub wall_ms: f64,
-    /// `(phase, ms)` in execution order: parse, plan, bind, evaluate.
-    pub phases: Vec<(&'static str, f64)>,
-    /// The final evaluation's `wfomc-report/v1` object
-    /// ([`SolverReport::to_json`]), pre-serialized, so the trace artifact
-    /// carries the solved value and cache accounting alongside the timings.
-    pub report: Option<String>,
-}
-
-impl Trace {
-    /// Hand-written JSON (the workspace has no serde): stable key order,
-    /// schema tag first, so CI artifacts stay diffable across runs.
-    pub fn to_json(&self) -> String {
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|(name, ms)| format!("    {{\"phase\": \"{name}\", \"ms\": {ms:.3}}}"))
-            .collect();
-        let report = match &self.report {
-            Some(raw) => format!(",\n  \"report\": {raw}"),
-            None => String::new(),
-        };
-        format!(
-            "{{\n  \"schema\": \"wfomc-trace/v1\",\n  \"experiment\": \"{}\",\n  \
-             \"wall_ms\": {:.3},\n  \"phases\": [\n{}\n  ]{report}\n}}\n",
-            self.experiment,
-            self.wall_ms,
-            phases.join(",\n")
-        )
-    }
-}
-
-/// Runs one experiment split into the pipeline's phases — parse (workload
-/// construction), plan (analysis), bind (first evaluation per workload,
-/// which populates the weight-binding / grounding caches), evaluate (the
-/// full point sweep) — timing each phase separately. The phases partition
-/// the actual work, so their sum tracks the reported wall clock.
-///
-/// Supported experiments: `plan-reuse` (the E11 plan-reuse workloads at
-/// k = 16) and `fo2-scaling` (the E6b partition sentence at n = 10/20/30).
-///
-/// # Panics
-/// Panics on an unknown experiment name or a workload that fails to plan.
-pub fn run_trace(experiment: &str) -> Trace {
-    let wall = std::time::Instant::now();
-    let mut phases: Vec<(&'static str, f64)> = Vec::new();
-    let mut report: Option<String> = None;
-    match experiment {
-        "plan-reuse" => {
-            let mut workloads = Vec::new();
-            phases.push(("parse", time_ms(|| workloads = plan_reuse_workloads(16))));
-            let mut plans = Vec::new();
-            phases.push((
-                "plan",
-                time_ms(|| {
-                    plans = workloads
-                        .iter()
-                        .map(|(name, solver, sentence, _)| {
-                            solver
-                                .plan(&Problem::new(sentence.clone()))
-                                .unwrap_or_else(|e| panic!("{name} plans: {e:?}"))
-                        })
-                        .collect::<Vec<_>>();
-                }),
-            ));
-            phases.push((
-                "bind",
-                time_ms(|| {
-                    for (plan, (name, _, _, points)) in plans.iter().zip(&workloads) {
-                        let (n, w) = points.first().expect("workloads have points");
-                        let _ = plan
-                            .count(*n, w)
-                            .unwrap_or_else(|e| panic!("{name} binds: {e:?}"));
-                    }
-                }),
-            ));
-            phases.push((
-                "evaluate",
-                time_ms(|| {
-                    for (plan, (name, _, _, points)) in plans.iter().zip(&workloads) {
-                        for (n, w) in points {
-                            let point_report = plan
-                                .count(*n, w)
-                                .unwrap_or_else(|e| panic!("{name} evaluates: {e:?}"));
-                            report = Some(point_report.to_json());
-                        }
-                    }
-                }),
-            ));
-        }
-        "fo2-scaling" => {
-            let mut sentence = None;
-            phases.push(("parse", time_ms(|| sentence = Some(fo2_scaling_workload()))));
-            let sentence = sentence.expect("parse phase built the sentence");
-            let mut plan = None;
-            phases.push((
-                "plan",
-                time_ms(|| {
-                    plan = Some(
-                        Solver::new()
-                            .plan(&Problem::new(sentence))
-                            .expect("fo2-scaling plans"),
-                    );
-                }),
-            ));
-            let plan = plan.expect("plan phase produced a plan");
-            let weights = standard_weights();
-            phases.push((
-                "bind",
-                time_ms(|| {
-                    let _ = plan.count(10, &weights).expect("fo2-scaling binds");
-                }),
-            ));
-            phases.push((
-                "evaluate",
-                time_ms(|| {
-                    for n in [10usize, 20, 30] {
-                        let point_report = plan.count(n, &weights).expect("fo2-scaling evaluates");
-                        report = Some(point_report.to_json());
-                    }
-                }),
-            ));
-        }
-        other => panic!("unknown trace experiment {other:?} (try plan-reuse or fo2-scaling)"),
-    }
-    Trace {
-        experiment: experiment.to_string(),
-        wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-        phases,
-        report,
-    }
-}
-
 /// Bignum microbenchmark: balanced big×big multiplication — square a 2-limb
 /// seed repeatedly, so the final squarings run far above the Karatsuba
-/// threshold. Shared by the `bignum` Criterion bench, the `bignum_time`
-/// snapshot bin and the repro harness's perf gate.
+/// threshold. Shared by the `bignum` Criterion bench and the repro harness's
+/// `bignum` experiment.
 pub fn bignum_square_chain(doublings: u32) -> num_bigint::BigUint {
     let mut x = num_bigint::BigUint::from(0xfeed_face_cafe_f00du64)
         * num_bigint::BigUint::from(u64::MAX - 11);
@@ -412,26 +254,32 @@ mod tests {
         assert!(short(&weight_int(7)).contains('7'));
     }
 
+    /// Repeated counts on one plan hit its prepared caches: 16 points with
+    /// one distinct weight function (FO² binding) or one domain size
+    /// (grounding) miss once, a hit rate of 15/16.
     #[test]
-    fn trace_phases_partition_the_wall_clock() {
-        let trace = run_trace("plan-reuse");
-        let names: Vec<_> = trace.phases.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["parse", "plan", "bind", "evaluate"]);
-        let sum: f64 = trace.phases.iter().map(|(_, ms)| ms).sum();
-        assert!(sum <= trace.wall_ms, "phases cannot exceed the wall clock");
-        // The phases time all the real work; the gap is bookkeeping only
-        // (10% relative plus a small absolute allowance for slow CI runners).
-        assert!(
-            trace.wall_ms - sum <= 0.1 * trace.wall_ms + 5.0,
-            "phases ({sum:.3} ms) do not account for the wall clock ({:.3} ms)",
-            trace.wall_ms
-        );
-        let json = trace.to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"wfomc-trace/v1\""));
-        assert!(json.contains("\"experiment\": \"plan-reuse\""));
-        assert!(json.contains("\"phase\": \"evaluate\""));
-        // The evaluate phase embeds the final report as wfomc-report/v1.
-        assert!(json.contains("\"report\": {\"schema\":\"wfomc-report/v1\""));
+    fn plan_reuse_sweeps_hit_their_caches() {
+        let workloads = plan_reuse_workloads(16);
+        for workload in [
+            "fo2/quad-binary-n-sweep",
+            "ground/transitivity-weight-sweep",
+        ] {
+            let (_, solver, sentence, points) = workloads
+                .iter()
+                .find(|(name, ..)| *name == workload)
+                .expect("a known plan-reuse workload");
+            let plan = solver.plan(&Problem::new(sentence.clone())).unwrap();
+            for (n, w) in points {
+                let _ = plan.count(*n, w).unwrap();
+            }
+            let stats = plan.cache_stats();
+            let rate = match plan.method() {
+                Method::Fo2 => stats.fo2_bind_hit_rate(),
+                _ => stats.ground_hit_rate(),
+            }
+            .expect("the sweep used the cache");
+            assert!(rate >= 0.9, "{workload}: hit rate {rate}");
+        }
     }
 
     #[test]

@@ -1,27 +1,13 @@
-//! The FO² counting algorithm: Shannon expansion over nullary predicates plus
-//! the cell-decomposition sum of Appendix C, evaluated by the prefix-sharing
-//! DFS engine in [`super::cellsum`].
-//!
-//! The entry points here are one-shot wrappers around
-//! [`super::prepare::Fo2Prepared`], which holds the n-independent analysis;
-//! repeated-query callers should prepare once through a
-//! [`crate::plan::Plan`] instead.
-
-use num_traits::{One, Zero};
-
-use wfomc_ground::evaluate::evaluate;
-use wfomc_ground::structure::Structure;
-use wfomc_guard::Guard;
-use wfomc_logic::syntax::Formula;
-use wfomc_logic::vocabulary::Vocabulary;
-use wfomc_logic::weights::{Weight, Weights};
+//! The cost profile of an FO² count ([`Fo2Stats`]), and the end-to-end
+//! tests of the whole FO² pipeline — normalization, Shannon expansion,
+//! cells and the cell-sum engine of [`super::cellsum`] — against grounding.
+//! The algorithm itself is [`super::prepare::Fo2Prepared`]: prepare once,
+//! count many times.
 
 use super::cellsum::CellSumStats;
-use super::prepare::Fo2Prepared;
-use crate::error::LiftError;
 
-/// Statistics reported by [`wfomc_fo2`], used by the benchmarks and the
-/// `repro` harness to explain the cost profile (number of cells, number of
+/// Statistics of one FO² count ([`super::prepare::Fo2Prepared::count`]),
+/// used by the benchmarks and the `repro` harness to explain the cost profile (number of cells, number of
 /// compositions summed and pruned, number of Shannon branches).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Fo2Stats {
@@ -85,61 +71,46 @@ impl Fo2Stats {
     }
 }
 
-/// Computes the symmetric WFOMC of an FO² sentence in time polynomial in `n`.
-///
-/// `vocabulary` may contain predicates the sentence does not mention; they
-/// contribute the usual `(w + w̄)^{n^arity}` factor. Fails (so the solver can
-/// fall back to grounding) when the sentence is not FO², uses predicates of
-/// arity > 2, or contains constants.
-pub fn wfomc_fo2(
-    sentence: &Formula,
-    vocabulary: &Vocabulary,
-    n: usize,
-    weights: &Weights,
-) -> Result<Weight, LiftError> {
-    wfomc_fo2_with_stats(sentence, vocabulary, n, weights).map(|(w, _)| w)
-}
-
-/// Like [`wfomc_fo2`] but also returns cost statistics.
-pub fn wfomc_fo2_with_stats(
-    sentence: &Formula,
-    vocabulary: &Vocabulary,
-    n: usize,
-    weights: &Weights,
-) -> Result<(Weight, Fo2Stats), LiftError> {
-    if !sentence.is_sentence() {
-        return Err(LiftError::NotASentence);
-    }
-
-    // n = 0: there is exactly one (empty) structure; its weight is 1. This
-    // happens before the FO² analysis, so any sentence — even one outside
-    // the fragment — is answered directly at n = 0.
-    if n == 0 {
-        let value = if evaluate(sentence, &Structure::empty(0)) {
-            Weight::one()
-        } else {
-            Weight::zero()
-        };
-        return Ok((value, Fo2Stats::default()));
-    }
-
-    Ok(Fo2Prepared::prepare(sentence, vocabulary)?
-        .count(n, weights, true, &Guard::unarmed())
-        .expect("an unarmed guard cannot interrupt"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wfomc_ground::{brute_force_wfomc, wfomc as ground_wfomc};
+    use wfomc_guard::Guard;
     use wfomc_logic::builders::*;
     use wfomc_logic::catalog;
-    use wfomc_logic::weights::{weight_int, weight_pow, weight_ratio};
+    use wfomc_logic::syntax::Formula;
+    use wfomc_logic::vocabulary::Vocabulary;
+    use wfomc_logic::weights::{weight_int, weight_pow, weight_ratio, Weight, Weights};
+
+    use crate::error::LiftError;
+    use crate::fo2::Fo2Prepared;
+
+    /// One prepare-then-count with its statistics, unguarded.
+    fn wfomc_with_stats(
+        sentence: &Formula,
+        vocabulary: &Vocabulary,
+        n: usize,
+        weights: &Weights,
+    ) -> Result<(Weight, Fo2Stats), LiftError> {
+        Ok(Fo2Prepared::prepare(sentence, vocabulary)?
+            .count(n, weights, true, &Guard::unarmed())
+            .expect("an unarmed guard cannot interrupt"))
+    }
+
+    /// [`wfomc_with_stats`] without the statistics.
+    fn wfomc(
+        sentence: &Formula,
+        vocabulary: &Vocabulary,
+        n: usize,
+        weights: &Weights,
+    ) -> Result<Weight, LiftError> {
+        wfomc_with_stats(sentence, vocabulary, n, weights).map(|(w, _)| w)
+    }
 
     fn check_against_ground(f: &Formula, weights: &Weights, max_n: usize) {
         let voc = f.vocabulary();
         for n in 0..=max_n {
-            let lifted = wfomc_fo2(f, &voc, n, weights).expect("FO² should apply");
+            let lifted = wfomc(f, &voc, n, weights).expect("FO² should apply");
             let grounded = ground_wfomc(f, &voc, n, weights);
             assert_eq!(lifted, grounded, "mismatch for {f} at n = {n}");
         }
@@ -151,14 +122,14 @@ mod tests {
         let voc = f.vocabulary();
         // FOMC(Φ, n) = (2ⁿ − 1)ⁿ.
         for n in 0..=6 {
-            let lifted = wfomc_fo2(&f, &voc, n, &Weights::ones()).unwrap();
+            let lifted = wfomc(&f, &voc, n, &Weights::ones()).unwrap();
             let expected = weight_pow(&weight_int((1i64 << n) - 1), n);
             assert_eq!(lifted, expected, "n = {n}");
         }
         // Weighted variant: ((w + w̄)ⁿ − w̄ⁿ)ⁿ.
         let w = Weights::from_ints([("R", 3, 2)]);
         for n in 0..=4 {
-            let lifted = wfomc_fo2(&f, &voc, n, &w).unwrap();
+            let lifted = wfomc(&f, &voc, n, &w).unwrap();
             let expected = weight_pow(
                 &(weight_pow(&weight_int(5), n) - weight_pow(&weight_int(2), n)),
                 n,
@@ -248,7 +219,7 @@ mod tests {
         w.set_probability("Smokes", weight_ratio(1, 3));
         w.set_probability("Friends", weight_ratio(1, 2));
         for n in 1..=2 {
-            let lifted = wfomc_fo2(&f, &voc, n, &w).unwrap();
+            let lifted = wfomc(&f, &voc, n, &w).unwrap();
             let grounded = brute_force_wfomc(&f, &voc, n, &w);
             assert_eq!(lifted, grounded);
         }
@@ -260,7 +231,7 @@ mod tests {
         let voc = Vocabulary::from_pairs([("S", 1), ("Extra", 2)]);
         let w = Weights::from_ints([("S", 1, 1), ("Extra", 1, 1)]);
         let n = 2;
-        let lifted = wfomc_fo2(&f, &voc, n, &w).unwrap();
+        let lifted = wfomc(&f, &voc, n, &w).unwrap();
         let grounded = ground_wfomc(&f, &voc, n, &w);
         assert_eq!(lifted, grounded);
         // (2⁴ from Extra) · (2² − 1) = 48.
@@ -271,7 +242,7 @@ mod tests {
     fn rejects_fo3_sentences() {
         let f = catalog::transitivity();
         assert!(matches!(
-            wfomc_fo2(&f, &f.vocabulary(), 3, &Weights::ones()),
+            wfomc(&f, &f.vocabulary(), 3, &Weights::ones()),
             Err(LiftError::TooManyVariables { .. })
         ));
     }
@@ -279,7 +250,7 @@ mod tests {
     #[test]
     fn stats_reflect_the_work_done() {
         let f = catalog::forall_exists_edge();
-        let (_, stats) = wfomc_fo2_with_stats(&f, &f.vocabulary(), 5, &Weights::ones()).unwrap();
+        let (_, stats) = wfomc_with_stats(&f, &f.vocabulary(), 5, &Weights::ones()).unwrap();
         assert_eq!(stats.introduced_predicates, 1);
         assert_eq!(stats.shannon_branches, 1);
         assert!(stats.total_valid_cells >= 3);
@@ -289,7 +260,7 @@ mod tests {
     #[test]
     fn stats_display_surfaces_the_cell_accounting() {
         let f = catalog::forall_exists_edge();
-        let (_, stats) = wfomc_fo2_with_stats(&f, &f.vocabulary(), 5, &Weights::ones()).unwrap();
+        let (_, stats) = wfomc_with_stats(&f, &f.vocabulary(), 5, &Weights::ones()).unwrap();
         let text = stats.to_string();
         assert!(text.contains("cells ("), "{text}");
         assert!(text.contains("zero cells dropped"), "{text}");
@@ -306,7 +277,7 @@ mod tests {
         let f = catalog::forall_exists_edge();
         let voc = f.vocabulary();
         let n = 30;
-        let lifted = wfomc_fo2(&f, &voc, n, &Weights::ones()).unwrap();
+        let lifted = wfomc(&f, &voc, n, &Weights::ones()).unwrap();
         let expected = weight_pow(&(weight_pow(&weight_int(2), n) - weight_int(1)), n);
         assert_eq!(lifted, expected);
     }

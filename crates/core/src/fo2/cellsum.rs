@@ -791,7 +791,6 @@ mod tests {
     use crate::fo2::cells::{build_cells, build_pair_table, CellSpace};
     use crate::fo2::normalize::{fo2_normal_form, Fo2Shape};
     use crate::fo2::prepare::Fo2Prepared;
-    use crate::fo2::wfomc_fo2;
 
     /// The exact cell sum of one Shannon-free normal form: builds the
     /// weighted cells and the pair table, then runs the engine unguarded.
@@ -881,7 +880,7 @@ mod tests {
             binary: counted.iter().filter(|p| p.arity() == 2).cloned().collect(),
         };
         if counted.iter().any(|p| p.arity() == 0) {
-            // Shannon branches are exercised through `wfomc_fo2` instead.
+            // Shannon branches are exercised through `Fo2Prepared` instead.
             return;
         }
         let (dfs_total, dfs_stats) = cell_sum(&shape.matrix, &space, &shape, n, true);
@@ -906,6 +905,32 @@ mod tests {
                 dfs_stats.valid_cells - dfs_stats.zero_weight_cells_pruned - dfs_stats.cells_merged
             )
         );
+    }
+
+    /// The top-level split fans out only when asked to and when the sum is
+    /// large enough to pay for the threads: table1 at n = 30 ranges over
+    /// thousands of compositions.
+    #[test]
+    fn large_sums_split_over_the_cores_only_when_parallel() {
+        let sentence = catalog::table1_sentence();
+        let shape = fo2_normal_form(&sentence, &sentence.vocabulary(), &Weights::ones()).unwrap();
+        let counted = shape.matrix.vocabulary().predicates().to_vec();
+        let space = CellSpace {
+            unary: counted.iter().filter(|p| p.arity() == 1).cloned().collect(),
+            binary: counted.iter().filter(|p| p.arity() == 2).cloned().collect(),
+        };
+        let cells = build_cells(&shape.matrix, &space, &shape.weights).unwrap();
+        let table = build_pair_table(&shape.matrix, &space, &cells, &shape.weights).unwrap();
+        let u: Vec<Weight> = cells.iter().map(|c| c.weight.clone()).collect();
+        let n = 30;
+        let engine = Engine::new(&Exact, &u, &table, n);
+        assert!(num_compositions(n, engine.k) >= 4096, "k = {}", engine.k);
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(engine.thread_count(true), cores.min(n + 1));
+        if cores >= 2 {
+            assert!(engine.thread_count(true) > 1);
+        }
+        assert_eq!(engine.thread_count(false), 1);
     }
 
     #[test]
@@ -1238,7 +1263,10 @@ mod tests {
             ] {
                 let voc = sentence.vocabulary();
                 check_engines_agree(&sentence, &weights, n);
-                let lifted = wfomc_fo2(&sentence, &voc, n, &weights).unwrap();
+                let (lifted, _) = Fo2Prepared::prepare(&sentence, &voc)
+                    .unwrap()
+                    .count(n, &weights, true, &Guard::unarmed())
+                    .unwrap();
                 let grounded = ground_wfomc(&sentence, &voc, n, &weights);
                 prop_assert_eq!(lifted, grounded, "ground mismatch for {} at n={}", sentence, n);
             }

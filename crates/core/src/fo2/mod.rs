@@ -7,7 +7,7 @@
 //!    pieces are Skolemized per Lemma 3.3 (fresh predicates with weight
 //!    (1,−1)), and everything is conjoined into a single quantifier-free
 //!    matrix `Ψ(x, y)` under an implicit `∀x∀y`.
-//! 2. [`algorithm`] — Shannon expansion over the nullary predicates, then the
+//! 2. [`prepare`] — Shannon expansion over the nullary predicates, then the
 //!    1-type (cell) decomposition: enumerate the valid cells, build the
 //!    two-element table `r_{ij}`, and sum
 //!    `Σ_{n₁+…+n_C = n} (n; n₁…n_C) Π_c u_c^{n_c} Π_{i≤j} r_{ij}^{…}`
@@ -23,7 +23,7 @@ pub mod cellsum;
 pub mod normalize;
 pub mod prepare;
 
-pub use algorithm::{wfomc_fo2, wfomc_fo2_with_stats, Fo2Stats};
+pub use algorithm::Fo2Stats;
 pub use cellsum::{cell_sum_elems, cell_sum_weights, CellSumStats};
 pub use normalize::{fo2_normal_form, Fo2Shape, VAR_X, VAR_Y};
 pub use prepare::Fo2Prepared;

@@ -12,8 +12,7 @@
 //! any evaluation algebra. Both run under a resource [`Guard`].
 //!
 //! This is the prepared state behind [`crate::plan::Plan`] for
-//! [`crate::solver::Method::Fo2`]; the one-shot
-//! [`super::algorithm::wfomc_fo2`] is a thin prepare-then-count wrapper.
+//! [`crate::solver::Method::Fo2`].
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,7 +84,7 @@ type Fo2Bound = Fo2BoundIn<Weight>;
 /// weight function. Prepare once, [`count`](Fo2Prepared::count) many times.
 #[derive(Debug)]
 pub struct Fo2Prepared {
-    /// The original sentence (used for the `n = 0` special case).
+    /// The original sentence (used for the empty domain).
     sentence: Formula,
     /// The cell space (unary/binary predicates of the normalized matrix).
     space: CellSpace,
@@ -115,8 +114,8 @@ pub struct Fo2Prepared {
 impl Fo2Prepared {
     /// Runs the full n-independent analysis of an FO² sentence.
     ///
-    /// Fails exactly when [`super::algorithm::wfomc_fo2`] would: the sentence
-    /// is not FO², uses predicates of arity > 2, or contains constants.
+    /// Fails when the sentence is not FO², uses predicates of arity > 2, or
+    /// contains constants.
     pub fn prepare(sentence: &Formula, vocabulary: &Vocabulary) -> Result<Fo2Prepared, LiftError> {
         Self::prepare_guarded(sentence, vocabulary, &Guard::unarmed()).map_err(|e| match e {
             SolveError::Lift(err) => err,
@@ -378,6 +377,9 @@ impl Fo2Prepared {
         allow_parallel: bool,
         guard: &Guard,
     ) -> Result<(Weight, Fo2Stats), Interrupt> {
+        if n == 0 {
+            return Ok(self.empty_domain(&Exact, &AlgebraWeights::lift(&Exact, weights)));
+        }
         self.evaluate(
             &Exact,
             n,
@@ -405,6 +407,9 @@ impl Fo2Prepared {
         allow_parallel: bool,
         guard: &Guard,
     ) -> Result<(A::Elem, Fo2Stats), Interrupt> {
+        if n == 0 {
+            return Ok(self.empty_domain(algebra, weights));
+        }
         self.evaluate(
             algebra,
             n,
@@ -415,10 +420,54 @@ impl Fo2Prepared {
         )
     }
 
+    /// `WFOMC` on the empty domain, where the structures differ only in
+    /// their nullary atoms. The sentence's own nullary predicates are summed
+    /// over the truth assignments that satisfy the sentence there; every
+    /// other nullary predicate of the vocabulary contributes `w + w̄`, and
+    /// predicates of higher arity have no ground tuples. The Shannon
+    /// branches cannot answer this: normalization moves nullary atoms under
+    /// `∀`, which is equivalent only on a non-empty domain.
+    fn empty_domain<A: Algebra>(
+        &self,
+        algebra: &A,
+        weights: &AlgebraWeights<A>,
+    ) -> (A::Elem, Fo2Stats) {
+        let own: Vec<Predicate> = self
+            .sentence
+            .vocabulary()
+            .iter()
+            .filter(|p| p.arity() == 0)
+            .cloned()
+            .collect();
+        let pairs: Vec<_> = own.iter().map(|p| weights.pair_of(algebra, p)).collect();
+        let mut total = algebra.zero();
+        for mask in 0..1u64 << own.len() {
+            let mut structure = Structure::empty(0);
+            let mut weight = algebra.one();
+            for (i, (p, (pos, neg))) in own.iter().zip(&pairs).enumerate() {
+                if mask >> i & 1 == 1 {
+                    structure.insert(p.name(), Vec::new());
+                    algebra.mul_assign(&mut weight, pos);
+                } else {
+                    algebra.mul_assign(&mut weight, neg);
+                }
+            }
+            if evaluate(&self.sentence, &structure) {
+                algebra.add_assign(&mut total, &weight);
+            }
+        }
+        for p in &self.leftover {
+            if p.arity() == 0 && !own.contains(p) {
+                algebra.mul_assign(&mut total, &weights.total(algebra, p.name()));
+            }
+        }
+        (total, Fo2Stats::default())
+    }
+
     /// Shared body of [`count`](Self::count) and
-    /// [`count_in`](Self::count_in): the empty domain, the guarded weight
-    /// binding, leftover-predicate factors, branch evaluation (fanned out
-    /// when allowed and worthwhile) and stats accumulation.
+    /// [`count_in`](Self::count_in) at `n ≥ 1`: the guarded weight binding,
+    /// leftover-predicate factors, branch evaluation (fanned out when
+    /// allowed and worthwhile) and stats accumulation.
     fn evaluate<A: Algebra>(
         &self,
         algebra: &A,
@@ -429,15 +478,6 @@ impl Fo2Prepared {
         eval: impl Fn(&BoundBranchIn<A::Elem>, bool) -> Result<(A::Elem, CellSumStats), Interrupt>
             + Sync,
     ) -> Result<(A::Elem, Fo2Stats), Interrupt> {
-        // n = 0: there is exactly one (empty) structure; its weight is 1.
-        if n == 0 {
-            let value = if evaluate(&self.sentence, &Structure::empty(0)) {
-                algebra.one()
-            } else {
-                algebra.zero()
-            };
-            return Ok((value, Fo2Stats::default()));
-        }
         wfomc_guard::failpoint("fo2.bind")?;
         guard.check("fo2.bind")?;
         let bound = bind();
@@ -678,9 +718,10 @@ mod tests {
                     let (value, stats) = prepared
                         .count(n, &weights, true, &Guard::unarmed())
                         .unwrap();
-                    let (one_shot, one_shot_stats) =
-                        super::super::wfomc_fo2_with_stats(&sentence, &voc, n, &weights)
-                            .expect("FO² applies");
+                    let (one_shot, one_shot_stats) = Fo2Prepared::prepare(&sentence, &voc)
+                        .expect("FO² applies")
+                        .count(n, &weights, true, &Guard::unarmed())
+                        .unwrap();
                     assert_eq!(value, one_shot, "{sentence} at n={n}");
                     assert_eq!(stats, one_shot_stats, "{sentence} stats at n={n}");
                     assert_eq!(

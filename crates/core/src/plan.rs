@@ -1766,6 +1766,59 @@ mod tests {
         }
     }
 
+    /// On the empty domain the structures differ only in their nullary
+    /// atoms. Exact, log and log-batch counts of an FO² plan sum over their
+    /// truth assignments, like enumeration does.
+    #[test]
+    fn fo2_plans_count_the_empty_domain_over_nullary_predicates() {
+        use wfomc_ground::brute_force_wfomc;
+        use wfomc_logic::algebra::LogF64;
+        use wfomc_logic::builders::{atom, forall, not, or};
+
+        let p = || atom("P", &[]);
+        let r = || atom("R", &["x"]);
+        let p_weights = Weights::from_ints([("P", 3, 5)]);
+        let cases = [
+            (p(), Vocabulary::default(), p_weights.clone(), 3),
+            (not(p()), Vocabulary::default(), p_weights.clone(), 5),
+            (
+                forall(["x"], or(vec![p(), r()])),
+                Vocabulary::default(),
+                p_weights,
+                8,
+            ),
+            (
+                forall(["x"], r()),
+                Vocabulary::from_pairs([("Q", 0)]),
+                Weights::from_ints([("Q", 2, 3)]),
+                5,
+            ),
+        ];
+        for (sentence, extra, weights, expected) in cases {
+            let vocabulary = extra.extended_with(&sentence.vocabulary());
+            let truth = brute_force_wfomc(&sentence, &vocabulary, 0, &weights);
+            assert_eq!(truth, weight_int(expected), "{sentence}");
+            let plan = Problem::new(sentence.clone())
+                .with_vocabulary(vocabulary)
+                .plan()
+                .unwrap();
+            assert_eq!(plan.method(), Method::Fo2, "{sentence}");
+            assert_eq!(plan.count(0, &weights).unwrap().value, truth, "{sentence}");
+            let want = LogF64.from_weight(&truth);
+            let log = plan
+                .count_in(0, &LogF64, &AlgebraWeights::lift(&LogF64, &weights))
+                .unwrap();
+            let batch = plan.count_batch_log(&[(0, weights.clone()), (0, Weights::ones())]);
+            for got in [log, batch[0].clone().unwrap()] {
+                assert_eq!(got.signum(), want.signum(), "{sentence}: {got}");
+                assert!(
+                    (got.ln_abs() - want.ln_abs()).abs() < 1e-12,
+                    "{sentence}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn count_batch_log_with_limits_reports_exhaustion_per_point() {
         let plan = Problem::new(catalog::table1_sentence()).plan().unwrap();

@@ -178,8 +178,8 @@ impl SolverReport {
     }
 
     /// Machine-readable JSON under the stable `wfomc-report/v1` schema — the
-    /// one report format shared by the `repro` harness, `repro trace`, and
-    /// the `wfomc-serve` wire protocol (instead of three ad-hoc layouts).
+    /// one report format shared by the `repro` harness and the `wfomc-serve`
+    /// wire protocol.
     ///
     /// Layout: `schema` first (mirroring `wfomc-obs/v1`), then every other
     /// key in sorted order. Optional sections serialize as `null` when
@@ -313,7 +313,7 @@ pub struct Solver {
     /// Propositional backend for the grounded fallback.
     pub ground_backend: WmcBackend,
     /// Whether lifted methods are tried at all (disable to force grounding,
-    /// used by the benchmark baselines).
+    /// e.g. to cross-check a lifted count).
     pub use_lifted: bool,
     /// Bound on the plan's per-domain-size grounding cache (lineage plus
     /// lazily compiled d-DNNF): `Some(k)` keeps the `k` most recently used
@@ -358,7 +358,7 @@ impl SolverBuilder {
     }
 
     /// Whether lifted methods are tried at all (disable to force grounding,
-    /// used by the benchmark baselines).
+    /// e.g. to cross-check a lifted count).
     pub fn lifted(mut self, enabled: bool) -> Self {
         self.solver.use_lifted = enabled;
         self
@@ -421,14 +421,14 @@ impl Solver {
         match self.plan(&problem) {
             Ok(plan) => plan.count(n, weights),
             // Method selection is n-independent, but `n = 0` is not: the
-            // empty domain has exactly one (empty) structure, so the lifted
-            // dispatch answers *any* sentence there — preserve that for
-            // lifted-only solvers on sentences no lifted method covers.
+            // empty domain has only the 2^#nullary structures that differ in
+            // the nullary atoms, so a lifted-only solver answers *any*
+            // sentence there by enumerating them.
             Err(LiftError::PatternMismatch { .. }) if n == 0 && self.use_lifted => {
-                let (value, stats) =
-                    crate::fo2::wfomc_fo2_with_stats(sentence, vocabulary, 0, weights)?;
+                let vocabulary = vocabulary.extended_with(&sentence.vocabulary());
+                let value = wfomc_ground::brute_force_wfomc(sentence, &vocabulary, 0, weights);
                 Ok(SolverReport {
-                    fo2_stats: Some(stats),
+                    fo2_stats: Some(Fo2Stats::default()),
                     ..SolverReport::new(value, Method::Fo2)
                 })
             }
@@ -537,14 +537,23 @@ mod tests {
 
     #[test]
     fn lifted_only_solver_still_answers_any_sentence_at_n_zero() {
-        // The empty domain has exactly one structure, so even sentences
-        // outside every lifted fragment are answered without grounding.
+        // The empty domain has one structure per truth assignment of the
+        // nullary atoms, so even sentences outside every lifted fragment
+        // are answered without grounding.
         let solver = Solver::builder().ground_fallback(false).build();
         let report = solver.fomc(&catalog::transitivity(), 0).unwrap();
         assert_eq!(report.value, weight_int(1));
         // An existential sentence is false on the empty domain.
         let exists = catalog::exists_unary();
         assert_eq!(solver.fomc(&exists, 0).unwrap().value, weight_int(0));
+        // A nullary atom keeps its weight: only the P-true structure counts.
+        let with_p = wfomc_logic::builders::and(vec![
+            catalog::transitivity(),
+            wfomc_logic::builders::atom("P", &[]),
+        ]);
+        let weights = Weights::from_ints([("P", 3, 5)]);
+        let report = solver.wfomc(&with_p, &with_p.vocabulary(), 0, &weights);
+        assert_eq!(report.unwrap().value, weight_int(3));
     }
 
     #[test]

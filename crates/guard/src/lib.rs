@@ -220,7 +220,8 @@ impl std::error::Error for Interrupt {}
 /// [`CancelToken`], then shared by reference across worker threads (all
 /// state is atomic). When nothing is armed every method short-circuits on a
 /// plain boolean, so ungoverned solves run the guarded code path with an
-/// unarmed guard at no measurable cost (see `BENCH_guard.json`).
+/// unarmed guard. That path is the only one, so the benchmark's A/B run
+/// (`scripts/perf_ab.sh`) bounds its cost end to end.
 #[derive(Debug)]
 pub struct Guard {
     armed: bool,

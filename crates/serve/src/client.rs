@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client for the service's own wire format.
 //!
-//! Exists so the CLI subcommands, the integration tests, and the
-//! `serve_time` benchmark all speak to the daemon through one code path —
+//! Exists so the CLI subcommands and the integration tests speak to the
+//! daemon through one code path —
 //! and so the doctests can exercise a real socket round-trip without curl.
 //! It leans on the server's `Connection: close` contract: write one
 //! request, read to EOF, split head from body.

@@ -79,7 +79,6 @@ pub mod prelude {
     pub use wfomc_circuit::{CompileStats, CompiledCnf};
     pub use wfomc_core::closed_form;
     pub use wfomc_core::cq::{chain_probability, gamma_acyclic_wfomc, query_hypergraph};
-    pub use wfomc_core::fo2::wfomc_fo2;
     pub use wfomc_core::fo2::Fo2Prepared;
     pub use wfomc_core::normal::{
         remove_equality, remove_negation, skolemize, wfomc_via_equality_removal,
