@@ -75,14 +75,11 @@ fn bench_lifted_workloads(c: &mut Criterion) {
     });
 
     // Circuit evaluation: one compiled d-DNNF, exact weight sweep.
-    let solver = Solver::builder()
-        .ground_backend(WmcBackend::Circuit)
-        .build();
-    let plan = solver
-        .plan(&Problem::new(catalog::transitivity()))
+    let plan = Problem::new(catalog::transitivity())
+        .plan()
         .expect("transitivity plans");
     let points: Vec<(usize, Weights)> = (0..16)
-        .map(|i| (3, Weights::from_ints([("R", i + 1, 1)])))
+        .map(|i| (3, Weights::from_ints([("E", i + 1, 1)])))
         .collect();
     group.bench_function("circuit/eval-sweep-16", |b| {
         b.iter(|| {

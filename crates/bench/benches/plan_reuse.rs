@@ -15,7 +15,8 @@ use wfomc_bench::plan_reuse_workloads;
 fn bench_plan_reuse(c: &mut Criterion) {
     let k = 8;
     let mut group = c.benchmark_group("plan_reuse");
-    for (name, solver, sentence, points) in plan_reuse_workloads(k) {
+    for (name, sentence, points) in plan_reuse_workloads(k) {
+        let solver = Solver::new();
         let voc = sentence.vocabulary();
         group.bench_with_input(BenchmarkId::new("one-shot", name), &(), |b, _| {
             b.iter(|| {

@@ -318,7 +318,8 @@ fn plan_reuse_with_k(k: usize) {
         "plan ms",
         "speedup"
     );
-    for (name, solver, sentence, points) in plan_reuse_workloads(k) {
+    for (name, sentence, points) in plan_reuse_workloads(k) {
+        let solver = Solver::new();
         let voc = sentence.vocabulary();
         let start = Instant::now();
         let one_shot: Vec<_> = points

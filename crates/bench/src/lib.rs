@@ -78,9 +78,7 @@ pub fn fo2_scaling_workload() -> Formula {
 /// `plan_reuse` Criterion bench and the repro harness's `plan-reuse`
 /// experiment measure exactly these inputs.
 #[allow(clippy::type_complexity)]
-pub fn plan_reuse_workloads(
-    k: usize,
-) -> Vec<(&'static str, Solver, Formula, Vec<(usize, Weights)>)> {
+pub fn plan_reuse_workloads(k: usize) -> Vec<(&'static str, Formula, Vec<(usize, Weights)>)> {
     let weights = standard_weights();
     // Four binary predicates make the analysis the dominant cost: the pair
     // tables check 4⁴ cross assignments per cell pair (each a matrix
@@ -102,14 +100,12 @@ pub fn plan_reuse_workloads(
         // FO²: one sentence asked at k (small, cycling) domain sizes.
         (
             "fo2/quad-binary-n-sweep",
-            Solver::new(),
             quad_binary.clone(),
             (0..k).map(|i| (1 + i % 6, weights.clone())).collect(),
         ),
         // FO²: a weight sweep at fixed n (the interpolation / MLN pattern).
         (
             "fo2/quad-binary-weight-sweep",
-            Solver::new(),
             quad_binary,
             (0..k)
                 .map(|i| {
@@ -123,7 +119,6 @@ pub fn plan_reuse_workloads(
         // FO²: the running example's weight sweep, cheap analysis and all.
         (
             "fo2/table1-weight-sweep",
-            Solver::new(),
             catalog::table1_sentence(),
             (0..k)
                 .map(|i| {
@@ -137,7 +132,6 @@ pub fn plan_reuse_workloads(
         // QS4: weight sweep on the dynamic program.
         (
             "qs4/weight-sweep",
-            Solver::new(),
             catalog::qs4(),
             (0..k)
                 .map(|i| (10, Weights::from_ints([("S", i as i64 + 1, 2)])))
@@ -146,19 +140,15 @@ pub fn plan_reuse_workloads(
         // γ-acyclic CQ: domain-size sweep sharing one reduction memo.
         (
             "cq/chain3-n-sweep",
-            Solver::new(),
             catalog::chain_query(3).to_formula(),
             (0..k).map(|i| (4 + i, weights.clone())).collect(),
         ),
-        // Ground (circuit backend): weight sweep on one compiled circuit.
+        // Ground: weight sweep on one compiled circuit.
         (
             "ground/transitivity-weight-sweep",
-            Solver::builder()
-                .ground_backend(WmcBackend::Circuit)
-                .build(),
             catalog::transitivity(),
             (0..k)
-                .map(|i| (3, Weights::from_ints([("R", i as i64 + 1, 1)])))
+                .map(|i| (3, Weights::from_ints([("E", i as i64 + 1, 1)])))
                 .collect(),
         ),
     ]
@@ -264,11 +254,11 @@ mod tests {
             "fo2/quad-binary-n-sweep",
             "ground/transitivity-weight-sweep",
         ] {
-            let (_, solver, sentence, points) = workloads
+            let (_, sentence, points) = workloads
                 .iter()
                 .find(|(name, ..)| *name == workload)
                 .expect("a known plan-reuse workload");
-            let plan = solver.plan(&Problem::new(sentence.clone())).unwrap();
+            let plan = Problem::new(sentence.clone()).plan().unwrap();
             for (n, w) in points {
                 let _ = plan.count(*n, w).unwrap();
             }
@@ -284,9 +274,9 @@ mod tests {
 
     #[test]
     fn plan_reuse_workloads_plan_to_their_advertised_methods() {
-        for (name, solver, sentence, points) in plan_reuse_workloads(3) {
+        for (name, sentence, points) in plan_reuse_workloads(3) {
             assert_eq!(points.len(), 3, "{name}");
-            let plan = solver.plan(&Problem::new(sentence)).unwrap();
+            let plan = Problem::new(sentence).plan().unwrap();
             let method = name.split('/').next().unwrap();
             let expected = match method {
                 "fo2" => Method::Fo2,

@@ -135,9 +135,11 @@ pub fn compile(num_vars: usize, clauses: &[Vec<CLit>]) -> CompiledCnf {
 }
 
 /// [`compile`] under a resource [`Guard`]: the identical trace-based
-/// compilation, ticking the guard once per sub-problem and per decision. An
-/// interrupt abandons the partial arena (nothing is shared), so callers can
-/// simply retry with a larger budget.
+/// compilation, ticking the guard once per sub-problem and per decision,
+/// and checking the arena's size (circuit nodes plus cached components)
+/// against the guard's memory-estimate cap before each sub-problem grows it.
+/// An interrupt abandons the partial arena (nothing is shared), so callers
+/// can simply retry with a larger budget.
 ///
 /// # Panics
 /// Panics if a clause mentions a variable `>= num_vars`.
@@ -246,6 +248,8 @@ impl Compiler<'_> {
             return Ok(hit);
         }
         self.guard.tick(PHASE, 1)?;
+        self.guard
+            .check_mem(PHASE, (self.circuit.len() + self.cache.len()) as u64)?;
 
         // Unit propagation; each propagated literal becomes a conjunct.
         let mut parts: Vec<NodeId> = Vec::new();

@@ -32,7 +32,6 @@ use wfomc_logic::vocabulary::{Predicate, Vocabulary};
 use wfomc_logic::weights::{weight_int, Weight, Weights};
 
 use crate::plan::Problem;
-use crate::solver::Solver;
 
 /// The equality-free rewriting of a sentence.
 #[derive(Clone, Debug)]
@@ -94,10 +93,8 @@ pub fn wfomc_via_equality_removal(
     let problem = Problem::new(rewritten.formula.clone())
         .with_vocabulary(rewritten.vocabulary.clone())
         .with_weights(weights.clone());
-    let plan = Solver::builder()
-        .ground_backend(wfomc_prop::WmcBackend::Circuit)
-        .build()
-        .plan(&problem)
+    let plan = problem
+        .plan()
         .expect("the rewritten sentence is closed and the grounded fallback always applies");
 
     let poly_weights = lift_with_indeterminate(weights, rewritten.equality_predicate.name());
@@ -125,13 +122,11 @@ pub fn wfomc_via_equality_removal_interpolated(
     let problem = Problem::new(rewritten.formula.clone())
         .with_vocabulary(rewritten.vocabulary.clone())
         .with_weights(weights.clone());
-    // The circuit backend makes the grounded path compile-once too: plans
-    // cache one d-DNNF per domain size, so a non-FO² rewrite costs one
-    // compilation plus n² + 1 linear evaluations.
-    let plan = Solver::builder()
-        .ground_backend(wfomc_prop::WmcBackend::Circuit)
-        .build()
-        .plan(&problem)
+    // The grounded path is compile-once too: plans cache one d-DNNF per
+    // domain size, so a non-FO² rewrite costs one compilation plus n² + 1
+    // linear evaluations.
+    let plan = problem
+        .plan()
         .expect("the rewritten sentence is closed and the grounded fallback always applies");
 
     let degree = n * n;

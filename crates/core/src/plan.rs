@@ -29,8 +29,8 @@
 //! * **γ-acyclic CQ** — the recognized query plus exact reduction tables,
 //!   one per probability vector, reused across counts and domain sizes;
 //!   every algebra runs the same Theorem 3.6 reduction.
-//! * **Ground** — a domain-size-keyed cache of groundings, each with a
-//!   lazily compiled d-DNNF circuit for the circuit backend.
+//! * **Ground** — a domain-size-keyed cache of groundings, each compiled
+//!   once to a d-DNNF circuit that every count at that size evaluates.
 //!
 //! [`crate::Solver::wfomc`] is a one-shot plan-then-count, so the dispatch
 //! logic lives here exactly once.
@@ -155,7 +155,7 @@ enum PlanState {
 }
 
 /// One cached grounding: the lineage at a fixed domain size, with the d-DNNF
-/// circuit compiled lazily on the first circuit-backend evaluation.
+/// circuit compiled on the first count at that size.
 #[derive(Debug)]
 struct GroundInstance {
     lineage: Lineage,
@@ -576,11 +576,10 @@ impl Plan {
         allow_parallel: bool,
         guard: &Guard,
     ) -> Result<A::Elem, SolveError> {
-        let backend = self.solver.ground_backend;
         self.count_in_planned(n, algebra, weights, allow_parallel, guard)
             .or_else(|e| {
                 self.or_ground(e, || {
-                    self.ground_count_in_guarded(n, algebra, weights, backend, guard)
+                    self.ground_count_in_guarded(n, algebra, weights, guard)
                 })
             })
     }
@@ -611,9 +610,7 @@ impl Plan {
                 &gamma_acyclic_wfomc_in(query, n, algebra, weights, guard)?,
                 &predicate_factor_in(extra, n, algebra, weights),
             )),
-            PlanState::Ground => {
-                self.ground_count_in_guarded(n, algebra, weights, self.solver.ground_backend, guard)
-            }
+            PlanState::Ground => self.ground_count_in_guarded(n, algebra, weights, guard),
         }
     }
 
@@ -754,9 +751,8 @@ impl Plan {
                         .to_string(),
                 );
                 details.push(format!(
-                    "counts ground per domain size with backend {:?}; {} grounding(s) cached, \
-                     circuit-backend evaluations compile one d-DNNF per domain size",
-                    self.solver.ground_backend,
+                    "the first count at each domain size grounds and compiles one d-DNNF; \
+                     every count evaluates that circuit, in any algebra; {} grounding(s) cached",
                     self.ground.len(),
                 ));
             }
@@ -801,14 +797,10 @@ impl Plan {
                         let value = value * predicate_factor_in(extra, n, &Exact, &lifted);
                         SolverReport::new(value, Method::GammaAcyclicCq)
                     }
-                    Err(e) => self.or_ground(e, || {
-                        self.ground_count_guarded(n, weights, self.solver.ground_backend, guard)
-                    })?,
+                    Err(e) => self.or_ground(e, || self.ground_count_guarded(n, weights, guard))?,
                 }
             }
-            PlanState::Ground => {
-                self.ground_count_guarded(n, weights, self.solver.ground_backend, guard)?
-            }
+            PlanState::Ground => self.ground_count_guarded(n, weights, guard)?,
         };
         report.cache = Some(self.cache_stats());
         Ok(report)
@@ -832,30 +824,47 @@ impl Plan {
 
     /// One exact grounded evaluation: the [`Exact`] instance of
     /// [`ground_count_in_guarded`](Self::ground_count_in_guarded), reported.
-    /// `backend` is explicit (rather than read from the solver) so the
-    /// degradation chain can force cheaper backends through the same caches.
     fn ground_count_guarded(
         &self,
         n: usize,
         weights: &Weights,
-        backend: WmcBackend,
         guard: &Guard,
     ) -> Result<SolverReport, SolveError> {
         let lifted = AlgebraWeights::lift(&Exact, weights);
-        let value = self.ground_count_in_guarded(n, &Exact, &lifted, backend, guard)?;
-        Ok(SolverReport {
-            backend: Some(backend),
-            ..SolverReport::new(value, Method::Ground)
-        })
+        let value = self.ground_count_in_guarded(n, &Exact, &lifted, guard)?;
+        Ok(ground_report(value, WmcBackend::Circuit))
+    }
+
+    /// The degradation chain's last stage: one exact DPLL search over the
+    /// cached lineage, which needs no circuit and so stays within budgets a
+    /// compilation cannot meet.
+    fn ground_dpll_guarded(
+        &self,
+        n: usize,
+        weights: &Weights,
+        guard: &Guard,
+    ) -> Result<SolverReport, SolveError> {
+        guard.check("plan.ground")?;
+        let instance = self.ground_instance_guarded(n, guard)?;
+        let lifted = AlgebraWeights::lift(&Exact, weights);
+        let value = wmc_formula_via_in(
+            &instance.lineage.prop,
+            &Exact,
+            &instance.lineage.weights_in(&Exact, &lifted),
+            WmcBackend::Dpll,
+            guard,
+        )?;
+        Ok(ground_report(value, WmcBackend::Dpll))
     }
 
     /// [`count_with_limits`](Self::count_with_limits) with graceful
     /// degradation: when the planned method exhausts its sub-budget, cheaper
     /// stages of `policy` (grounded d-DNNF compilation, then plain DPLL) are
     /// tried in turn, each under its own sub-budget and the same optional
-    /// cancellation token. A degraded answer is still *exact* — the stages
-    /// trade the plan's preferred asymptotics for predictable worst-case
-    /// behavior at small `n` — and is flagged via
+    /// cancellation token. A Ground plan skips the compilation stage: its
+    /// primary stage already ran that compilation. A degraded answer is
+    /// still *exact* — the stages trade the plan's preferred asymptotics for
+    /// predictable worst-case behavior at small `n` — and is flagged via
     /// [`SolverReport::degraded`].
     ///
     /// Algorithmic errors (and a raised token) abort the chain immediately;
@@ -874,14 +883,20 @@ impl Plan {
             Err(e) if e.is_exhaustion() && !matches!(e, SolveError::Cancelled { .. }) => e,
             Err(e) => return Err(e),
         };
-        let stages = [
-            (WmcBackend::Circuit, policy.circuit.as_ref()),
-            (WmcBackend::Dpll, policy.dpll.as_ref()),
+        // A Ground plan's primary stage was this compilation already.
+        let circuit = policy
+            .circuit
+            .as_ref()
+            .filter(|_| !matches!(self.state, PlanState::Ground));
+        type Stage = fn(&Plan, usize, &Weights, &Guard) -> Result<SolverReport, SolveError>;
+        let stages: [(Option<&ExecutionLimits>, Stage); 2] = [
+            (circuit, Plan::ground_count_guarded),
+            (policy.dpll.as_ref(), Plan::ground_dpll_guarded),
         ];
-        for (backend, limits) in stages {
+        for (limits, stage) in stages {
             let Some(limits) = limits else { continue };
             let guard = Guard::new(limits, cancel.clone());
-            match self.ground_count_guarded(n, weights, backend, &guard) {
+            match stage(self, n, weights, &guard) {
                 Ok(mut report) => {
                     report.degraded = true;
                     report.cache = Some(self.cache_stats());
@@ -904,8 +919,8 @@ impl Plan {
     /// * **QS4** runs its dynamic program over the ring;
     /// * **FO²** binds the algebra-valued weights to the prepared cells and
     ///   signature multisets and runs the prefix-sharing engine;
-    /// * **Ground** evaluates the cached lineage (or compiled d-DNNF, for
-    ///   the circuit backend) in the ring;
+    /// * **Ground** evaluates the d-DNNF compiled once per domain size in
+    ///   the ring;
     /// * **γ-acyclic CQ** runs the Theorem 3.6 reduction over the ring, with
     ///   one [`Algebra::try_div`] per predicate for its tuple probability.
     ///   When that division fails (`w + w̄ = 0`, or a polynomial that does
@@ -988,17 +1003,17 @@ impl Plan {
     }
 
     /// One grounded evaluation in an arbitrary algebra under a resource
-    /// [`Guard`]. The lineage is cached per domain size, and the circuit
-    /// backend additionally caches a compiled d-DNNF per `n` (publishing
-    /// only *completed* circuits), so repeated counts cost one linear
-    /// circuit pass each and compiling once serves every ring. Grounding,
-    /// compilation and the DPLL / enumeration counters are all metered.
+    /// [`Guard`] — the path of every grounded count. The lineage is cached
+    /// per domain size and compiled once to a d-DNNF (publishing only
+    /// *completed* circuits), so repeated counts cost one linear circuit
+    /// pass each and compiling once serves every ring. Grounding and
+    /// compilation honor the guard's deadline, work cap, memory-estimate
+    /// cap and cancellation; the circuit pass itself is unmetered.
     fn ground_count_in_guarded<A: Algebra>(
         &self,
         n: usize,
         algebra: &A,
         weights: &AlgebraWeights<A>,
-        backend: WmcBackend,
         guard: &Guard,
     ) -> Result<A::Elem, SolveError> {
         // Fail fast on an expired budget even when everything below is
@@ -1006,30 +1021,18 @@ impl Plan {
         // same way `count_point_guarded` honors the solve budget.
         guard.check("plan.ground")?;
         let instance = self.ground_instance_guarded(n, guard)?;
-        Ok(match backend {
-            WmcBackend::Circuit => {
-                // `OnceLock::get_or_init` cannot carry the interrupt out, so
-                // compile first and publish only a *completed* circuit; a
-                // concurrent winner's circuit is identical, so dropping the
-                // loser is just wasted work, never wrong.
-                let compiled = match instance.compiled.get() {
-                    Some(compiled) => compiled,
-                    None => {
-                        let built =
-                            CompiledWfomc::from_lineage_guarded(instance.lineage.clone(), guard)?;
-                        instance.compiled.get_or_init(|| built)
-                    }
-                };
-                compiled.wfomc_in(algebra, weights)
+        // `OnceLock::get_or_init` cannot carry the interrupt out, so compile
+        // first and publish only a *completed* circuit; a concurrent winner's
+        // circuit is identical, so dropping the loser is just wasted work,
+        // never wrong.
+        let compiled = match instance.compiled.get() {
+            Some(compiled) => compiled,
+            None => {
+                let built = CompiledWfomc::from_lineage_guarded(instance.lineage.clone(), guard)?;
+                instance.compiled.get_or_init(|| built)
             }
-            backend => wmc_formula_via_in(
-                &instance.lineage.prop,
-                algebra,
-                &instance.lineage.weights_in(algebra, weights),
-                backend,
-                guard,
-            )?,
-        })
+        };
+        Ok(compiled.wfomc_in(algebra, weights))
     }
 }
 
@@ -1096,6 +1099,14 @@ impl DegradePolicy {
             circuit: None,
             dpll: None,
         }
+    }
+}
+
+/// The report of a grounded count computed by `backend`.
+fn ground_report(value: wfomc_logic::weights::Weight, backend: WmcBackend) -> SolverReport {
+    SolverReport {
+        backend: Some(backend),
+        ..SolverReport::new(value, Method::Ground)
     }
 }
 
@@ -1197,22 +1208,10 @@ const SNAP_STATE_FO2: u8 = 1;
 const SNAP_STATE_CQ: u8 = 2;
 const SNAP_STATE_GROUND: u8 = 3;
 
-fn snap_backend_tag(backend: WmcBackend) -> u8 {
-    match backend {
-        WmcBackend::Enumerate => 0,
-        WmcBackend::Dpll => 1,
-        WmcBackend::Circuit => 2,
-    }
-}
-
-fn snap_backend_from(tag: u8) -> snap::SnapResult<WmcBackend> {
-    match tag {
-        0 => Ok(WmcBackend::Enumerate),
-        1 => Ok(WmcBackend::Dpll),
-        2 => Ok(WmcBackend::Circuit),
-        other => Err(snap::SnapError::new(format!("unknown backend tag {other}"))),
-    }
-}
+/// The reserved backend byte: encode writes 2 (Circuit); decode accepts
+/// 0 (Enumerate), 1 (Dpll) and 2 and ignores the value, because every
+/// grounded count compiles.
+const SNAP_BACKEND_CIRCUIT: u8 = 2;
 
 fn snap_encode_vocabulary(enc: &mut snap::Enc, vocabulary: &Vocabulary) {
     enc.usize(vocabulary.len());
@@ -1470,7 +1469,7 @@ impl Plan {
         snap_encode_vocabulary(&mut enc, &self.vocabulary);
         snap::encode_weights(&mut enc, &self.default_weights);
         enc.bool(self.solver.allow_ground_fallback);
-        enc.u8(snap_backend_tag(self.solver.ground_backend));
+        enc.u8(SNAP_BACKEND_CIRCUIT);
         enc.bool(self.solver.use_lifted);
         match self.solver.ground_cache_capacity {
             Some(capacity) => {
@@ -1530,7 +1529,12 @@ impl Plan {
         }
         let default_weights = snap::decode_weights(&mut dec)?;
         let allow_ground_fallback = dec.bool()?;
-        let ground_backend = snap_backend_from(dec.u8()?)?;
+        let backend = dec.u8()?;
+        if backend > SNAP_BACKEND_CIRCUIT {
+            return Err(snap::SnapError::new(format!(
+                "unknown backend tag {backend}"
+            )));
+        }
         let use_lifted = dec.bool()?;
         let ground_cache_capacity = if dec.bool()? {
             Some(dec.usize()?)
@@ -1539,7 +1543,6 @@ impl Plan {
         };
         let solver = Solver {
             allow_ground_fallback,
-            ground_backend,
             use_lifted,
             ground_cache_capacity,
         };
@@ -1856,12 +1859,9 @@ mod tests {
 
     #[test]
     fn ground_plan_reuses_one_circuit_per_domain_size() {
-        let solver = Solver::builder()
-            .ground_backend(WmcBackend::Circuit)
-            .build();
-        let plan = solver.plan(&Problem::new(catalog::transitivity())).unwrap();
-        let w1 = Weights::from_ints([("R", 2, 1)]);
-        let w2 = Weights::from_ints([("R", 1, 3)]);
+        let plan = Problem::new(catalog::transitivity()).plan().unwrap();
+        let w1 = Weights::from_ints([("E", 2, 1)]);
+        let w2 = Weights::from_ints([("E", 1, 3)]);
         let a = plan.count(2, &w1).unwrap();
         let b = plan.count(2, &w2).unwrap();
         assert_eq!(a.backend, Some(WmcBackend::Circuit));
@@ -1893,8 +1893,10 @@ mod tests {
                 .unwrap()
                 .value
         );
+        assert_eq!(plan.snap_stamp(), (1 << 32) | 1, "one compiled grounding");
         let explain = plan.explain().to_string();
         assert!(explain.contains("grounded-wmc"), "{explain}");
+        assert!(explain.contains("compiles one d-DNNF"), "{explain}");
         assert!(explain.contains("1 grounding(s) cached"), "{explain}");
     }
 
@@ -2302,14 +2304,15 @@ mod tests {
     }
 
     #[test]
-    fn work_caps_stop_grounded_dpll_on_the_exact_and_log_batch_paths() {
-        // Transitivity has no lifted method, so the plan grounds and counts
-        // with DPLL. With the n = 4 grounding cached, the DPLL search is the
-        // only metered work left, and the same cap must stop it whether the
-        // point is counted exactly or through a log batch.
+    fn work_caps_stop_grounded_compilation_on_the_exact_and_log_batch_paths() {
+        // Transitivity has no lifted method, so the plan grounds and
+        // compiles. With the n = 4 lineage cached but no circuit yet, the
+        // compilation is the only metered work left, and the same cap must
+        // stop it whether the point is counted exactly or through a log
+        // batch.
         let plan = Problem::new(catalog::transitivity()).plan().unwrap();
         assert_eq!(plan.method(), Method::Ground);
-        let clean = plan.count(4, &Weights::ones()).unwrap().value;
+        plan.ground_instance_guarded(4, &Guard::unarmed()).unwrap();
         let points = [(4, Weights::ones())];
         for cap in [1, 1024, 4096] {
             let limits = ExecutionLimits::none().with_work_cap(cap);
@@ -2320,7 +2323,7 @@ mod tests {
                 matches!(
                     exact,
                     SolveError::WorkCapExceeded {
-                        phase: "prop.dpll",
+                        phase: "circuit.compile",
                         ..
                     }
                 ),
@@ -2331,7 +2334,7 @@ mod tests {
                 matches!(
                     batch[0],
                     Err(SolveError::WorkCapExceeded {
-                        phase: "prop.dpll",
+                        phase: "circuit.compile",
                         ..
                     })
                 ),
@@ -2339,7 +2342,151 @@ mod tests {
                 batch[0]
             );
         }
-        assert_eq!(plan.count(4, &Weights::ones()).unwrap().value, clean);
+        assert_eq!(plan.snap_stamp(), 1 << 32, "no partial circuit is cached");
+        let clean = plan.count(4, &Weights::ones()).unwrap().value;
+        assert_eq!(
+            clean,
+            wfomc_ground::wfomc(
+                &catalog::transitivity(),
+                &catalog::transitivity().vocabulary(),
+                4,
+                &Weights::ones()
+            )
+        );
+        // Once compiled, a count is one unmetered circuit pass: the same
+        // cap no longer stops it.
+        let capped = ExecutionLimits::none().with_work_cap(1);
+        let report = plan
+            .count_with_limits(4, &Weights::ones(), &capped, None)
+            .unwrap();
+        assert_eq!(report.value, clean);
+    }
+
+    #[test]
+    fn mem_estimate_cap_stops_compilation_and_the_plan_recovers() {
+        // The n = 3 lineage has 9 atoms, well under the cap; its circuit
+        // arena outgrows it.
+        let plan = Problem::new(catalog::transitivity()).plan().unwrap();
+        let limits = ExecutionLimits::none().with_mem_estimate_cap(16);
+        let err = plan
+            .count_with_limits(3, &Weights::ones(), &limits, None)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SolveError::MemEstimateExceeded {
+                    phase: "circuit.compile",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(plan.snap_stamp(), 1 << 32, "lineage cached, no circuit");
+        let fresh = Problem::new(catalog::transitivity()).plan().unwrap();
+        assert_eq!(
+            plan.count(3, &Weights::ones()).unwrap().value,
+            fresh.count(3, &Weights::ones()).unwrap().value
+        );
+    }
+
+    #[test]
+    fn count_degraded_answers_an_exhausted_ground_plan_with_dpll() {
+        // The primary stage of a Ground plan is the compilation itself, so
+        // the chain skips its circuit stage and goes straight to DPLL.
+        let plan = Problem::new(catalog::transitivity()).plan().unwrap();
+        let weights = Weights::from_ints([("E", 2, -1)]);
+        let policy = DegradePolicy {
+            primary: ExecutionLimits::none().with_deadline(std::time::Duration::ZERO),
+            // An unbudgeted circuit stage would answer first if it ran.
+            circuit: Some(ExecutionLimits::none()),
+            dpll: Some(ExecutionLimits::none()),
+        };
+        let report = plan.count_degraded(3, &weights, &policy, None).unwrap();
+        assert!(report.degraded);
+        assert_eq!(report.method, Method::Ground);
+        assert_eq!(report.backend, Some(WmcBackend::Dpll));
+        let vocabulary = catalog::transitivity().vocabulary();
+        assert_eq!(
+            report.value,
+            wfomc_ground::brute_force_wfomc(&catalog::transitivity(), &vocabulary, 3, &weights)
+        );
+        assert_eq!(
+            plan.snap_stamp(),
+            1 << 32,
+            "the DPLL stage compiles nothing"
+        );
+        // Without a DPLL stage the primary's exhaustion surfaces.
+        let no_dpll = DegradePolicy {
+            dpll: None,
+            ..policy
+        };
+        let err = plan
+            .count_degraded(3, &weights, &no_dpll, None)
+            .unwrap_err();
+        assert!(matches!(err, SolveError::DeadlineExceeded { .. }), "{err}");
+    }
+
+    /// Weight functions for the grounded differential test: positive,
+    /// zero, and negative `w̄`.
+    fn grounded_weight_functions() -> Vec<Weights> {
+        vec![
+            Weights::ones(),
+            Weights::from_ints([("E", 3, 2), ("R", 2, 1), ("S", 1, 3)]),
+            Weights::from_ints([("E", 1, -1), ("R", 1, -1), ("S", 2, -3)]),
+            Weights::from_ints([("E", -2, 3), ("R", -2, 3), ("S", 1, 0)]),
+        ]
+    }
+
+    #[test]
+    fn grounded_plans_match_brute_force_in_every_entry_point() {
+        use wfomc_ground::brute_force_wfomc;
+        // Transitivity and triangles have no lifted method; the third
+        // sentence grounds because lifting is off. Every weight function
+        // but the first has a negative or zero w̄ on some predicate.
+        let grounded_fo2 =
+            wfomc_logic::parser::parse("forall x. exists y. (R(x,y) & ~S(y))").unwrap();
+        let lifted_off = Solver::builder().lifted(false).build();
+        let sentences = [
+            (catalog::transitivity(), Solver::new()),
+            (catalog::untyped_triangles(), Solver::new()),
+            (grounded_fo2, lifted_off),
+        ];
+        for (sentence, solver) in sentences {
+            let plan = solver.plan(&Problem::new(sentence.clone())).unwrap();
+            assert_eq!(plan.method(), Method::Ground, "{sentence}");
+            let vocabulary = plan.vocabulary().clone();
+            for n in 1..=3 {
+                let points: Vec<(usize, Weights)> = grounded_weight_functions()
+                    .into_iter()
+                    .map(|w| (n, w))
+                    .collect();
+                let lanes = plan.count_batch_log(&points);
+                for ((_, weights), lane) in points.iter().zip(lanes) {
+                    let brute = brute_force_wfomc(&sentence, &vocabulary, n, weights);
+                    let report = plan.count(n, weights).unwrap();
+                    assert_eq!(report.value, brute, "{sentence} at n={n}");
+                    assert_eq!(report.backend, Some(WmcBackend::Circuit));
+                    let lifted = AlgebraWeights::lift(&LogF64, weights);
+                    let scalar = plan.count_in(n, &LogF64, &lifted).unwrap();
+                    let lane = lane.unwrap();
+                    assert_eq!(
+                        (lane.ln_abs().to_bits(), lane.signum()),
+                        (scalar.ln_abs().to_bits(), scalar.signum()),
+                        "{sentence} at n={n}: lane vs scalar"
+                    );
+                    // Float cancellation is relative to the terms, not the sum.
+                    let tolerance = 1e-9 * ln_term_scale(&vocabulary, weights, n).exp();
+                    let expected = LogF64.from_weight(&brute).to_f64();
+                    assert!(
+                        (scalar.to_f64() - expected).abs() <= tolerance,
+                        "{sentence} at n={n}: {scalar} vs {expected}"
+                    );
+                }
+            }
+            let (hits, misses, cached) = plan.ground.stats();
+            assert_eq!((misses, cached), (3, 3), "{sentence}: one grounding per n");
+            assert!(hits > 0);
+        }
     }
 
     #[test]
@@ -2434,16 +2581,14 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_preserves_ground_cache_and_circuits() {
-        let mut solver = Solver::new();
-        solver.ground_backend = WmcBackend::Circuit;
-        let plan = solver.plan(&Problem::new(catalog::transitivity())).unwrap();
-        let weights = Weights::from_ints([("R", 2, 1)]);
+        let plan = Problem::new(catalog::transitivity()).plan().unwrap();
+        let weights = Weights::from_ints([("E", 2, 1)]);
         // Populate the ground cache and compile a circuit per domain size.
         for n in 0..=2 {
             let _ = plan.count(n, &weights).unwrap();
         }
         let stamp = plan.snap_stamp();
-        assert_ne!(stamp, 0, "counts populated the cache");
+        assert_eq!(stamp, (3 << 32) | 3, "every count compiled its grounding");
 
         let bytes = plan.snap_encode();
         let decoded = Plan::snap_decode(&bytes).expect("round trip");
@@ -2459,6 +2604,51 @@ mod tests {
             let cache = fresh.cache.expect("plan counts report cache stats");
             assert_eq!(cache.ground_misses, 0, "decoded cache serves n={n}");
         }
+    }
+
+    /// Byte offset of the reserved backend byte in a plan's snapshot: it
+    /// follows the sentence, vocabulary, default weights and fallback flag.
+    fn snap_backend_offset(plan: &Plan) -> usize {
+        let mut enc = snap::Enc::new();
+        snap::encode_formula(&mut enc, &plan.sentence);
+        snap_encode_vocabulary(&mut enc, &plan.vocabulary);
+        snap::encode_weights(&mut enc, &plan.default_weights);
+        enc.bool(plan.solver.allow_ground_fallback);
+        enc.into_bytes().len()
+    }
+
+    #[test]
+    fn snapshot_backend_byte_is_reserved_and_old_dpll_snapshots_count_the_same() {
+        let plan = Problem::new(catalog::transitivity()).plan().unwrap();
+        let weights = Weights::from_ints([("E", 3, -2)]);
+        let expected = plan.count(2, &weights).unwrap().value;
+        let bytes = plan.snap_encode();
+        let at = snap_backend_offset(&plan);
+        assert_eq!(
+            bytes[at], SNAP_BACKEND_CIRCUIT,
+            "encode writes the Circuit tag"
+        );
+        // A snapshot written when the plan's backend was Enumerate (0) or
+        // Dpll (1) decodes to the same plan and counts the same.
+        for old_tag in [0u8, 1] {
+            let mut old = bytes.clone();
+            old[at] = old_tag;
+            let decoded = Plan::snap_decode(&old).expect("old backend tags still decode");
+            let report = decoded.count(2, &weights).unwrap();
+            assert_eq!(report.value, expected);
+            assert_eq!(report.backend, Some(WmcBackend::Circuit));
+            assert_eq!(
+                report.cache.unwrap().ground_misses,
+                0,
+                "the snapshot's compiled circuit serves the count"
+            );
+            // Re-encoding normalizes the reserved byte.
+            assert_eq!(decoded.snap_encode(), bytes);
+        }
+        // An unknown tag is still rejected.
+        let mut bad = bytes;
+        bad[at] = 3;
+        assert!(Plan::snap_decode(&bad).is_err());
     }
 
     #[test]

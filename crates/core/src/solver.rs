@@ -310,8 +310,6 @@ impl std::fmt::Display for SolverReport {
 pub struct Solver {
     /// Whether to fall back to grounding when no lifted method applies.
     pub allow_ground_fallback: bool,
-    /// Propositional backend for the grounded fallback.
-    pub ground_backend: WmcBackend,
     /// Whether lifted methods are tried at all (disable to force grounding,
     /// e.g. to cross-check a lifted count).
     pub use_lifted: bool,
@@ -326,7 +324,6 @@ impl Default for Solver {
     fn default() -> Self {
         Solver {
             allow_ground_fallback: true,
-            ground_backend: WmcBackend::Dpll,
             use_lifted: true,
             ground_cache_capacity: None,
         }
@@ -338,12 +335,9 @@ impl Default for Solver {
 ///
 /// ```
 /// use wfomc_core::Solver;
-/// use wfomc_prop::WmcBackend;
 ///
-/// let solver = Solver::builder()
-///     .ground_backend(WmcBackend::Circuit)
-///     .build();
-/// assert_eq!(solver.ground_backend, WmcBackend::Circuit);
+/// let solver = Solver::builder().ground_cache_capacity(4).build();
+/// assert_eq!(solver.ground_cache_capacity, Some(4));
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolverBuilder {
@@ -351,8 +345,10 @@ pub struct SolverBuilder {
 }
 
 impl SolverBuilder {
-    /// Starts from the default configuration (lifted methods first, grounded
-    /// fallback enabled, DPLL backend).
+    /// Starts from the default configuration: lifted methods first, grounded
+    /// fallback enabled, unbounded grounding cache. A grounded count
+    /// compiles its lineage to a d-DNNF once per domain size and evaluates
+    /// that circuit for every weight function.
     pub fn new() -> Self {
         SolverBuilder::default()
     }
@@ -368,13 +364,6 @@ impl SolverBuilder {
     /// (disable to make the solver error instead).
     pub fn ground_fallback(mut self, enabled: bool) -> Self {
         self.solver.allow_ground_fallback = enabled;
-        self
-    }
-
-    /// The propositional backend for grounded evaluations (e.g.
-    /// [`WmcBackend::Circuit`] for knowledge compilation).
-    pub fn ground_backend(mut self, backend: WmcBackend) -> Self {
-        self.solver.ground_backend = backend;
         self
     }
 
@@ -423,13 +412,13 @@ impl Solver {
             // Method selection is n-independent, but `n = 0` is not: the
             // empty domain has only the 2^#nullary structures that differ in
             // the nullary atoms, so a lifted-only solver answers *any*
-            // sentence there by enumerating them.
+            // sentence there by enumerating them, and reports that it did.
             Err(LiftError::PatternMismatch { .. }) if n == 0 && self.use_lifted => {
                 let vocabulary = vocabulary.extended_with(&sentence.vocabulary());
                 let value = wfomc_ground::brute_force_wfomc(sentence, &vocabulary, 0, weights);
                 Ok(SolverReport {
-                    fo2_stats: Some(Fo2Stats::default()),
-                    ..SolverReport::new(value, Method::Fo2)
+                    backend: Some(WmcBackend::Enumerate),
+                    ..SolverReport::new(value, Method::Ground)
                 })
             }
             Err(e) => Err(e),
@@ -543,6 +532,11 @@ mod tests {
         let solver = Solver::builder().ground_fallback(false).build();
         let report = solver.fomc(&catalog::transitivity(), 0).unwrap();
         assert_eq!(report.value, weight_int(1));
+        // The report names what ran: enumeration of the empty-domain
+        // structures, not a lifted method.
+        assert_eq!(report.method, Method::Ground);
+        assert_eq!(report.backend, Some(WmcBackend::Enumerate));
+        assert!(report.fo2_stats.is_none());
         // An existential sentence is false on the empty domain.
         let exists = catalog::exists_unary();
         assert_eq!(solver.fomc(&exists, 0).unwrap().value, weight_int(0));
@@ -566,17 +560,19 @@ mod tests {
 
     #[test]
     fn circuit_ground_backend_matches_dpll_and_is_reported() {
+        // Every grounded count evaluates a compiled d-DNNF; it agrees with
+        // the ground crate's one-shot DPLL pipeline.
         let f = catalog::transitivity();
-        let dpll = Solver::builder().lifted(false).build().fomc(&f, 2).unwrap();
-        let circuit_solver = Solver::builder()
+        let weights = Weights::from_ints([("E", 2, -1)]);
+        let circuit = Solver::builder()
             .lifted(false)
-            .ground_backend(WmcBackend::Circuit)
-            .build();
-        let circuit = circuit_solver.fomc(&f, 2).unwrap();
-        assert_eq!(dpll.value, circuit.value);
+            .build()
+            .wfomc(&f, &f.vocabulary(), 2, &weights)
+            .unwrap();
+        let dpll = ground_wfomc(&f, &f.vocabulary(), 2, &weights);
+        assert_eq!(dpll, circuit.value);
         assert_eq!(circuit.method, Method::Ground);
         assert_eq!(circuit.backend, Some(WmcBackend::Circuit));
-        assert_eq!(dpll.backend, Some(WmcBackend::Dpll));
         // Lifted methods never report a propositional backend.
         let lifted = Solver::new().fomc(&catalog::table1_sentence(), 2).unwrap();
         assert_eq!(lifted.backend, None);
@@ -610,14 +606,12 @@ mod tests {
         assert!(!lifted.allow_ground_fallback && lifted.use_lifted);
         let ground = Solver::builder().lifted(false).build();
         assert!(!ground.use_lifted && ground.allow_ground_fallback);
-        let circuit = Solver::builder()
-            .ground_backend(WmcBackend::Circuit)
-            .build();
-        assert_eq!(circuit.ground_backend, WmcBackend::Circuit);
+        let bounded = Solver::builder().ground_cache_capacity(3).build();
+        assert_eq!(bounded.ground_cache_capacity, Some(3));
         // Defaults are preserved by the builder.
         let default = Solver::builder().build();
         assert!(default.use_lifted && default.allow_ground_fallback);
-        assert_eq!(default.ground_backend, WmcBackend::Dpll);
+        assert_eq!(default.ground_cache_capacity, None);
     }
 
     #[test]
@@ -634,7 +628,7 @@ mod tests {
         let text = ground.to_string();
         assert!(text.starts_with("161 ["), "{text}");
         assert!(text.contains("grounded-wmc"), "{text}");
-        assert!(text.contains("Dpll"), "{text}");
+        assert!(text.contains("Circuit"), "{text}");
     }
 
     #[test]
@@ -665,7 +659,7 @@ mod tests {
             .fomc(&catalog::table1_sentence(), 2)
             .unwrap();
         let gjson = ground.to_json();
-        assert!(gjson.contains("\"backend\":\"Dpll\""), "{gjson}");
+        assert!(gjson.contains("\"backend\":\"Circuit\""), "{gjson}");
         assert!(gjson.contains("\"fo2_stats\":null"), "{gjson}");
         assert!(gjson.contains("\"value\":\"161\""), "{gjson}");
     }

@@ -6,12 +6,14 @@
 #![cfg(feature = "failpoints")]
 
 use std::sync::Mutex;
+use std::time::Duration;
 
-use wfomc_core::{ExecutionLimits, Problem, SolveError, Solver};
-use wfomc_guard::{arm_failpoint, clear_failpoints, FailAction};
-use wfomc_logic::algebra::{Algebra, AlgebraWeights, LogF64};
+use wfomc_core::{DegradePolicy, ExecutionLimits, Problem, SolveError};
+use wfomc_guard::{arm_failpoint, clear_failpoints, FailAction, Guard};
+use wfomc_logic::algebra::{Algebra, AlgebraWeights, Exact, LogF64};
 use wfomc_logic::catalog;
 use wfomc_logic::weights::Weights;
+use wfomc_prop::counter::wmc_formula_via_in;
 use wfomc_prop::WmcBackend;
 
 /// The failpoint registry is process-global, so these tests serialize on one
@@ -35,11 +37,10 @@ fn serialized() -> (std::sync::MutexGuard<'static, ()>, Armed) {
 }
 
 /// Forces `phase` to expire, runs `solve`, and checks the structured error
-/// names the phase; then disarms and checks the *same plan* recovers with a
-/// value equal to `expected`.
-fn assert_expires_then_recovers(
+/// names the phase; then disarms and checks the *same plan* recovers.
+fn assert_expires_then_recovers<T: std::fmt::Debug>(
     phase: &str,
-    solve: impl Fn() -> Result<wfomc_core::SolverReport, SolveError>,
+    solve: impl Fn() -> Result<T, SolveError>,
 ) {
     arm_failpoint(phase, FailAction::Expire);
     match solve() {
@@ -100,33 +101,54 @@ fn fo2_preparation_expires_and_recovers() {
 #[test]
 fn grounded_phases_expire_and_recover() {
     let (_lock, _armed) = serialized();
-    let cases = [
-        (WmcBackend::Dpll, "ground.lineage"),
-        (WmcBackend::Dpll, "prop.dpll"),
-        (WmcBackend::Enumerate, "prop.enumerate"),
-        (WmcBackend::Circuit, "circuit.compile"),
-    ];
-    for (backend, phase) in cases {
-        let solver = Solver::builder()
-            .lifted(false)
-            .ground_backend(backend)
-            .build();
-        let plan = solver.plan(&Problem::new(catalog::transitivity())).unwrap();
+    let sentence = catalog::transitivity();
+    let clean = Problem::new(sentence.clone())
+        .plan()
+        .unwrap()
+        .count(2, &Weights::ones())
+        .unwrap()
+        .value;
+    // Every grounded count grounds, then compiles: a fresh plan per phase,
+    // so the phase under test is not skipped by a cached lineage or circuit.
+    for phase in ["ground.lineage", "circuit.compile"] {
+        let plan = Problem::new(sentence.clone()).plan().unwrap();
         assert_expires_then_recovers(phase, || {
             plan.count_with_limits(2, &Weights::ones(), &ExecutionLimits::none(), None)
         });
-        // The recovered value matches a never-faulted plan.
-        let clean = Solver::builder()
-            .lifted(false)
-            .ground_backend(backend)
-            .build()
-            .plan(&Problem::new(catalog::transitivity()))
-            .unwrap()
-            .count(2, &Weights::ones())
-            .unwrap()
-            .value;
         assert_eq!(plan.count(2, &Weights::ones()).unwrap().value, clean);
     }
+    // DPLL runs as the last stage of the degradation chain, here after an
+    // expired primary stage.
+    let plan = Problem::new(sentence.clone()).plan().unwrap();
+    let policy = DegradePolicy {
+        primary: ExecutionLimits::none().with_deadline(Duration::ZERO),
+        circuit: None,
+        dpll: Some(ExecutionLimits::none()),
+    };
+    assert_expires_then_recovers("prop.dpll", || {
+        plan.count_degraded(2, &Weights::ones(), &policy, None)
+    });
+    let report = plan
+        .count_degraded(2, &Weights::ones(), &policy, None)
+        .unwrap();
+    assert!(report.degraded);
+    assert_eq!(report.value, clean);
+    // Enumeration is the test oracle of `wfomc-prop`, reached through its
+    // guarded entry point.
+    let lineage = wfomc_ground::Lineage::build(&sentence, &sentence.vocabulary(), 2);
+    let weights = lineage.weights_in(&Exact, &AlgebraWeights::ones());
+    let enumerate = || {
+        wmc_formula_via_in(
+            &lineage.prop,
+            &Exact,
+            &weights,
+            WmcBackend::Enumerate,
+            &Guard::unarmed(),
+        )
+        .map_err(SolveError::from)
+    };
+    assert_expires_then_recovers("prop.enumerate", enumerate);
+    assert_eq!(enumerate().unwrap(), clean);
 }
 
 #[test]

@@ -8,14 +8,16 @@
 //!   `wmc_backends` ablation bench.
 //! * [`WmcBackend::Dpll`] — a weighted DPLL search with unit propagation,
 //!   connected-component decomposition and component caching. This is the
-//!   default counter of the grounded WFOMC pipeline.
+//!   default counter of the one-shot grounded pipeline and the last stage
+//!   of a plan's degradation chain.
 //! * [`WmcBackend::Circuit`] — knowledge compilation to a smoothed d-DNNF
 //!   circuit (`wfomc-circuit`) by tracing the same DPLL search, then
 //!   evaluating the circuit. For a single weight vector this costs slightly
 //!   more than DPLL; its purpose is **compile-once / evaluate-many**: via
 //!   [`circuit::CompiledWmc`], one compilation serves any number of weight
-//!   vectors (each evaluation linear in circuit size), which is what the
-//!   equality-removal interpolation and repeated-query serving paths use.
+//!   vectors (each evaluation linear in circuit size), which is what every
+//!   grounded count of a `wfomc-core` plan and the equality-removal
+//!   interpolation use.
 //!
 //! All backends compute `WMC(F, w, w̄) = Σ_{θ ⊨ F} Π_i w-or-w̄(Xᵢ)` exactly,
 //! with arbitrary (possibly negative) rational weights, over the universe
