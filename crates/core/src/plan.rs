@@ -158,7 +158,8 @@ enum PlanState {
 /// circuit compiled on the first count at that size.
 #[derive(Debug)]
 struct GroundInstance {
-    lineage: Lineage,
+    /// Shared with the compiled circuit, which reads the same allocation.
+    lineage: Arc<Lineage>,
     compiled: OnceLock<CompiledWfomc>,
 }
 
@@ -816,7 +817,12 @@ impl Plan {
         self.ground
             .try_instance(n, self.solver.ground_cache_capacity, || {
                 Ok(GroundInstance {
-                    lineage: Lineage::build_guarded(&self.sentence, &self.vocabulary, n, guard)?,
+                    lineage: Arc::new(Lineage::build_guarded(
+                        &self.sentence,
+                        &self.vocabulary,
+                        n,
+                        guard,
+                    )?),
                     compiled: OnceLock::new(),
                 })
             })
@@ -1028,7 +1034,8 @@ impl Plan {
         let compiled = match instance.compiled.get() {
             Some(compiled) => compiled,
             None => {
-                let built = CompiledWfomc::from_lineage_guarded(instance.lineage.clone(), guard)?;
+                let built =
+                    CompiledWfomc::from_lineage_guarded(Arc::clone(&instance.lineage), guard)?;
                 instance.compiled.get_or_init(|| built)
             }
         };
@@ -1403,7 +1410,7 @@ fn snap_encode_compiled(enc: &mut snap::Enc, compiled: &CompiledWfomc) {
 
 fn snap_decode_compiled(
     dec: &mut snap::Dec<'_>,
-    lineage: &Lineage,
+    lineage: &Arc<Lineage>,
 ) -> snap::SnapResult<CompiledWfomc> {
     use wfomc_circuit::{CLit, Circuit, CompileStats, CompiledCnf, Node, NodeId};
     let num_nodes = dec.len()?;
@@ -1451,7 +1458,7 @@ fn snap_decode_compiled(
     let inner = CompiledCnf::from_parts(circuit, root, num_vars, stats)
         .ok_or_else(|| snap::SnapError::new("compiled circuit parts are inconsistent"))?;
     CompiledWfomc::from_parts(
-        lineage.clone(),
+        Arc::clone(lineage),
         wfomc_prop::counter::CompiledWmc::from_inner(inner),
     )
     .ok_or_else(|| snap::SnapError::new("circuit does not match its lineage"))
@@ -1577,7 +1584,7 @@ impl Plan {
         let mut cache = GroundCache::default();
         for _ in 0..num_cached {
             let n = dec.usize()?;
-            let lineage = snap_decode_lineage(&mut dec)?;
+            let lineage = Arc::new(snap_decode_lineage(&mut dec)?);
             if lineage.domain_size != n {
                 return Err(snap::SnapError::new("cached lineage at the wrong key"));
             }
@@ -2577,6 +2584,29 @@ mod tests {
             weights.set(p.name(), weight_int(pos), weight_int(neg));
         }
         weights
+    }
+
+    /// Whether the compiled circuit cached at `n` reads the cached lineage
+    /// itself, not a copy, and nothing else holds that lineage.
+    fn lineage_is_shared(plan: &Plan, n: usize) -> bool {
+        let cache = plan.ground.instances.lock().unwrap();
+        let (instance, _) = &cache.map[&n];
+        let compiled = instance.compiled.get().expect("compiled grounding");
+        std::ptr::eq(&*instance.lineage, compiled.lineage())
+            && Arc::strong_count(&instance.lineage) == 2
+    }
+
+    #[test]
+    fn compiled_groundings_hold_one_lineage_allocation() {
+        let plan = Problem::new(catalog::transitivity()).plan().unwrap();
+        let weights = Weights::from_ints([("E", 2, 1)]);
+        let counted = plan.count(3, &weights).unwrap().value;
+        assert!(lineage_is_shared(&plan, 3));
+        // A decoded snapshot shares its lineage the same way, and counts
+        // the same bits.
+        let decoded = Plan::snap_decode(&plan.snap_encode()).unwrap();
+        assert!(lineage_is_shared(&decoded, 3));
+        assert_eq!(decoded.count(3, &weights).unwrap().value, counted);
     }
 
     #[test]

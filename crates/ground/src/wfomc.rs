@@ -6,6 +6,8 @@
 //! algorithms in `wfomc-core` beat it asymptotically whenever they apply; the
 //! Figure 1 / Figure 2 / Table 2 benchmarks measure exactly that gap.
 
+use std::sync::Arc;
+
 use wfomc_logic::algebra::{Algebra, AlgebraWeights};
 use wfomc_logic::weights::{Weight, Weights};
 use wfomc_logic::{Formula, Vocabulary};
@@ -125,7 +127,8 @@ impl GroundSolver {
 /// weights but not the sentence or domain.
 #[derive(Clone, Debug)]
 pub struct CompiledWfomc {
-    lineage: Lineage,
+    /// Shared with whoever caches the grounding, so it is stored once.
+    lineage: Arc<Lineage>,
     tseitin: TseitinCnf,
     compiled: CompiledWmc,
 }
@@ -140,16 +143,17 @@ impl CompiledWfomc {
     /// Compiles an already-built lineage to a circuit, for callers (such as
     /// plan-then-execute solvers) that cache the grounding separately.
     pub fn from_lineage(lineage: Lineage) -> CompiledWfomc {
-        Self::from_lineage_guarded(lineage, &wfomc_guard::Guard::unarmed())
+        Self::from_lineage_guarded(Arc::new(lineage), &wfomc_guard::Guard::unarmed())
             .expect("an unarmed guard cannot interrupt")
     }
 
     /// [`from_lineage`](Self::from_lineage) under a resource
     /// [`Guard`](wfomc_guard::Guard): the circuit compilation ticks the
     /// guard, so deadlines, work caps and cancellation interrupt it; the
-    /// partial circuit is discarded and the call can be retried.
+    /// partial circuit is discarded and the call can be retried. The
+    /// lineage is shared, not copied, with a caller that caches it.
     pub fn from_lineage_guarded(
-        lineage: Lineage,
+        lineage: Arc<Lineage>,
         guard: &wfomc_guard::Guard,
     ) -> Result<CompiledWfomc, wfomc_guard::Interrupt> {
         let tseitin = to_cnf(&lineage.prop, &VarWeights::ones(lineage.num_vars()));
@@ -167,7 +171,7 @@ impl CompiledWfomc {
     /// its variable universe must match the circuit's, otherwise the pair
     /// cannot have come from [`from_lineage`](Self::from_lineage) and `None`
     /// is returned.
-    pub fn from_parts(lineage: Lineage, compiled: CompiledWmc) -> Option<CompiledWfomc> {
+    pub fn from_parts(lineage: Arc<Lineage>, compiled: CompiledWmc) -> Option<CompiledWfomc> {
         let tseitin = to_cnf(&lineage.prop, &VarWeights::ones(lineage.num_vars()));
         if compiled.num_vars() != tseitin.cnf.num_vars {
             return None;

@@ -76,9 +76,11 @@ pub struct ExecutionLimits {
     /// Cap on abstract work units (loop iterations: DFS nodes, DPLL
     /// decisions, grounded subformulas, reduction rule applications).
     pub work_cap: Option<u64>,
-    /// Cap on *a-priori memory estimates*: phases that can bound their
-    /// allocation up front (number of ground atoms, pair-table cells) check
-    /// the estimate against this before allocating.
+    /// Cap on *memory estimates*, checked by exactly two phases: lineage
+    /// grounding, against its ground-atom count before allocating, and the
+    /// d-DNNF compiler, against its circuit nodes plus component-cache
+    /// entries as it grows. FO² preparation and the cell-sum tables are not
+    /// governed by it.
     pub mem_estimate_cap: Option<u64>,
 }
 
@@ -105,8 +107,9 @@ impl ExecutionLimits {
         self
     }
 
-    /// Sets the memory-estimate cap (abstract units, roughly "things
-    /// allocated": ground atoms, table cells).
+    /// Sets the memory-estimate cap (abstract units: ground atoms while
+    /// grounding a lineage, circuit nodes plus cache entries while
+    /// compiling a d-DNNF).
     pub fn with_mem_estimate_cap(mut self, cap: u64) -> ExecutionLimits {
         self.mem_estimate_cap = Some(cap);
         self

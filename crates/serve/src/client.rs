@@ -4,7 +4,7 @@
 //! daemon through one code path —
 //! and so the doctests can exercise a real socket round-trip without curl.
 //! It leans on the server's `Connection: close` contract: write one
-//! request, read to EOF, split head from body.
+//! request (head and body in one write), read to EOF, split head from body.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -41,15 +41,15 @@ pub fn request(
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(TIMEOUT))?;
     stream.set_write_timeout(Some(TIMEOUT))?;
+    stream.set_nodelay(true)?;
+    // Head and body leave in one write, so the server wakes once.
     let body = body.unwrap_or("");
-    let head = format!(
+    let message = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
+    stream.write_all(message.as_bytes())?;
 
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;

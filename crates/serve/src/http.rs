@@ -4,13 +4,18 @@
 //! One connection carries one request (`Connection: close`), which keeps
 //! the parser trivial and matches the service's unit of work: a count
 //! request is CPU-bound for milliseconds-to-seconds, so connection reuse
-//! would buy nothing. The accept loop hands accepted sockets to
-//! `workers` threads over an `mpsc` channel; graceful shutdown flips a
-//! flag, cancels the shared [`CancelToken`] (so in-flight evaluations
-//! return [`SolveError::Cancelled`](wfomc_core::SolveError::Cancelled) instead
-//! of being abandoned), wakes the
-//! blocking `accept` with a self-connection, and joins every worker after
-//! the queue drains.
+//! would buy nothing. Each of the `workers` threads blocks in `accept` on
+//! the shared listener and serves the connection it accepts, so a request
+//! takes no thread hand-off; under overload, connections wait in the
+//! kernel's bounded listen backlog (a 503 with `Retry-After` is not
+//! implemented yet). Every message leaves in one write, head and body in
+//! one buffer, with `TCP_NODELAY` set, so the peer wakes once. Graceful
+//! shutdown flips a flag, cancels the shared [`CancelToken`] (so in-flight
+//! evaluations return
+//! [`SolveError::Cancelled`](wfomc_core::SolveError::Cancelled) instead of
+//! being abandoned) and wakes every worker blocked in `accept` with one
+//! self-connection each; a worker checks the flag before and after each
+//! `accept`, finishes the request it holds, and exits.
 //!
 //! # Endpoints (`wfomc-serve/v1`)
 //!
@@ -25,11 +30,11 @@
 //! | GET    | `/v1/healthz`          | liveness                                  |
 //! | POST   | `/v1/shutdown`         | graceful drain + exit                     |
 
+use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -57,7 +62,7 @@ const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Worker threads handling requests.
+    /// Worker threads, each accepting and serving its own connections.
     pub workers: usize,
     /// Plan-registry LRU capacity.
     pub capacity: usize,
@@ -112,6 +117,7 @@ struct ServerCtx {
     shutdown: AtomicBool,
     cancel: CancelToken,
     addr: SocketAddr,
+    workers: usize,
 }
 
 impl ServerCtx {
@@ -120,9 +126,13 @@ impl ServerCtx {
             return; // already draining
         }
         self.cancel.cancel();
-        // Wake the blocking accept so the loop observes the flag. The
-        // connection is accepted, sees the flag, and is dropped.
-        let _ = TcpStream::connect(self.addr);
+        // Wake every worker blocked in `accept`: each accepts one of these
+        // connections (or a client's), sees the flag, drops it, and exits.
+        // A busy worker sees the flag before its next `accept` instead, and
+        // the connection meant for it closes with the listener.
+        for _ in 0..self.workers {
+            let _ = TcpStream::connect(self.addr);
+        }
     }
 }
 
@@ -139,8 +149,9 @@ impl ServerHandle {
         self.ctx.addr
     }
 
-    /// Begins a graceful shutdown: stop accepting, cancel in-flight
-    /// evaluations, drain queued connections, join workers.
+    /// Begins a graceful shutdown: cancel in-flight evaluations, wake every
+    /// worker blocked in `accept`, let each finish the request it holds,
+    /// and return from [`Server::run`] once all have exited.
     pub fn shutdown(&self) {
         self.ctx.begin_shutdown();
     }
@@ -159,7 +170,6 @@ impl ServerHandle {
 /// A bound (but not yet running) query service.
 pub struct Server {
     listener: TcpListener,
-    workers: usize,
     ctx: Arc<ServerCtx>,
 }
 
@@ -208,12 +218,9 @@ impl Server {
             shutdown: AtomicBool::new(false),
             cancel: CancelToken::new(),
             addr,
-        });
-        Ok(Server {
-            listener,
             workers: config.workers.max(1),
-            ctx,
-        })
+        });
+        Ok(Server { listener, ctx })
     }
 
     /// The bound address.
@@ -228,46 +235,29 @@ impl Server {
         }
     }
 
-    /// Runs the accept loop until a graceful shutdown, then drains queued
-    /// connections and joins every worker. Returns `Ok(())` on a clean
-    /// drain.
+    /// Serves until a graceful shutdown: every worker thread accepts and
+    /// handles its own connections on the shared listener, so the kernel's
+    /// listen backlog is the only queue. Once shutdown begins, each worker
+    /// finishes the request it holds and exits; `run` joins them all, runs
+    /// the persistence sweep and returns `Ok(())`.
     pub fn run(self) -> io::Result<()> {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers: Vec<_> = (0..self.workers)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let ctx = Arc::clone(&self.ctx);
-                std::thread::Builder::new()
-                    .name(format!("wfomc-serve-{i}"))
-                    .spawn(move || loop {
-                        let next = rx.lock().expect("worker queue poisoned").recv();
-                        match next {
-                            Ok(stream) => handle_connection(&ctx, stream),
-                            Err(_) => break, // sender dropped: drained
-                        }
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-
-        for stream in self.listener.incoming() {
-            if self.ctx.shutdown.load(Ordering::SeqCst) {
-                break; // the waking connection (or any racer) is dropped
-            }
-            match stream {
-                Ok(stream) => {
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
+        let (listener, ctx) = (&self.listener, &*self.ctx);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..ctx.workers)
+                .map(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("wfomc-serve-{i}"))
+                        .spawn_scoped(scope, move || serve_connections(ctx, listener))
+                        .expect("spawn worker")
+                })
+                .collect();
+            // Joined here, so a panicked worker does not fail the drain.
+            for worker in workers {
+                if worker.join().is_err() {
+                    eprintln!("wfomc-serve: a worker panicked");
                 }
-                Err(e) => eprintln!("wfomc-serve: accept failed: {e}"),
             }
-        }
-        drop(tx); // workers finish the queue, then exit
-        for worker in workers {
-            let _ = worker.join();
-        }
+        });
         self.shutdown_persistence();
         Ok(())
     }
@@ -360,6 +350,23 @@ fn write_snapshot(snap: &SnapshotStore, registered: &RegisteredPlan) {
 // Connection handling
 // ---------------------------------------------------------------------------
 
+/// One worker: accept, serve, repeat, until shutdown begins. The flag is
+/// checked before blocking in `accept` and again after it returns, so a
+/// worker woken by [`ServerCtx::begin_shutdown`] drops the waking
+/// connection and exits.
+fn serve_connections(ctx: &ServerCtx, listener: &TcpListener) {
+    while !ctx.shutdown.load(Ordering::SeqCst) {
+        let accepted = listener.accept();
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok((stream, _)) => handle_connection(ctx, stream),
+            Err(e) => eprintln!("wfomc-serve: accept failed: {e}"),
+        }
+    }
+}
+
 struct Request {
     method: String,
     path: String,
@@ -369,6 +376,7 @@ struct Request {
 fn handle_connection(ctx: &ServerCtx, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_nodelay(true);
     let started = Instant::now();
     let (status, body) = match read_request(&mut stream) {
         Ok(request) => match dispatch(ctx, &request) {
@@ -436,15 +444,18 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, ApiError> {
         return Err(ApiError::payload_too_large(MAX_BODY_BYTES));
     }
 
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let read = stream
-            .read(&mut chunk)
-            .map_err(|e| ApiError::bad_request(format!("read failed: {e}")))?;
-        if read == 0 {
-            return Err(ApiError::bad_request("connection closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..read]);
+    // The body may arrive with the head, after it, or split anywhere: read
+    // whatever is missing straight into place.
+    let mut body = buf.split_off(header_end + 4);
+    let have = body.len();
+    if have < content_length {
+        body.resize(content_length, 0);
+        stream.read_exact(&mut body[have..]).map_err(|e| {
+            ApiError::bad_request(match e.kind() {
+                io::ErrorKind::UnexpectedEof => "connection closed mid-body".to_string(),
+                _ => format!("read failed: {e}"),
+            })
+        })?;
     }
     body.truncate(content_length);
     Ok(Request { method, path, body })
@@ -468,16 +479,17 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
+/// Writes the whole response, head and body, in one write.
 fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    let head = format!(
+    let mut message = String::with_capacity(body.len() + 128);
+    let _ = write!(
+        message,
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n",
+         Connection: close\r\n\r\n{body}",
         status_text(status),
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    stream.write_all(message.as_bytes())
 }
 
 // ---------------------------------------------------------------------------

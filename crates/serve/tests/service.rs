@@ -1,10 +1,14 @@
 //! End-to-end tests over a real loopback socket: concurrent clients,
-//! bit-identical values, typed limit errors, and JSONL crash recovery.
+//! bit-identical values, typed limit errors, JSONL crash recovery, request
+//! framing that does not depend on the client's write pattern, and a
+//! shutdown that returns with any number of idle workers.
 
-use std::net::SocketAddr;
+use std::io::{Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use wfomc_core::Problem;
 use wfomc_logic::parser::parse;
@@ -602,4 +606,131 @@ fn version_skewed_snapshot_silently_replans() {
     handle.shutdown();
     daemon.join().unwrap().unwrap();
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+/// Joins the daemon, failing (instead of hanging) when `run` has not
+/// returned within a few seconds: a worker left blocked in `accept` after
+/// shutdown shows up as a test failure.
+fn join_promptly(daemon: JoinHandle<std::io::Result<()>>) {
+    let limit = Duration::from_secs(10);
+    let started = Instant::now();
+    while !daemon.is_finished() {
+        assert!(
+            started.elapsed() < limit,
+            "Server::run did not return within {limit:?} of shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon drains cleanly");
+}
+
+#[test]
+fn shutdown_wakes_every_idle_worker() {
+    for workers in [1, 2, 4] {
+        let (handle, addr, daemon) = boot_with_workers(None, workers);
+        let reply = client::get(addr, "/v1/healthz").unwrap();
+        assert_eq!(reply.status, 200, "{workers} workers: {}", reply.body);
+        handle.shutdown();
+        join_promptly(daemon);
+    }
+}
+
+#[test]
+fn shutdown_over_http_drains_every_worker() {
+    let (_handle, addr, daemon) = boot_with_workers(None, 4);
+    register(addr, SENTENCE);
+    let reply = client::post(addr, "/v1/shutdown", "").unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    join_promptly(daemon);
+}
+
+/// POSTs `body` from a raw socket in two writes: everything before byte
+/// `split` of the message, a pause, then the rest. Returns the status and
+/// the response body.
+fn post_in_two_writes(addr: SocketAddr, path: &str, body: &str, split: usize) -> (u16, String) {
+    let message = format!(
+        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let (first, rest) = message.as_bytes().split_at(split);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.write_all(first).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    stream.write_all(rest).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let (head, body) = raw.split_once("\r\n\r\n").expect("response head");
+    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    (status, body.to_string())
+}
+
+/// Every point's `value`, in order.
+fn batch_values(body: &str) -> Vec<String> {
+    let body = json_of(&Reply {
+        status: 200,
+        body: body.to_string(),
+    });
+    body.get("results")
+        .and_then(Value::as_arr)
+        .expect("batch results")
+        .iter()
+        .map(|result| str_field(result, "value"))
+        .collect()
+}
+
+#[test]
+fn head_and_body_in_separate_writes_are_read_whole() {
+    let (handle, addr, daemon) = boot(None);
+    let id = register(addr, SENTENCE);
+    let path = format!("/v1/plans/{id}/count");
+    let body = r#"{"n": 5}"#;
+    let head_len =
+        format!("POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 8\r\n\r\n").len();
+
+    let (status, split) = post_in_two_writes(addr, &path, body, head_len);
+    assert_eq!(status, 200, "{split}");
+    let whole = client::post(addr, &path, body).unwrap();
+    assert_eq!(whole.status, 200, "{}", whole.body);
+    let value = str_field(&json_of(&whole), "value");
+    assert_eq!(value, direct_value(SENTENCE, 5));
+    let split = Reply {
+        status,
+        body: split,
+    };
+    assert_eq!(str_field(&json_of(&split), "value"), value);
+
+    handle.shutdown();
+    join_promptly(daemon);
+}
+
+#[test]
+fn batch_body_over_16_kib_is_read_whole() {
+    let (handle, addr, daemon) = boot(None);
+    let id = register(addr, SENTENCE);
+    let path = format!("/v1/plans/{id}/batch");
+    let points: Vec<String> = (0..2500)
+        .map(|i| format!(r#"{{"n": {}}}"#, i % 6))
+        .collect();
+    let body = format!(r#"{{"points": [{}]}}"#, points.join(", "));
+    assert!(body.len() > 16 * 1024, "body is {} bytes", body.len());
+
+    let whole = client::post(addr, &path, &body).unwrap();
+    assert_eq!(whole.status, 200, "{}", whole.body);
+    let values = batch_values(&whole.body);
+    let expected: Vec<String> = (0..6).map(|n| direct_value(SENTENCE, n)).collect();
+    assert_eq!(values.len(), points.len());
+    for (i, value) in values.iter().enumerate() {
+        assert_eq!(value, &expected[i % 6], "point {i}");
+    }
+    // The same body split mid-way, with a pause, reads the same.
+    let (status, split) = post_in_two_writes(addr, &path, &body, body.len() / 2);
+    assert_eq!(status, 200, "{split}");
+    assert_eq!(batch_values(&split), values);
+
+    handle.shutdown();
+    join_promptly(daemon);
 }

@@ -3,7 +3,9 @@
 # runnable locally: boots the daemon against a fresh registry log, drives a
 # register / query / stats / metrics cycle through the CLI client, checks
 # that a deadline-capped query fails typed without poisoning the plan, and
-# shuts the daemon down gracefully — asserting it exits 0.
+# shuts the daemon down gracefully — asserting it exits 0 within about 10 s.
+# It runs four workers, so the shutdown must wake each one blocked in
+# accept; a worker left blocked fails the script instead of hanging it.
 #
 #   cargo build --release -p wfomc-serve && bash scripts/serve_smoke.sh
 #
@@ -15,7 +17,7 @@ ADDR="${WFOMC_SERVE_ADDR:-127.0.0.1:7171}"
 WORKDIR="$(mktemp -d)"
 REGISTRY="$WORKDIR/registry.jsonl"
 
-"$BIN" serve --addr "$ADDR" --registry "$REGISTRY" --workers 2 &
+"$BIN" serve --addr "$ADDR" --registry "$REGISTRY" --workers 4 &
 DAEMON=$!
 cleanup() {
     kill "$DAEMON" 2>/dev/null || true
@@ -53,8 +55,16 @@ fi
 # ... without poisoning the plan for the next query.
 "$BIN" query --addr "$ADDR" "$ID" --n 5 >/dev/null
 
-# Graceful shutdown: drain and exit 0.
+# Graceful shutdown: drain and exit 0, within a bounded wait.
 "$BIN" shutdown --addr "$ADDR" >/dev/null
+for _ in $(seq 1 100); do
+    kill -0 "$DAEMON" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$DAEMON" 2>/dev/null; then
+    echo "daemon did not exit within 10 s of shutdown" >&2
+    exit 1
+fi
 wait "$DAEMON"
 trap - EXIT
 cleanup
