@@ -7,8 +7,7 @@
 //!   stay constant-width — same plans, same cell-sum engine, ≥5× faster
 //!   marginals at the bench sizes.
 //! * **Equality removal** (Lemma 3.5): the `Poly` algebra computes the
-//!   Eq-weight polynomial in **one** lifted evaluation, versus the `n² + 1`
-//!   interpolation points of the literal protocol.
+//!   Eq-weight polynomial in **one** lifted evaluation.
 
 use std::time::Duration;
 
@@ -47,21 +46,9 @@ fn bench_equality_removal_algebras(c: &mut Criterion) {
     let weights = Weights::from_ints([("R", 2, 3)]);
 
     for n in [4usize, 6] {
-        // Cross-check once per size; the measured closures then run freely.
-        assert_eq!(
-            wfomc_via_equality_removal(&sentence, &voc, n, &weights),
-            wfomc_via_equality_removal_interpolated(&sentence, &voc, n, &weights),
-        );
         group.bench_with_input(BenchmarkId::new("eq-removal/poly", n), &n, |b, &n| {
             b.iter(|| wfomc_via_equality_removal(&sentence, &voc, n, &weights))
         });
-        group.bench_with_input(
-            BenchmarkId::new("eq-removal/interpolated", n),
-            &n,
-            |b, &n| {
-                b.iter(|| wfomc_via_equality_removal_interpolated(&sentence, &voc, n, &weights))
-            },
-        );
     }
     group.finish();
 }

@@ -30,7 +30,15 @@ fn bench_figure2(c: &mut Criterion) {
 
     // The #SAT side of the equation, for reference.
     group.bench_function("count-F/enumeration", |b| {
-        b.iter(|| wfomc::prop::counter::wmc_formula(&f, &wfomc::prop::VarWeights::ones(vars)))
+        b.iter(|| {
+            wfomc::prop::wmc_formula_via_in(
+                &f,
+                &Exact,
+                &wfomc::prop::VarWeights::ones(vars),
+                WmcBackend::Enumerate,
+                &Guard::unarmed(),
+            )
+        })
     });
     group.finish();
 }

@@ -7,7 +7,6 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use wfomc::core::normal::{
     remove_equality, remove_negation, skolemize, wfomc_via_equality_removal,
-    wfomc_via_equality_removal_with_oracle,
 };
 use wfomc::ground::wfomc as ground_wfomc;
 use wfomc::prelude::*;
@@ -36,20 +35,15 @@ fn bench_lemmas(c: &mut Criterion) {
         b.iter(|| remove_negation(&spouse, &spouse.vocabulary(), &Weights::ones()).unwrap())
     });
 
-    // Lemma 3.5: equality removal, transformation and the full interpolation
-    // protocol with a grounded oracle at n = 2.
+    // Lemma 3.5: equality removal, transformation and counting through it at
+    // n = 2.
     let eq_sentence = forall(["x", "y"], or(vec![eq("x", "y"), atom("R", &["x", "y"])]));
     let eq_voc = eq_sentence.vocabulary();
     group.bench_function("equality-removal/transform", |b| {
         b.iter(|| remove_equality(&eq_sentence, &eq_voc))
     });
-    group.bench_function("equality-removal/interpolation-n2", |b| {
-        b.iter(|| {
-            wfomc_via_equality_removal_with_oracle(&eq_sentence, &eq_voc, 2, &weights, ground_wfomc)
-        })
-    });
-    // The planned variant analyzes the rewritten sentence once (FO² here)
-    // and evaluates all n² + 1 points on that plan.
+    // The planned path analyzes the rewritten sentence once (FO² here) and
+    // evaluates it once in the `Poly` algebra.
     group.bench_function("equality-removal/planned-n2", |b| {
         b.iter(|| wfomc_via_equality_removal(&eq_sentence, &eq_voc, 2, &weights))
     });

@@ -5,10 +5,12 @@
 //!
 //! The `amortized/*` group is the compile-once / evaluate-many scenario the
 //! circuit backend exists for: one CNF evaluated at `k` different weight
-//! vectors (the access pattern of the Lemma 3.5 equality-removal
-//! interpolation, which needs `n² + 1` points of a single CNF). DPLL re-runs
-//! its search per vector; the circuit backend compiles once and pays one
-//! linear evaluation per vector.
+//! vectors (the access pattern of a grounded plan answering many weight
+//! functions at one domain size). DPLL re-runs its search per vector; the
+//! circuit backend compiles once and pays one linear evaluation per vector.
+//!
+//! Every count is the `Exact` instance of the generic counters, under an
+//! unarmed guard.
 
 use std::time::Duration;
 
@@ -18,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use wfomc::ground::Lineage;
 use wfomc::prelude::*;
 use wfomc::prop::cnf::Lit;
-use wfomc::prop::counter::{wmc, CompiledWmc, WmcBackend};
+use wfomc::prop::counter::{wmc_formula_via_in, wmc_in, CompiledWmc, WmcBackend};
 use wfomc::prop::{Cnf, VarWeights};
 
 fn random_cnf(num_vars: usize, num_clauses: usize, seed: u64) -> Cnf {
@@ -36,8 +38,7 @@ fn random_cnf(num_vars: usize, num_clauses: usize, seed: u64) -> Cnf {
     Cnf::new(num_vars, clauses)
 }
 
-/// `k` weight vectors sweeping one variable's weight — the equality-removal
-/// interpolation access pattern.
+/// `k` weight vectors sweeping one variable's weight.
 fn weight_sweep(num_vars: usize, k: usize) -> Vec<VarWeights> {
     (0..k)
         .map(|z| {
@@ -52,6 +53,7 @@ const ALL_BACKENDS: [WmcBackend; 3] =
     [WmcBackend::Dpll, WmcBackend::Enumerate, WmcBackend::Circuit];
 
 fn bench_wmc_backends(c: &mut Criterion) {
+    let unarmed = Guard::unarmed();
     let mut group = c.benchmark_group("wmc_backends");
 
     // Random 3-CNF instances, single evaluation.
@@ -63,7 +65,7 @@ fn bench_wmc_backends(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("{label}/random-3cnf"), num_vars),
                 &backend,
-                |b, &backend| b.iter(|| wmc(&cnf, &weights, backend)),
+                |b, &backend| b.iter(|| wmc_in(&cnf, &Exact, &weights, backend, &unarmed)),
             );
         }
     }
@@ -78,7 +80,7 @@ fn bench_wmc_backends(c: &mut Criterion) {
             BenchmarkId::new("table1-lineage-n3", format!("{backend:?}")),
             &backend,
             |b, &backend| {
-                b.iter(|| wfomc::prop::counter::wmc_formula_via(&lineage.prop, &weights, backend))
+                b.iter(|| wmc_formula_via_in(&lineage.prop, &Exact, &weights, backend, &unarmed))
             },
         );
     }
@@ -93,7 +95,7 @@ fn bench_wmc_backends(c: &mut Criterion) {
             b.iter(|| {
                 sweep
                     .iter()
-                    .map(|w| wmc(&cnf, w, WmcBackend::Dpll))
+                    .map(|w| wmc_in(&cnf, &Exact, w, WmcBackend::Dpll, &unarmed))
                     .collect::<Vec<_>>()
             })
         });
@@ -102,37 +104,22 @@ fn bench_wmc_backends(c: &mut Criterion) {
             &(),
             |b, _| {
                 b.iter(|| {
-                    let compiled = CompiledWmc::compile(&cnf);
-                    sweep.iter().map(|w| compiled.wmc(w)).collect::<Vec<_>>()
+                    let compiled = CompiledWmc::compile_guarded(&cnf, &unarmed).unwrap();
+                    sweep
+                        .iter()
+                        .map(|w| compiled.wmc_in(&Exact, w))
+                        .collect::<Vec<_>>()
                 })
             },
         );
     }
     // The marginal cost of one extra evaluation once compiled.
-    let compiled = CompiledWmc::compile(&cnf);
+    let compiled = CompiledWmc::compile_guarded(&cnf, &unarmed).unwrap();
     let sweep = weight_sweep(cnf.num_vars, 1);
     group.bench_with_input(BenchmarkId::new("circuit-eval-only", 1), &(), |b, _| {
-        b.iter(|| compiled.wmc(&sweep[0]))
+        b.iter(|| compiled.wmc_in(&Exact, &sweep[0]))
     });
 
-    // The full equality-removal interpolation through the compiled pipeline
-    // vs the per-point grounded oracle (n² + 1 = 5 points at n = 2).
-    let eq_sentence = parse("forall x. forall y. (R(x,y) | x = y)").unwrap();
-    let eq_voc = eq_sentence.vocabulary();
-    group.bench_function("equality-removal/oracle-n2", |b| {
-        b.iter(|| {
-            wfomc_via_equality_removal_with_oracle(
-                &eq_sentence,
-                &eq_voc,
-                2,
-                &Weights::ones(),
-                wfomc::ground::wfomc,
-            )
-        })
-    });
-    group.bench_function("equality-removal/compiled-n2", |b| {
-        b.iter(|| wfomc_via_equality_removal_compiled(&eq_sentence, &eq_voc, 2, &Weights::ones()))
-    });
     group.finish();
 }
 

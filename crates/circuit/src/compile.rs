@@ -23,9 +23,8 @@ use std::collections::HashMap;
 
 use wfomc_guard::{Guard, Interrupt};
 use wfomc_logic::algebra::{Algebra, VarPairs};
-use wfomc_logic::weights::Weight;
 
-use crate::eval::{evaluate, evaluate_in, LitWeights};
+use crate::eval::evaluate_in;
 use crate::ir::{CLit, Circuit, NodeId, Var};
 use crate::smooth::smooth;
 
@@ -88,14 +87,9 @@ impl CompiledCnf {
     }
 
     /// Weighted model count over the circuit's `num_vars`-variable universe
-    /// under the given weights. Linear in circuit size; callable any number
-    /// of times with different weight vectors.
-    pub fn wmc<W: LitWeights>(&self, weights: &W) -> Weight {
-        evaluate(&self.circuit, self.root, weights)
-    }
-
-    /// [`wmc`](Self::wmc) in an arbitrary [`Algebra`] — one compilation
-    /// serves any number of weight vectors in any number of algebras.
+    /// under the given weights, in any [`Algebra`]. Linear in circuit size;
+    /// one compilation serves any number of weight vectors in any number of
+    /// algebras.
     pub fn wmc_in<A: Algebra, W: VarPairs<A> + ?Sized>(&self, algebra: &A, weights: &W) -> A::Elem {
         evaluate_in(&self.circuit, self.root, algebra, weights)
     }
@@ -122,24 +116,15 @@ impl CompiledCnf {
 }
 
 /// Compiles a CNF over the universe `0..num_vars` into a smoothed d-DNNF
-/// circuit.
+/// circuit, under a resource [`Guard`].
 ///
 /// Clauses may contain duplicate literals and tautologies; they are
-/// normalized away exactly as the DPLL counter does.
-///
-/// # Panics
-/// Panics if a clause mentions a variable `>= num_vars`.
-pub fn compile(num_vars: usize, clauses: &[Vec<CLit>]) -> CompiledCnf {
-    compile_guarded(num_vars, clauses, &Guard::unarmed())
-        .expect("an unarmed guard cannot interrupt")
-}
-
-/// [`compile`] under a resource [`Guard`]: the identical trace-based
-/// compilation, ticking the guard once per sub-problem and per decision,
-/// and checking the arena's size (circuit nodes plus cached components)
-/// against the guard's memory-estimate cap before each sub-problem grows it.
-/// An interrupt abandons the partial arena (nothing is shared), so callers
-/// can simply retry with a larger budget.
+/// normalized away exactly as the DPLL counter does. The compiler ticks the
+/// guard once per sub-problem and per decision, and checks the arena's size
+/// (circuit nodes plus cached components) against the guard's
+/// memory-estimate cap before each sub-problem grows it. An interrupt
+/// abandons the partial arena (nothing is shared), so callers can simply
+/// retry with a larger budget; ungoverned callers pass [`Guard::unarmed`].
 ///
 /// # Panics
 /// Panics if a clause mentions a variable `>= num_vars`.
@@ -368,9 +353,13 @@ fn split_components(clauses: &ClauseSet) -> Vec<ClauseSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::SliceWeights;
     use crate::ir::Node;
-    use wfomc_logic::weights::weight_int;
+    use wfomc_logic::algebra::{ElemWeights, Exact};
+    use wfomc_logic::weights::{weight_int, Weight};
+
+    fn compile_cnf(num_vars: usize, clauses: &[Vec<CLit>]) -> CompiledCnf {
+        compile_guarded(num_vars, clauses, &Guard::unarmed()).unwrap()
+    }
 
     fn cnf(clauses: &[&[(usize, bool)]]) -> Vec<Vec<CLit>> {
         clauses
@@ -387,7 +376,7 @@ mod tests {
     }
 
     /// Brute-force WMC for cross-checking (exponential, test-only).
-    fn brute_force(num_vars: usize, clauses: &[Vec<CLit>], w: &SliceWeights) -> Weight {
+    fn brute_force(num_vars: usize, clauses: &[Vec<CLit>], w: &ElemWeights<Exact>) -> Weight {
         use num_traits::Zero;
         let mut total = Weight::zero();
         for bits in 0u64..(1 << num_vars) {
@@ -398,7 +387,7 @@ mod tests {
             if satisfied {
                 let mut weight = wfomc_logic::weights::weight_int(1);
                 for (v, &value) in assignment.iter().enumerate() {
-                    weight *= w.weight(v, value);
+                    weight *= w.var_weight(&Exact, v, value);
                 }
                 total += weight;
             }
@@ -408,38 +397,38 @@ mod tests {
 
     #[test]
     fn empty_cnf_counts_all_assignments() {
-        let compiled = compile(4, &[]);
-        assert_eq!(compiled.wmc(&SliceWeights::ones(4)), weight_int(16));
+        let compiled = compile_cnf(4, &[]);
+        assert_eq!(compiled.wmc_in(&Exact, &ElemWeights::new()), weight_int(16));
     }
 
     #[test]
     fn unsat_cnf_counts_zero() {
-        let compiled = compile(2, &cnf(&[&[(0, true)], &[(0, false)]]));
-        assert_eq!(compiled.wmc(&SliceWeights::ones(2)), weight_int(0));
+        let compiled = compile_cnf(2, &cnf(&[&[(0, true)], &[(0, false)]]));
+        assert_eq!(compiled.wmc_in(&Exact, &ElemWeights::new()), weight_int(0));
     }
 
     #[test]
     fn freed_variables_are_smoothed_in() {
         // (x0 ∨ x1): branching on x0=true frees x1.
-        let compiled = compile(2, &cnf(&[&[(0, true), (1, true)]]));
-        assert_eq!(compiled.wmc(&SliceWeights::ones(2)), weight_int(3));
+        let compiled = compile_cnf(2, &cnf(&[&[(0, true), (1, true)]]));
+        assert_eq!(compiled.wmc_in(&Exact, &ElemWeights::new()), weight_int(3));
     }
 
     #[test]
     fn component_decomposition_multiplies() {
-        let compiled = compile(4, &cnf(&[&[(0, true), (1, true)], &[(2, true), (3, true)]]));
-        assert_eq!(compiled.wmc(&SliceWeights::ones(4)), weight_int(9));
+        let compiled = compile_cnf(4, &cnf(&[&[(0, true), (1, true)], &[(2, true), (3, true)]]));
+        assert_eq!(compiled.wmc_in(&Exact, &ElemWeights::new()), weight_int(9));
     }
 
     #[test]
     fn negative_weights_are_exact() {
         // Skolemization-style weights (w̄ = −1).
-        let compiled = compile(2, &cnf(&[&[(0, true), (1, true)]]));
-        let w = SliceWeights::from_vecs(
+        let compiled = compile_cnf(2, &cnf(&[&[(0, true), (1, true)]]));
+        let w = ElemWeights::from_vecs(
             vec![weight_int(1), weight_int(1)],
             vec![weight_int(-1), weight_int(1)],
         );
-        assert_eq!(compiled.wmc(&w), weight_int(1));
+        assert_eq!(compiled.wmc_in(&Exact, &w), weight_int(1));
     }
 
     #[test]
@@ -449,11 +438,11 @@ mod tests {
             &[(1, false), (2, true)],
             &[(0, false), (2, false), (3, true)],
         ]);
-        let compiled = compile(4, &clauses);
+        let compiled = compile_cnf(4, &clauses);
         // Sweep z = 0..8 as the equality-removal interpolation does; the
         // circuit is shared across every evaluation.
         for z in 0..8i64 {
-            let w = SliceWeights::from_vecs(
+            let w = ElemWeights::from_vecs(
                 vec![weight_int(z), weight_int(1), weight_int(2), weight_int(-1)],
                 vec![
                     weight_int(1),
@@ -462,7 +451,11 @@ mod tests {
                     weight_int(2),
                 ],
             );
-            assert_eq!(compiled.wmc(&w), brute_force(4, &clauses, &w), "z = {z}");
+            assert_eq!(
+                compiled.wmc_in(&Exact, &w),
+                brute_force(4, &clauses, &w),
+                "z = {z}"
+            );
         }
     }
 
@@ -490,15 +483,18 @@ mod tests {
             (2, cnf(&[&[(0, true), (0, false)], &[(1, true), (1, true)]])),
         ];
         for (num_vars, clauses) in instances {
-            let compiled = compile(num_vars, &clauses);
-            let w = SliceWeights::ones(num_vars);
-            assert_eq!(compiled.wmc(&w), brute_force(num_vars, &clauses, &w));
+            let compiled = compile_cnf(num_vars, &clauses);
+            let w = ElemWeights::new();
+            assert_eq!(
+                compiled.wmc_in(&Exact, &w),
+                brute_force(num_vars, &clauses, &w)
+            );
         }
     }
 
     #[test]
     fn circuit_is_decomposable_and_deterministic() {
-        let compiled = compile(
+        let compiled = compile_cnf(
             5,
             &cnf(&[
                 &[(0, true), (1, true)],
@@ -532,7 +528,7 @@ mod tests {
     #[test]
     fn cache_shares_repeated_components_and_reports_stats() {
         // Two disjoint copies of the same sub-problem share one sub-circuit.
-        let compiled = compile(4, &cnf(&[&[(0, true), (1, true)], &[(2, true), (3, true)]]));
+        let compiled = compile_cnf(4, &cnf(&[&[(0, true), (1, true)], &[(2, true), (3, true)]]));
         let stats = compiled.stats();
         assert!(stats.nodes >= 4);
         assert!(stats.decisions >= 1);
@@ -543,7 +539,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the universe")]
     fn out_of_universe_variable_panics() {
-        compile(1, &cnf(&[&[(3, true)]]));
+        compile_cnf(1, &cnf(&[&[(3, true)]]));
     }
 
     use proptest::prelude::*;
@@ -562,7 +558,7 @@ mod tests {
     }
 
     /// Deterministic pseudo-random weights including negative rationals.
-    fn seeded_weights(num_vars: usize, seed: u64) -> SliceWeights {
+    fn seeded_weights(num_vars: usize, seed: u64) -> ElemWeights<Exact> {
         let mut pos = Vec::new();
         let mut neg = Vec::new();
         let mut s = seed as i64 + 1;
@@ -576,7 +572,7 @@ mod tests {
             pos.push(next());
             neg.push(next());
         }
-        SliceWeights::from_vecs(pos, neg)
+        ElemWeights::from_vecs(pos, neg)
     }
 
     proptest! {
@@ -588,14 +584,14 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let num_vars = 6;
-            let compiled = compile(num_vars, &clauses);
+            let compiled = compile_cnf(num_vars, &clauses);
             let w = seeded_weights(num_vars, seed);
-            prop_assert_eq!(compiled.wmc(&w), brute_force(num_vars, &clauses, &w));
+            prop_assert_eq!(compiled.wmc_in(&Exact, &w), brute_force(num_vars, &clauses, &w));
         }
 
         #[test]
         fn compiled_circuits_are_smooth(clauses in arb_clauses(5, 7)) {
-            let compiled = compile(5, &clauses);
+            let compiled = compile_cnf(5, &clauses);
             let circuit = compiled.circuit();
             let supports = circuit.supports();
             let reachable = circuit.reachable(compiled.root());

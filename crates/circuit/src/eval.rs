@@ -8,110 +8,24 @@
 //! arithmetic operations per weight vector, with no search.
 //!
 //! The pass only adds and multiplies, so [`evaluate_in`] runs it in any
-//! [`Algebra`]; [`evaluate`] is the exact-rational instance behind the
-//! original [`LitWeights`]-based API.
+//! [`Algebra`]: exact rationals, log-space floats, lanes or polynomials.
 
-use num_traits::One;
-use wfomc_logic::algebra::{Algebra, Exact, VarPairs};
-use wfomc_logic::weights::Weight;
+use wfomc_logic::algebra::{Algebra, VarPairs};
 
 use crate::ir::{Circuit, Node, NodeId};
 
-/// A lookup of per-variable weight pairs `(w, w̄)`.
-///
-/// `wfomc-prop` implements this for its `VarWeights`; [`SliceWeights`] is a
-/// self-contained implementation for tests, benches and standalone use.
-pub trait LitWeights {
-    /// The weight of variable `var` being assigned `value`.
-    fn weight(&self, var: usize, value: bool) -> Weight;
-
-    /// `w(var) + w̄(var)`, the contribution of an unconstrained variable.
-    fn total(&self, var: usize) -> Weight {
-        self.weight(var, true) + self.weight(var, false)
-    }
-}
-
-/// Dense weight vectors backed by two `Vec<Weight>`s.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SliceWeights {
-    pos: Vec<Weight>,
-    neg: Vec<Weight>,
-}
-
-impl SliceWeights {
-    /// All-ones weights (plain model counting) for `n` variables.
-    pub fn ones(n: usize) -> SliceWeights {
-        SliceWeights {
-            pos: vec![Weight::one(); n],
-            neg: vec![Weight::one(); n],
-        }
-    }
-
-    /// Weights from parallel `(pos, neg)` vectors.
-    ///
-    /// # Panics
-    /// Panics if the vectors have different lengths.
-    pub fn from_vecs(pos: Vec<Weight>, neg: Vec<Weight>) -> SliceWeights {
-        assert_eq!(pos.len(), neg.len(), "weight vectors must align");
-        SliceWeights { pos, neg }
-    }
-
-    /// Number of variables covered.
-    pub fn len(&self) -> usize {
-        self.pos.len()
-    }
-
-    /// True if no variables are covered.
-    pub fn is_empty(&self) -> bool {
-        self.pos.is_empty()
-    }
-}
-
-impl LitWeights for SliceWeights {
-    fn weight(&self, var: usize, value: bool) -> Weight {
-        if value {
-            self.pos[var].clone()
-        } else {
-            self.neg[var].clone()
-        }
-    }
-}
-
-/// Evaluates the smoothed circuit under `root` against a weight vector.
+/// Evaluates the smoothed circuit under `root` against a weight table, in
+/// any [`Algebra`].
 ///
 /// The result is the weighted model count over the universe the circuit was
-/// smoothed for. Runs in one pass over the whole arena — [`compile`] prunes
-/// the arena to the live circuit, so for compiled CNFs every node evaluated
-/// is reachable. (On a hand-built arena with garbage nodes the pass wastes
-/// a little work on them; use [`Circuit::pruned`] first if that matters.)
+/// smoothed for. Runs in one pass over the whole arena — [`compile_guarded`]
+/// prunes the arena to the live circuit, so for compiled CNFs every node
+/// evaluated is reachable. (On a hand-built arena with garbage nodes the
+/// pass wastes a little work on them; use [`Circuit::pruned`] first if that
+/// matters.) Zero short-circuiting stays sound in any ring because
+/// `0 · x = 0`.
 ///
-/// [`compile`]: crate::compile::compile
-pub fn evaluate<W: LitWeights + ?Sized>(circuit: &Circuit, root: NodeId, weights: &W) -> Weight {
-    evaluate_in(circuit, root, &Exact, &ExactPairs(weights))
-}
-
-/// Adapts the original [`LitWeights`] lookup to the algebra-generic
-/// [`VarPairs`] interface (in the [`Exact`] algebra).
-struct ExactPairs<'w, W: LitWeights + ?Sized>(&'w W);
-
-impl<W: LitWeights + ?Sized> VarPairs<Exact> for ExactPairs<'_, W> {
-    fn var_weight(&self, _algebra: &Exact, var: usize, value: bool) -> Weight {
-        self.0.weight(var, value)
-    }
-
-    fn var_total(&self, _algebra: &Exact, var: usize) -> Weight {
-        self.0.total(var)
-    }
-
-    fn table_len(&self) -> usize {
-        // `LitWeights` has no length; the evaluator never asks for one.
-        0
-    }
-}
-
-/// [`evaluate`] in an arbitrary [`Algebra`]: the same bottom-up pass with
-/// `+`/`·` replaced by the algebra's operations. Zero short-circuiting stays
-/// sound in any ring because `0 · x = 0`.
+/// [`compile_guarded`]: crate::compile::compile_guarded
 pub fn evaluate_in<A: Algebra, W: VarPairs<A> + ?Sized>(
     circuit: &Circuit,
     root: NodeId,
@@ -158,6 +72,7 @@ pub fn evaluate_in<A: Algebra, W: VarPairs<A> + ?Sized>(
 mod tests {
     use super::*;
     use crate::ir::CLit;
+    use wfomc_logic::algebra::{ElemWeights, Exact};
     use wfomc_logic::weights::{weight_int, weight_ratio};
 
     #[test]
@@ -165,11 +80,11 @@ mod tests {
         let mut c = Circuit::new();
         let x = c.mk_lit(CLit::pos(0));
         let nx = c.mk_lit(CLit::neg(0));
-        let w = SliceWeights::from_vecs(vec![weight_int(2)], vec![weight_ratio(1, 2)]);
-        assert_eq!(evaluate(&c, c.ff(), &w), weight_int(0));
-        assert_eq!(evaluate(&c, c.tt(), &w), weight_int(1));
-        assert_eq!(evaluate(&c, x, &w), weight_int(2));
-        assert_eq!(evaluate(&c, nx, &w), weight_ratio(1, 2));
+        let w = ElemWeights::from_vecs(vec![weight_int(2)], vec![weight_ratio(1, 2)]);
+        assert_eq!(evaluate_in(&c, c.ff(), &Exact, &w), weight_int(0));
+        assert_eq!(evaluate_in(&c, c.tt(), &Exact, &w), weight_int(1));
+        assert_eq!(evaluate_in(&c, x, &Exact, &w), weight_int(2));
+        assert_eq!(evaluate_in(&c, nx, &Exact, &w), weight_ratio(1, 2));
     }
 
     #[test]
@@ -179,12 +94,12 @@ mod tests {
         let x1 = c.mk_lit(CLit::pos(1));
         let nx1 = c.mk_lit(CLit::neg(1));
         let d = c.mk_decision(0, x1, nx1);
-        let w = SliceWeights::from_vecs(
+        let w = ElemWeights::from_vecs(
             vec![weight_int(2), weight_int(3)],
             vec![weight_int(5), weight_int(7)],
         );
         // 2·3 + 5·7 = 41.
-        assert_eq!(evaluate(&c, d, &w), weight_int(41));
+        assert_eq!(evaluate_in(&c, d, &Exact, &w), weight_int(41));
     }
 
     #[test]
@@ -193,11 +108,11 @@ mod tests {
         let x0 = c.mk_lit(CLit::pos(0));
         let x1 = c.mk_lit(CLit::neg(1));
         let a = c.mk_and([x0, x1]);
-        let w = SliceWeights::from_vecs(
+        let w = ElemWeights::from_vecs(
             vec![weight_int(3), weight_int(100)],
             vec![weight_int(1), weight_int(-4)],
         );
-        assert_eq!(evaluate(&c, a, &w), weight_int(-12));
+        assert_eq!(evaluate_in(&c, a, &Exact, &w), weight_int(-12));
     }
 
     #[test]
@@ -207,26 +122,10 @@ mod tests {
         let g = c.mk_free(0);
         let x1 = c.mk_lit(CLit::pos(1));
         let a = c.mk_and([g, x1]);
-        let w = SliceWeights::from_vecs(
+        let w = ElemWeights::from_vecs(
             vec![weight_int(1), weight_int(9)],
             vec![weight_int(-1), weight_int(9)],
         );
-        assert_eq!(evaluate(&c, a, &w), weight_int(0));
-    }
-
-    #[test]
-    fn slice_weights_basics() {
-        let mut w = SliceWeights::ones(2);
-        assert_eq!(w.len(), 2);
-        assert!(!w.is_empty());
-        assert_eq!(w.total(0), weight_int(2));
-        w = SliceWeights::from_vecs(vec![weight_int(2)], vec![weight_int(-2)]);
-        assert_eq!(w.total(0), weight_int(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "must align")]
-    fn mismatched_weight_vectors_panic() {
-        SliceWeights::from_vecs(vec![weight_int(1)], vec![]);
+        assert_eq!(evaluate_in(&c, a, &Exact, &w), weight_int(0));
     }
 }

@@ -22,26 +22,36 @@
 //! * [`smooth`] — the smoothing pass that makes every decision node's
 //!   branches mention the same variables, so weighted evaluation needs no
 //!   gap-factor bookkeeping;
-//! * [`eval`] — the linear-time evaluator over arbitrary rational weight
-//!   vectors (negative weights included), via the [`LitWeights`] trait.
+//! * [`eval`] — the linear-time evaluator over any weight table in any
+//!   algebra (negative weights included), via `wfomc-logic`'s `VarPairs`.
 //!
 //! The crate deliberately sits *below* `wfomc-prop` in the crate graph: it
-//! defines its own minimal literal type ([`CLit`]) and weight-lookup trait so
-//! that `wfomc-prop` can depend on it and dispatch its `WmcBackend::Circuit`
-//! natively.
+//! defines its own minimal literal type ([`CLit`]) so that `wfomc-prop` can
+//! depend on it and dispatch its `WmcBackend::Circuit` natively.
 //!
 //! ```
-//! use wfomc_circuit::{compile, CLit, SliceWeights};
+//! use wfomc_circuit::{compile_guarded, CLit};
+//! use wfomc_guard::Guard;
+//! use wfomc_logic::algebra::{ElemWeights, Exact, LogF64};
+//! use wfomc_logic::weights::{weight_int, weight_ratio};
 //!
 //! // (x0 ∨ x1) ∧ (¬x1 ∨ x2), compiled once…
 //! let cnf = vec![
 //!     vec![CLit::pos(0), CLit::pos(1)],
 //!     vec![CLit::neg(1), CLit::pos(2)],
 //! ];
-//! let compiled = compile(3, &cnf);
-//! // …then evaluated under as many weight vectors as needed.
-//! let ones = SliceWeights::ones(3);
-//! assert_eq!(compiled.wmc(&ones), wfomc_logic::weights::weight_int(4));
+//! let compiled = compile_guarded(3, &cnf, &Guard::unarmed()).unwrap();
+//! // …then evaluated under as many weight vectors as needed. An empty table
+//! // gives every variable the pair (1, 1): plain model counting.
+//! assert_eq!(compiled.wmc_in(&Exact, &ElemWeights::new()), weight_int(4));
+//! let w = ElemWeights::from_vecs(
+//!     vec![weight_int(2), weight_int(1), weight_ratio(1, 2)],
+//!     vec![weight_int(1), weight_int(3), weight_int(1)],
+//! );
+//! assert_eq!(compiled.wmc_in(&Exact, &w), weight_ratio(21, 2));
+//! // The same circuit in log space.
+//! let log = compiled.wmc_in(&LogF64, &ElemWeights::<LogF64>::new());
+//! assert!((log.ln_abs() - 4f64.ln()).abs() < 1e-12);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,6 +62,6 @@ pub mod eval;
 pub mod ir;
 pub mod smooth;
 
-pub use compile::{compile, compile_guarded, CompileStats, CompiledCnf};
-pub use eval::{evaluate_in, LitWeights, SliceWeights};
+pub use compile::{compile_guarded, CompileStats, CompiledCnf};
+pub use eval::evaluate_in;
 pub use ir::{CLit, Circuit, Node, NodeId};

@@ -107,8 +107,9 @@ fn pad_with(circuit: &mut Circuit, node: NodeId, missing: &[Var]) -> NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, SliceWeights};
+    use crate::eval::evaluate_in;
     use crate::ir::CLit;
+    use wfomc_logic::algebra::{ElemWeights, Exact};
     use wfomc_logic::weights::weight_int;
 
     /// After smoothing, every reachable decision's branches must have equal
@@ -152,7 +153,7 @@ mod tests {
         assert_smooth(&c, smoothed, 2);
         // 3 models of (v ∨ u) over 2 vars.
         assert_eq!(
-            evaluate(&c, smoothed, &SliceWeights::ones(2)),
+            evaluate_in(&c, smoothed, &Exact, &ElemWeights::new()),
             weight_int(3)
         );
     }
@@ -165,7 +166,7 @@ mod tests {
         assert_smooth(&c, smoothed, 4);
         // x0 over 4 variables: 8 models.
         assert_eq!(
-            evaluate(&c, smoothed, &SliceWeights::ones(4)),
+            evaluate_in(&c, smoothed, &Exact, &ElemWeights::new()),
             weight_int(8)
         );
     }
@@ -175,12 +176,12 @@ mod tests {
         let mut c = Circuit::new();
         let tt = c.tt();
         let smoothed = smooth(&mut c, tt, 3);
-        let w = SliceWeights::from_vecs(
+        let w = ElemWeights::from_vecs(
             vec![weight_int(2), weight_int(1), weight_int(1)],
             vec![weight_int(3), weight_int(1), weight_int(-1)],
         );
         // (2+3)·(1+1)·(1−1) = 0.
-        assert_eq!(evaluate(&c, smoothed, &w), weight_int(0));
+        assert_eq!(evaluate_in(&c, smoothed, &Exact, &w), weight_int(0));
     }
 
     #[test]
@@ -190,7 +191,7 @@ mod tests {
         let smoothed = smooth(&mut c, ff, 3);
         assert_eq!(smoothed, ff);
         assert_eq!(
-            evaluate(&c, smoothed, &SliceWeights::ones(3)),
+            evaluate_in(&c, smoothed, &Exact, &ElemWeights::new()),
             weight_int(0)
         );
     }

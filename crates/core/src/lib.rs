@@ -11,8 +11,8 @@
 //!   Skolemization (Lemma 3.3, existential quantifiers removed with a fresh
 //!   predicate of weight (1, −1)), negation removal (Lemma 3.4) and equality
 //!   removal (Lemma 3.5 — by default one symbolic evaluation in the
-//!   polynomial algebra, with the interpolation protocol kept as a
-//!   differential oracle);
+//!   polynomial algebra, with the interpolation protocol kept as the
+//!   tests' differential oracle);
 //! * [`fo2`] — the PTIME data-complexity algorithm for FO² (Appendix C):
 //!   Scott normal form, Skolemization, Shannon expansion over nullary
 //!   predicates and the 1-type / cell decomposition sum;

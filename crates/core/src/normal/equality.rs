@@ -8,28 +8,21 @@
 //! interpreting `E` as true equality, so the coefficient of `zⁿ` equals
 //! `WFOMC(Φ, n, w, w̄)`.
 //!
-//! Two ways to get at that coefficient:
-//!
-//! * **Symbolically** (the default, [`wfomc_via_equality_removal`]): give
-//!   `E` the indeterminate [`wfomc_logic::poly::Polynomial::x`] as its
-//!   weight and evaluate the
-//!   rewritten sentence **once** in the [`Poly`] algebra — every lifted (or
-//!   grounded) algorithm then computes `f` itself, coefficient-exactly, in
-//!   a single run.
-//! * **By interpolation** (the literal Lemma 3.5 protocol,
-//!   [`wfomc_via_equality_removal_interpolated`] and the oracle/compiled
-//!   variants): evaluate `f` at `n² + 1` rational points and Lagrange-
-//!   interpolate. Kept as the differential oracle for the symbolic path.
+//! [`wfomc_via_equality_removal`] gets at that coefficient
+//! **symbolically**: it gives `E` the indeterminate
+//! [`wfomc_logic::poly::Polynomial::x`] as its weight and evaluates the
+//! rewritten sentence **once** in the [`Poly`] algebra — every lifted (or
+//! grounded) algorithm then computes `f` itself, coefficient-exactly, in a
+//! single run. The literal Lemma 3.5 protocol (evaluate `f` at `n² + 1`
+//! rational points with an equality-free oracle and Lagrange-interpolate)
+//! lives in this module's tests as the differential oracle.
 
-use num_traits::{One, Zero};
-
-use wfomc_ground::CompiledWfomc;
 use wfomc_logic::algebra::Poly;
 use wfomc_logic::poly::lift_with_indeterminate;
 use wfomc_logic::syntax::Formula;
 use wfomc_logic::term::Term;
 use wfomc_logic::vocabulary::{Predicate, Vocabulary};
-use wfomc_logic::weights::{weight_int, Weight, Weights};
+use wfomc_logic::weights::{Weight, Weights};
 
 use crate::plan::Problem;
 
@@ -81,8 +74,8 @@ pub fn remove_equality(formula: &Formula, vocabulary: &Vocabulary) -> EqualityFr
 /// over polynomial-valued cells; when it is not, the plan's grounded path
 /// compiles one d-DNNF circuit and evaluates it once over polynomial
 /// weights. Either way there are no interpolation points on this path — the
-/// `n² + 1`-point Lagrange protocol survives as
-/// [`wfomc_via_equality_removal_interpolated`], the differential oracle.
+/// `n² + 1`-point Lagrange protocol survives only as the tests' differential
+/// oracle.
 pub fn wfomc_via_equality_removal(
     formula: &Formula,
     vocabulary: &Vocabulary,
@@ -104,167 +97,101 @@ pub fn wfomc_via_equality_removal(
     f.coeff(n)
 }
 
-/// Computes `WFOMC(Φ, n, w, w̄)` through the literal Lemma 3.5 protocol: the
-/// rewritten sentence is analyzed **once** into a [`crate::Plan`] and the
-/// `n² + 1` interpolation points `w(E) = 0, 1, …, n²` are evaluated as a
-/// batch on that plan, then Lagrange-interpolated.
-///
-/// This was the default path before the [`Poly`] algebra existed; it is kept
-/// as the differential-testing oracle for [`wfomc_via_equality_removal`]
-/// (and because it is the protocol the paper states).
-pub fn wfomc_via_equality_removal_interpolated(
-    formula: &Formula,
-    vocabulary: &Vocabulary,
-    n: usize,
-    weights: &Weights,
-) -> Weight {
-    let rewritten = remove_equality(formula, vocabulary);
-    let problem = Problem::new(rewritten.formula.clone())
-        .with_vocabulary(rewritten.vocabulary.clone())
-        .with_weights(weights.clone());
-    // The grounded path is compile-once too: plans cache one d-DNNF per
-    // domain size, so a non-FO² rewrite costs one compilation plus n² + 1
-    // linear evaluations.
-    let plan = problem
-        .plan()
-        .expect("the rewritten sentence is closed and the grounded fallback always applies");
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use num_traits::{One, Zero};
+    use wfomc_ground::{brute_force_wfomc, wfomc as ground_wfomc, GroundSolver};
+    use wfomc_logic::builders::*;
+    use wfomc_logic::catalog;
+    use wfomc_logic::weights::weight_int;
+    use wfomc_prop::WmcBackend;
 
-    let degree = n * n;
-    let points: Vec<(usize, Weights)> = (0..=degree)
-        .map(|z| {
+    /// Computes `WFOMC(Φ, n, w, w̄)` for a sentence Φ *with* equality, using
+    /// an oracle that can only count sentences *without* equality.
+    ///
+    /// The oracle is called `n² + 1` times, once per interpolation point,
+    /// with the rewritten sentence, the extended vocabulary and the weights
+    /// extended by `w(E) = z`, `w̄(E) = 1` — the literal Lemma 3.5 protocol,
+    /// and the one oracle the symbolic path is checked against.
+    fn wfomc_via_equality_removal_with_oracle(
+        formula: &Formula,
+        vocabulary: &Vocabulary,
+        n: usize,
+        weights: &Weights,
+        mut oracle: impl FnMut(&Formula, &Vocabulary, usize, &Weights) -> Weight,
+    ) -> Weight {
+        let rewritten = remove_equality(formula, vocabulary);
+        coefficient_by_interpolation(&rewritten, n, weights, |w| {
+            oracle(&rewritten.formula, &rewritten.vocabulary, n, w)
+        })
+    }
+
+    /// Sweeps `w(E) = z` over the `n² + 1` interpolation points, evaluates
+    /// each with the supplied counter, and extracts the coefficient of `zⁿ`.
+    fn coefficient_by_interpolation(
+        rewritten: &EqualityFree,
+        n: usize,
+        weights: &Weights,
+        mut point_value: impl FnMut(&Weights) -> Weight,
+    ) -> Weight {
+        let degree = n * n;
+        let mut points: Vec<(Weight, Weight)> = Vec::with_capacity(degree + 1);
+        for z in 0..=degree {
             let mut w = weights.clone();
             w.set(
                 rewritten.equality_predicate.name(),
                 weight_int(z as i64),
                 weight_int(1),
             );
-            (n, w)
-        })
-        .collect();
-    let samples: Vec<(Weight, Weight)> = plan
-        .count_batch_results(&points)
-        .into_iter()
-        .enumerate()
-        .map(|(z, report)| {
-            let report =
-                report.unwrap_or_else(|e| panic!("interpolation point {z} failed to count: {e}"));
-            (weight_int(z as i64), report.value)
-        })
-        .collect();
-    interpolate(&samples)
-        .get(n)
-        .cloned()
-        .unwrap_or_else(Weight::zero)
-}
-
-/// Computes `WFOMC(Φ, n, w, w̄)` for a sentence Φ *with* equality, using an
-/// oracle that can only count sentences *without* equality.
-///
-/// The oracle is called `n² + 1` times, once per interpolation point, with the
-/// rewritten sentence, the extended vocabulary and the weights extended by
-/// `w(E) = z`, `w̄(E) = 1`. Prefer [`wfomc_via_equality_removal`], which
-/// analyzes the rewritten sentence once; this variant exists for custom
-/// oracles (and as the literal Lemma 3.5 protocol).
-pub fn wfomc_via_equality_removal_with_oracle(
-    formula: &Formula,
-    vocabulary: &Vocabulary,
-    n: usize,
-    weights: &Weights,
-    mut oracle: impl FnMut(&Formula, &Vocabulary, usize, &Weights) -> Weight,
-) -> Weight {
-    let rewritten = remove_equality(formula, vocabulary);
-    coefficient_by_interpolation(&rewritten, n, weights, |w| {
-        oracle(&rewritten.formula, &rewritten.vocabulary, n, w)
-    })
-}
-
-/// Shared core of the two equality-removal entry points: sweeps
-/// `w(E) = z` over the `n² + 1` interpolation points, evaluates each with
-/// the supplied counter, and extracts the coefficient of `zⁿ`.
-fn coefficient_by_interpolation(
-    rewritten: &EqualityFree,
-    n: usize,
-    weights: &Weights,
-    mut point_value: impl FnMut(&Weights) -> Weight,
-) -> Weight {
-    let degree = n * n;
-    let mut points: Vec<(Weight, Weight)> = Vec::with_capacity(degree + 1);
-    for z in 0..=degree {
-        let mut w = weights.clone();
-        w.set(
-            rewritten.equality_predicate.name(),
-            weight_int(z as i64),
-            weight_int(1),
-        );
-        points.push((weight_int(z as i64), point_value(&w)));
+            points.push((weight_int(z as i64), point_value(&w)));
+        }
+        let coefficients = interpolate(&points);
+        coefficients.get(n).cloned().unwrap_or_else(Weight::zero)
     }
-    let coefficients = interpolate(&points);
-    coefficients.get(n).cloned().unwrap_or_else(Weight::zero)
-}
 
-/// Computes `WFOMC(Φ, n, w, w̄)` for a sentence Φ *with* equality through the
-/// **compiled** grounded pipeline: the rewritten sentence is grounded and
-/// knowledge-compiled to a d-DNNF circuit *once*, and the `n² + 1`
-/// interpolation points are then `n² + 1` linear circuit evaluations — the
-/// compile-once / evaluate-many payoff of `wfomc-circuit`.
-///
-/// Equivalent to [`wfomc_via_equality_removal`] with a grounded oracle, but
-/// without re-running the counting search per evaluation point.
-pub fn wfomc_via_equality_removal_compiled(
-    formula: &Formula,
-    vocabulary: &Vocabulary,
-    n: usize,
-    weights: &Weights,
-) -> Weight {
-    let rewritten = remove_equality(formula, vocabulary);
-    let compiled = CompiledWfomc::compile(&rewritten.formula, &rewritten.vocabulary, n);
-    coefficient_by_interpolation(&rewritten, n, weights, |w| compiled.wfomc(w))
-}
-
-/// Lagrange interpolation: given `d+1` points with distinct x-coordinates,
-/// returns the coefficients (low degree first) of the unique polynomial of
-/// degree ≤ d passing through them. Exact rational arithmetic throughout.
-pub fn interpolate(points: &[(Weight, Weight)]) -> Vec<Weight> {
-    let d = points.len();
-    if d == 0 {
-        return vec![];
+    /// The grounded counter on the d-DNNF circuit backend, as an oracle.
+    fn circuit_wfomc(formula: &Formula, vocabulary: &Vocabulary, n: usize, w: &Weights) -> Weight {
+        GroundSolver::with_backend(WmcBackend::Circuit).wfomc(formula, vocabulary, n, w)
     }
-    let mut result = vec![Weight::zero(); d];
-    for (i, (xi, yi)) in points.iter().enumerate() {
-        // Build the Lagrange basis polynomial L_i = Π_{j≠i} (x − x_j) / (x_i − x_j).
-        let mut basis = vec![Weight::one()]; // polynomial "1"
-        let mut denom = Weight::one();
-        for (j, (xj, _)) in points.iter().enumerate() {
-            if i == j {
-                continue;
+
+    /// Lagrange interpolation: given `d+1` points with distinct x-coordinates,
+    /// returns the coefficients (low degree first) of the unique polynomial of
+    /// degree ≤ d passing through them. Exact rational arithmetic throughout.
+    fn interpolate(points: &[(Weight, Weight)]) -> Vec<Weight> {
+        let d = points.len();
+        if d == 0 {
+            return vec![];
+        }
+        let mut result = vec![Weight::zero(); d];
+        for (i, (xi, yi)) in points.iter().enumerate() {
+            // Build the Lagrange basis polynomial L_i = Π_{j≠i} (x − x_j) / (x_i − x_j).
+            let mut basis = vec![Weight::one()]; // polynomial "1"
+            let mut denom = Weight::one();
+            for (j, (xj, _)) in points.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                basis = poly_mul_linear(&basis, xj);
+                denom *= xi - xj;
             }
-            basis = poly_mul_linear(&basis, xj);
-            denom *= xi - xj;
+            let scale = yi / denom;
+            for (k, c) in basis.iter().enumerate() {
+                result[k] += c * &scale;
+            }
         }
-        let scale = yi / denom;
-        for (k, c) in basis.iter().enumerate() {
-            result[k] += c * &scale;
+        result
+    }
+
+    /// Multiplies a polynomial (low degree first) by `(x − root)`.
+    fn poly_mul_linear(poly: &[Weight], root: &Weight) -> Vec<Weight> {
+        let mut out = vec![Weight::zero(); poly.len() + 1];
+        for (k, c) in poly.iter().enumerate() {
+            out[k + 1] += c;
+            out[k] -= c * root;
         }
+        out
     }
-    result
-}
-
-/// Multiplies a polynomial (low degree first) by `(x − root)`.
-fn poly_mul_linear(poly: &[Weight], root: &Weight) -> Vec<Weight> {
-    let mut out = vec![Weight::zero(); poly.len() + 1];
-    for (k, c) in poly.iter().enumerate() {
-        out[k + 1] += c;
-        out[k] -= c * root;
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wfomc_ground::{brute_force_wfomc, wfomc as ground_wfomc};
-    use wfomc_logic::builders::*;
-    use wfomc_logic::catalog;
 
     #[test]
     fn interpolation_recovers_polynomial_coefficients() {
@@ -353,7 +280,8 @@ mod tests {
         let weights = Weights::from_ints([("R", 2, 3)]);
         for n in 0..=2 {
             let direct = brute_force_wfomc(&f, &voc, n, &weights);
-            let compiled = wfomc_via_equality_removal_compiled(&f, &voc, n, &weights);
+            let compiled =
+                wfomc_via_equality_removal_with_oracle(&f, &voc, n, &weights, circuit_wfomc);
             assert_eq!(direct, compiled, "n = {n}");
         }
     }
@@ -369,7 +297,8 @@ mod tests {
             wfomc_via_equality_removal_with_oracle(&f, &voc, n, &Weights::ones(), |g, v, n, w| {
                 ground_wfomc(g, v, n, w)
             });
-        let via_circuit = wfomc_via_equality_removal_compiled(&f, &voc, n, &Weights::ones());
+        let via_circuit =
+            wfomc_via_equality_removal_with_oracle(&f, &voc, n, &Weights::ones(), circuit_wfomc);
         assert_eq!(via_oracle, via_circuit);
         assert_eq!(via_circuit, weight_int(16));
     }
@@ -391,7 +320,7 @@ mod tests {
                 for n in 0..=max_n {
                     let symbolic = wfomc_via_equality_removal(&f, &voc, n, &weights);
                     let interpolated =
-                        wfomc_via_equality_removal_interpolated(&f, &voc, n, &weights);
+                        wfomc_via_equality_removal_with_oracle(&f, &voc, n, &weights, ground_wfomc);
                     assert_eq!(symbolic, interpolated, "{f} at n = {n}");
                 }
             }

@@ -7,8 +7,8 @@
 //!   weight (1, −1).
 //! * [`equality`] — Lemma 3.5: the equality predicate can be replaced by an
 //!   ordinary relation `E` plus the hard constraint `∀x E(x,x)`; the original
-//!   WFOMC is recovered as one coefficient of a polynomial in `w(E)`, obtained
-//!   by interpolation over polynomially many oracle calls.
+//!   WFOMC is recovered as one coefficient of a polynomial in `w(E)`, computed
+//!   symbolically in one evaluation over the `Poly` algebra.
 //!
 //! Chained together (as in the proof of Corollary 3.2), these three lemmas
 //! turn an arbitrary FO sentence into a positive, equality-free, universally
@@ -18,9 +18,6 @@ pub mod equality;
 pub mod negation;
 pub mod skolem;
 
-pub use equality::{
-    remove_equality, wfomc_via_equality_removal, wfomc_via_equality_removal_compiled,
-    wfomc_via_equality_removal_interpolated, wfomc_via_equality_removal_with_oracle, EqualityFree,
-};
+pub use equality::{remove_equality, wfomc_via_equality_removal, EqualityFree};
 pub use negation::{remove_negation, NegationFree};
 pub use skolem::{skolemize, Skolemized};

@@ -5,15 +5,21 @@
 //! for any FO sentence, `WFOMC(Φ, n, w, w̄) = WMC(F_{Φ,n}, w, w̄)`. The lifted
 //! algorithms in `wfomc-core` beat it asymptotically whenever they apply; the
 //! Figure 1 / Figure 2 / Table 2 benchmarks measure exactly that gap.
+//!
+//! Every count here is one call of `wfomc-prop`'s algebra-generic, guarded
+//! counters: [`GroundSolver`] and the free functions are their `Exact`
+//! instance without a guard, and [`CompiledWfomc`] evaluates one compiled
+//! circuit in any algebra.
 
 use std::sync::Arc;
 
-use wfomc_logic::algebra::{Algebra, AlgebraWeights};
+use wfomc_guard::{Guard, Interrupt};
+use wfomc_logic::algebra::{Algebra, AlgebraWeights, Exact};
 use wfomc_logic::weights::{Weight, Weights};
 use wfomc_logic::{Formula, Vocabulary};
-use wfomc_prop::counter::{wmc_formula_via, wmc_formula_via_in, CompiledWmc, WmcBackend};
-use wfomc_prop::tseitin::{to_cnf, TseitinCnf};
-use wfomc_prop::VarWeights;
+use wfomc_prop::counter::{wmc_formula_via_in, CompiledWmc, WmcBackend};
+use wfomc_prop::tseitin::to_cnf;
+use wfomc_prop::{PropFormula, VarWeights};
 
 use crate::lineage::{GroundAtom, Lineage};
 
@@ -45,8 +51,7 @@ impl GroundSolver {
         weights: &Weights,
     ) -> Weight {
         let lineage = Lineage::build(formula, vocabulary, n);
-        let var_weights = lineage.symmetric_weights(weights);
-        wmc_formula_via(&lineage.prop, &var_weights, self.backend)
+        self.count_exact(&lineage.prop, &lineage.symmetric_weights(weights))
     }
 
     /// [`wfomc`](Self::wfomc) in an arbitrary [`Algebra`]: the grounding is
@@ -67,7 +72,7 @@ impl GroundSolver {
             algebra,
             &var_weights,
             self.backend,
-            &wfomc_guard::Guard::unarmed(),
+            &Guard::unarmed(),
         )
         .expect("an unarmed guard cannot interrupt")
     }
@@ -111,8 +116,13 @@ impl GroundSolver {
         weight_of: impl FnMut(&GroundAtom) -> (Weight, Weight),
     ) -> Weight {
         let lineage = Lineage::build(formula, vocabulary, n);
-        let var_weights = lineage.asymmetric_weights(weight_of);
-        wmc_formula_via(&lineage.prop, &var_weights, self.backend)
+        self.count_exact(&lineage.prop, &lineage.asymmetric_weights(weight_of))
+    }
+
+    /// The exact, ungoverned count of a lineage under per-atom weights.
+    fn count_exact(&self, prop: &PropFormula, weights: &VarWeights) -> Weight {
+        wmc_formula_via_in(prop, &Exact, weights, self.backend, &Guard::unarmed())
+            .expect("an unarmed guard cannot interrupt")
     }
 }
 
@@ -120,78 +130,51 @@ impl GroundSolver {
 /// smoothed d-DNNF circuit, for evaluation under many weight functions.
 ///
 /// The pipeline `lineage → Tseitin CNF → circuit` is weight-independent, so
-/// the expensive steps run a single time; [`CompiledWfomc::wfomc`] then
-/// costs one linear circuit pass per weight function. This is the fast path
-/// behind the Lemma 3.5 equality-removal interpolation (`n² + 1` weight
-/// points on one sentence) and any repeated-query workload that varies
+/// the expensive steps run a single time; [`CompiledWfomc::wfomc_in`] then
+/// costs one linear circuit pass per weight function, in any algebra. This
+/// is the path of every grounded count of a `wfomc-core` plan, which caches
+/// one per domain size, and of any repeated-query workload that varies
 /// weights but not the sentence or domain.
 #[derive(Clone, Debug)]
 pub struct CompiledWfomc {
     /// Shared with whoever caches the grounding, so it is stored once.
     lineage: Arc<Lineage>,
-    tseitin: TseitinCnf,
     compiled: CompiledWmc,
 }
 
 impl CompiledWfomc {
-    /// Grounds the sentence over a domain of size `n` and compiles its
-    /// lineage CNF to a circuit.
-    pub fn compile(formula: &Formula, vocabulary: &Vocabulary, n: usize) -> CompiledWfomc {
-        Self::from_lineage(Lineage::build(formula, vocabulary, n))
-    }
-
-    /// Compiles an already-built lineage to a circuit, for callers (such as
-    /// plan-then-execute solvers) that cache the grounding separately.
-    pub fn from_lineage(lineage: Lineage) -> CompiledWfomc {
-        Self::from_lineage_guarded(Arc::new(lineage), &wfomc_guard::Guard::unarmed())
-            .expect("an unarmed guard cannot interrupt")
-    }
-
-    /// [`from_lineage`](Self::from_lineage) under a resource
-    /// [`Guard`](wfomc_guard::Guard): the circuit compilation ticks the
-    /// guard, so deadlines, work caps and cancellation interrupt it; the
-    /// partial circuit is discarded and the call can be retried. The
-    /// lineage is shared, not copied, with a caller that caches it.
+    /// Compiles an already-built lineage to a circuit under a resource
+    /// [`Guard`]: the circuit compilation ticks the guard, so deadlines,
+    /// work caps and cancellation interrupt it; the partial circuit is
+    /// discarded and the call can be retried. The lineage is shared, not
+    /// copied, with a caller that caches it; ungoverned callers pass
+    /// [`Guard::unarmed`].
     pub fn from_lineage_guarded(
         lineage: Arc<Lineage>,
-        guard: &wfomc_guard::Guard,
-    ) -> Result<CompiledWfomc, wfomc_guard::Interrupt> {
+        guard: &Guard,
+    ) -> Result<CompiledWfomc, Interrupt> {
         let tseitin = to_cnf(&lineage.prop, &VarWeights::ones(lineage.num_vars()));
         let compiled = CompiledWmc::compile_guarded(&tseitin.cnf, guard)?;
-        Ok(CompiledWfomc {
-            lineage,
-            tseitin,
-            compiled,
-        })
+        Ok(CompiledWfomc { lineage, compiled })
     }
 
     /// Reassembles a compiled grounding from a decoded lineage and circuit,
-    /// skipping the expensive compilation step. The Tseitin transform is
-    /// deterministic and linear, so it is recomputed rather than persisted;
-    /// its variable universe must match the circuit's, otherwise the pair
-    /// cannot have come from [`from_lineage`](Self::from_lineage) and `None`
-    /// is returned.
+    /// skipping the expensive compilation step. The circuit's variable
+    /// universe must match the lineage's Tseitin CNF (the transform is
+    /// deterministic and linear, so it is recomputed to check), otherwise the
+    /// pair cannot have come from
+    /// [`from_lineage_guarded`](Self::from_lineage_guarded) and `None` is
+    /// returned.
     pub fn from_parts(lineage: Arc<Lineage>, compiled: CompiledWmc) -> Option<CompiledWfomc> {
         let tseitin = to_cnf(&lineage.prop, &VarWeights::ones(lineage.num_vars()));
         if compiled.num_vars() != tseitin.cnf.num_vars {
             return None;
         }
-        Some(CompiledWfomc {
-            lineage,
-            tseitin,
-            compiled,
-        })
+        Some(CompiledWfomc { lineage, compiled })
     }
 
-    /// Symmetric WFOMC under a weight function — one circuit evaluation, no
-    /// recompilation.
-    pub fn wfomc(&self, weights: &Weights) -> Weight {
-        let var_weights = self.lineage.symmetric_weights(weights);
-        self.compiled.wmc(&self.tseitin.weights_for(&var_weights))
-    }
-
-    /// [`wfomc`](Self::wfomc) in an arbitrary [`Algebra`] — the same
-    /// compiled circuit evaluated in the ring. Tseitin definition variables
+    /// Symmetric WFOMC under a weight function in any [`Algebra`] — one
+    /// circuit evaluation, no recompilation. Tseitin definition variables
     /// lie beyond the per-atom weight table and therefore default to the
     /// pair `(1, 1)`, which is exactly the count-preserving weighting.
     pub fn wfomc_in<A: Algebra>(&self, algebra: &A, weights: &AlgebraWeights<A>) -> A::Elem {
@@ -200,13 +183,13 @@ impl CompiledWfomc {
     }
 
     /// Asymmetric WFOMC: every ground tuple gets its own weight pair from
-    /// the callback, evaluated on the same compiled circuit.
+    /// the callback, evaluated exactly on the same compiled circuit.
     pub fn wfomc_asymmetric(
         &self,
         weight_of: impl FnMut(&GroundAtom) -> (Weight, Weight),
     ) -> Weight {
         let var_weights = self.lineage.asymmetric_weights(weight_of);
-        self.compiled.wmc(&self.tseitin.weights_for(&var_weights))
+        self.compiled.wmc_in(&Exact, &var_weights)
     }
 
     /// The underlying lineage (ground atoms and propositional formula).
@@ -257,6 +240,15 @@ mod tests {
     use wfomc_logic::builders::*;
     use wfomc_logic::catalog;
     use wfomc_logic::weights::{weight_int, weight_pow, weight_ratio};
+
+    fn compile_at(formula: &Formula, vocabulary: &Vocabulary, n: usize) -> CompiledWfomc {
+        let lineage = Arc::new(Lineage::build(formula, vocabulary, n));
+        CompiledWfomc::from_lineage_guarded(lineage, &Guard::unarmed()).unwrap()
+    }
+
+    fn exact(compiled: &CompiledWfomc, weights: &Weights) -> Weight {
+        compiled.wfomc_in(&Exact, &AlgebraWeights::lift(&Exact, weights))
+    }
 
     #[test]
     fn grounded_pipeline_matches_brute_force_on_catalog() {
@@ -349,12 +341,12 @@ mod tests {
     fn compiled_pipeline_matches_per_call_pipeline() {
         let f = catalog::table1_sentence();
         let voc = f.vocabulary();
-        let compiled = CompiledWfomc::compile(&f, &voc, 2);
+        let compiled = compile_at(&f, &voc, 2);
         // One compilation, several weight functions.
         for (r, s, t) in [(1, 1, 1), (2, 3, 1), (5, 1, 7), (0, 2, 2)] {
             let w = Weights::from_ints([("R", r, 1), ("S", s, 1), ("T", t, 2)]);
             assert_eq!(
-                compiled.wfomc(&w),
+                exact(&compiled, &w),
                 wfomc(&f, &voc, 2, &w),
                 "weights ({r},{s},{t})"
             );
@@ -367,14 +359,14 @@ mod tests {
     fn compiled_pipeline_supports_asymmetric_weights() {
         let f = catalog::exists_unary();
         let voc = f.vocabulary();
-        let compiled = CompiledWfomc::compile(&f, &voc, 3);
+        let compiled = compile_at(&f, &voc, 3);
         let asym =
             compiled.wfomc_asymmetric(|atom| (weight_int(atom.tuple[0] as i64 + 1), weight_int(1)));
         // Same closed form as the per-call asymmetric test: (2·3·4) − 1.
         assert_eq!(asym, weight_int(23));
         // And the same circuit still answers the symmetric query.
         assert_eq!(
-            compiled.wfomc(&Weights::ones()),
+            exact(&compiled, &Weights::ones()),
             wfomc(&f, &voc, 3, &Weights::ones())
         );
     }

@@ -1267,6 +1267,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must align")]
+    fn mismatched_elem_weight_vectors_panic() {
+        ElemWeights::<Exact>::from_vecs(vec![weight_int(1)], vec![]);
+    }
+
+    #[test]
     fn generic_power_cache_matches_algebra_pow() {
         let base = LogF64.from_weight(&weight_ratio(-3, 2));
         let mut cache = Powers::new(&LogF64, base, 8);

@@ -1,24 +1,17 @@
 //! The d-DNNF knowledge-compilation backend, bridging `wfomc-circuit`.
 //!
-//! [`wmc_circuit`] matches the one-shot counting contract of the other
-//! backends, but the real payoff is [`CompiledWmc`]: compile a CNF **once**
-//! and evaluate it under arbitrarily many weight vectors, each evaluation
-//! linear in circuit size. The equality-removal interpolation
-//! (`wfomc-core`), which needs the same CNF at `n² + 1` weight points, and
-//! any repeated-query serving path build on this type.
+//! [`CompiledWmc`] compiles a CNF **once** and evaluates it under
+//! arbitrarily many weight vectors, in any algebra, each evaluation linear
+//! in circuit size. Every grounded count of a `wfomc-core` plan builds on
+//! this type; the one-shot [`WmcBackend::Circuit`](super::WmcBackend::Circuit)
+//! dispatch of [`wmc_in`](super::wmc_in) is one compilation followed by one
+//! evaluation.
 
-use wfomc_circuit::{CLit, CompileStats, CompiledCnf, LitWeights};
+use wfomc_circuit::{CLit, CompileStats, CompiledCnf};
+use wfomc_guard::{Guard, Interrupt};
 use wfomc_logic::algebra::{Algebra, VarPairs};
-use wfomc_logic::weights::Weight;
 
 use crate::cnf::{Cnf, Lit};
-use crate::weights::VarWeights;
-
-impl LitWeights for VarWeights {
-    fn weight(&self, var: usize, value: bool) -> Weight {
-        self.literal_weight(var, value)
-    }
-}
 
 fn to_clit(lit: Lit) -> CLit {
     CLit {
@@ -34,21 +27,12 @@ pub struct CompiledWmc {
 }
 
 impl CompiledWmc {
-    /// Compiles the CNF's DPLL search into a circuit. This is the expensive
-    /// step — it performs the same search as [`wmc_dpll`](super::wmc_dpll)
-    /// once.
-    pub fn compile(cnf: &Cnf) -> CompiledWmc {
-        Self::compile_guarded(cnf, &wfomc_guard::Guard::unarmed())
-            .expect("an unarmed guard cannot interrupt")
-    }
-
-    /// [`compile`](Self::compile) under a resource
-    /// [`Guard`](wfomc_guard::Guard): deadlines, work caps and cancellation
-    /// interrupt the compilation search; the partial circuit is discarded.
-    pub fn compile_guarded(
-        cnf: &Cnf,
-        guard: &wfomc_guard::Guard,
-    ) -> Result<CompiledWmc, wfomc_guard::Interrupt> {
+    /// Compiles the CNF's DPLL search into a circuit under a resource
+    /// [`Guard`]. This is the expensive step: it performs the same search
+    /// as the DPLL backend once. Deadlines, work caps and cancellation
+    /// interrupt the compilation search, and the partial circuit is
+    /// discarded; ungoverned callers pass [`Guard::unarmed`].
+    pub fn compile_guarded(cnf: &Cnf, guard: &Guard) -> Result<CompiledWmc, Interrupt> {
         let clauses: Vec<Vec<CLit>> = cnf
             .clauses
             .iter()
@@ -60,25 +44,15 @@ impl CompiledWmc {
     }
 
     /// Weighted model count over the universe
-    /// `0..max(num_vars, weights.len())`, under the same weight-table
-    /// contract as the other backends: variables beyond the table count
-    /// unweighted, table entries beyond the CNF universe contribute
-    /// `w + w̄` each.
-    pub fn wmc(&self, weights: &VarWeights) -> Weight {
-        let mut result = self.inner.wmc(weights);
-        // The circuit is smoothed over the CNF's own universe; longer weight
-        // tables extend the universe with unconstrained variables.
-        for v in self.inner.num_vars()..weights.len() {
-            result *= weights.total(v);
-        }
-        result
-    }
-
-    /// [`wmc`](Self::wmc) in an arbitrary [`Algebra`], under the same
-    /// universe contract — the compile-once circuit serves weight vectors in
-    /// any ring.
+    /// `0..max(num_vars, weights.table_len())`, in any [`Algebra`], under
+    /// the same weight-table contract as the other backends: variables
+    /// beyond the table count unweighted, and table entries beyond the CNF
+    /// universe contribute `w + w̄` each. One compilation serves weight
+    /// vectors in any ring.
     pub fn wmc_in<A: Algebra, W: VarPairs<A> + ?Sized>(&self, algebra: &A, weights: &W) -> A::Elem {
         let mut result = self.inner.wmc_in(algebra, weights);
+        // The circuit is smoothed over the CNF's own universe; longer weight
+        // tables extend the universe with unconstrained variables.
         for v in self.inner.num_vars()..weights.table_len() {
             algebra.mul_assign(&mut result, &weights.var_total(algebra, v));
         }
@@ -107,19 +81,13 @@ impl CompiledWmc {
     }
 }
 
-/// One-shot weighted model count through compilation — the
-/// [`WmcBackend::Circuit`](super::WmcBackend::Circuit) entry point.
-///
-/// For a single evaluation this does strictly more work than the DPLL
-/// backend (same search plus circuit construction); use [`CompiledWmc`]
-/// directly when several weight vectors share one CNF.
-pub fn wmc_circuit(cnf: &Cnf, weights: &VarWeights) -> Weight {
-    CompiledWmc::compile(cnf).wmc(weights)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counter::assert_weight_table_contract;
+    use crate::formula::PropFormula;
+    use crate::weights::VarWeights;
+    use wfomc_logic::algebra::Exact;
     use wfomc_logic::weights::weight_int;
 
     #[test]
@@ -127,24 +95,32 @@ mod tests {
         // x0 with a 3-variable weight table: the two unconstrained extra
         // variables multiply their totals in.
         let cnf = Cnf::new(1, vec![vec![Lit::pos(0)]]);
-        let compiled = CompiledWmc::compile(&cnf);
+        let compiled = CompiledWmc::compile_guarded(&cnf, &Guard::unarmed()).unwrap();
         let w = VarWeights::from_vecs(
             vec![weight_int(5), weight_int(1), weight_int(2)],
             vec![weight_int(1), weight_int(1), weight_int(3)],
         );
         // 5 · (1+1) · (2+3) = 50.
-        assert_eq!(compiled.wmc(&w), weight_int(50));
+        assert_eq!(compiled.wmc_in(&Exact, &w), weight_int(50));
         assert_eq!(compiled.num_vars(), 1);
         assert!(compiled.stats().nodes >= 2);
+        assert_weight_table_contract(&cnf, &PropFormula::var(0), &w, &weight_int(50));
     }
 
     #[test]
     fn compiled_circuit_honours_shorter_weight_tables() {
         let cnf = Cnf::new(2, vec![vec![Lit::pos(0), Lit::pos(1)]]);
-        let compiled = CompiledWmc::compile(&cnf);
+        let compiled = CompiledWmc::compile_guarded(&cnf, &Guard::unarmed()).unwrap();
         assert_eq!(
-            compiled.wmc(&VarWeights::from_vecs(vec![], vec![])),
+            compiled.wmc_in(&Exact, &VarWeights::from_vecs(vec![], vec![])),
             weight_int(3)
         );
+        // Both of the formula's variables lie past the (empty) table.
+        let f = PropFormula::or(PropFormula::var(0), PropFormula::var(1));
+        let empty = VarWeights::from_vecs(vec![], vec![]);
+        assert_weight_table_contract(&cnf, &f, &empty, &weight_int(3));
+        // A one-entry table: x1 lies past it. (2·2 + 3·1) = 7.
+        let w = VarWeights::from_vecs(vec![weight_int(2)], vec![weight_int(3)]);
+        assert_weight_table_contract(&cnf, &f, &w, &weight_int(7));
     }
 }

@@ -11,12 +11,10 @@
 use std::collections::{BTreeSet, HashMap};
 
 use wfomc_guard::{Guard, Interrupt};
-use wfomc_logic::algebra::{Algebra, Exact, VarPairs};
-use wfomc_logic::weights::Weight;
+use wfomc_logic::algebra::{Algebra, VarPairs};
 
 use crate::cnf::{Cnf, Lit};
 use crate::formula::Var;
-use crate::weights::VarWeights;
 
 type ClauseSet = Vec<Vec<Lit>>;
 
@@ -24,43 +22,17 @@ type ClauseSet = Vec<Vec<Lit>>;
 const PHASE: &str = "prop.dpll";
 
 /// Weighted model count of a CNF over the universe `0..max(cnf.num_vars,
-/// weights.len())`.
+/// weights.table_len())`, in any [`Algebra`], under a resource [`Guard`].
 ///
 /// The weight table may be shorter or longer than `cnf.num_vars`: variables
 /// beyond the table carry the implicit pair `(1, 1)` (they are counted,
 /// unweighted), and table entries beyond the CNF's universe are unconstrained
-/// variables contributing `w + w̄` each. This matches the enumeration
-/// backend's contract exactly.
-pub fn wmc_dpll(cnf: &Cnf, weights: &VarWeights) -> Weight {
-    wmc_dpll_in(cnf, &Exact, weights)
-}
-
-/// [`wmc_dpll`] in an arbitrary [`Algebra`]: the identical search (the
-/// branching order, propagation and component decomposition never look at a
-/// weight), with every accumulation done by the algebra's ring operations.
-pub fn wmc_dpll_in<A: Algebra, W: VarPairs<A> + ?Sized>(
-    cnf: &Cnf,
-    algebra: &A,
-    weights: &W,
-) -> A::Elem {
-    wmc_dpll_guarded_in(cnf, algebra, weights, &Guard::unarmed())
-        .expect("an unarmed guard cannot interrupt")
-}
-
-/// [`wmc_dpll`] under a resource [`Guard`]: the identical search, ticking
-/// the guard once per sub-problem and per decision so deadlines, work caps
-/// and cancellation are honored mid-search. An interrupt leaves no shared
+/// variables contributing `w + w̄` each. The search (branching order,
+/// propagation and component decomposition) never looks at a weight; every
+/// accumulation is done by the algebra's ring operations. The guard ticks
+/// once per sub-problem and per decision, and an interrupt leaves no shared
 /// state behind (the component cache is call-local), so retrying is safe.
-pub fn wmc_dpll_guarded(
-    cnf: &Cnf,
-    weights: &VarWeights,
-    guard: &Guard,
-) -> Result<Weight, Interrupt> {
-    wmc_dpll_guarded_in(cnf, &Exact, weights, guard)
-}
-
-/// [`wmc_dpll_guarded`] in an arbitrary [`Algebra`].
-pub fn wmc_dpll_guarded_in<A: Algebra, W: VarPairs<A> + ?Sized>(
+pub(crate) fn wmc_dpll_guarded_in<A: Algebra, W: VarPairs<A> + ?Sized>(
     cnf: &Cnf,
     algebra: &A,
     weights: &W,
@@ -291,7 +263,9 @@ fn split_components(clauses: &ClauseSet) -> Vec<ClauseSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::wmc_enumerate;
+    use crate::counter::{assert_weight_table_contract, exact_wmc, WmcBackend};
+    use crate::formula::PropFormula;
+    use crate::weights::VarWeights;
     use wfomc_logic::weights::weight_int;
 
     fn cnf(num_vars: usize, clauses: &[&[(usize, bool)]]) -> Cnf {
@@ -314,34 +288,49 @@ mod tests {
     #[test]
     fn empty_cnf_counts_all_assignments() {
         let c = Cnf::trivial(4);
-        assert_eq!(wmc_dpll(&c, &VarWeights::ones(4)), weight_int(16));
+        assert_eq!(
+            exact_wmc(&c, &VarWeights::ones(4), WmcBackend::Dpll),
+            weight_int(16)
+        );
     }
 
     #[test]
     fn unsat_cnf_counts_zero() {
         let c = cnf(2, &[&[(0, true)], &[(0, false)]]);
-        assert_eq!(wmc_dpll(&c, &VarWeights::ones(2)), weight_int(0));
+        assert_eq!(
+            exact_wmc(&c, &VarWeights::ones(2), WmcBackend::Dpll),
+            weight_int(0)
+        );
     }
 
     #[test]
     fn freed_variables_are_counted() {
         // (x0 ∨ x1): branching on x0=true frees x1.
         let c = cnf(2, &[&[(0, true), (1, true)]]);
-        assert_eq!(wmc_dpll(&c, &VarWeights::ones(2)), weight_int(3));
+        assert_eq!(
+            exact_wmc(&c, &VarWeights::ones(2), WmcBackend::Dpll),
+            weight_int(3)
+        );
     }
 
     #[test]
     fn component_decomposition_multiplies() {
         // (x0 ∨ x1) ∧ (x2 ∨ x3): 3 · 3 = 9 models.
         let c = cnf(4, &[&[(0, true), (1, true)], &[(2, true), (3, true)]]);
-        assert_eq!(wmc_dpll(&c, &VarWeights::ones(4)), weight_int(9));
+        assert_eq!(
+            exact_wmc(&c, &VarWeights::ones(4), WmcBackend::Dpll),
+            weight_int(9)
+        );
     }
 
     #[test]
     fn tautological_clause_is_ignored() {
         // (x0 ∨ ¬x0) ∧ (x1) → x1 fixed, x0 free → 2 models.
         let c = cnf(2, &[&[(0, true), (0, false)], &[(1, true)]]);
-        assert_eq!(wmc_dpll(&c, &VarWeights::ones(2)), weight_int(2));
+        assert_eq!(
+            exact_wmc(&c, &VarWeights::ones(2), WmcBackend::Dpll),
+            weight_int(2)
+        );
     }
 
     #[test]
@@ -368,7 +357,10 @@ mod tests {
         ];
         for c in instances {
             let w = VarWeights::ones(c.num_vars);
-            assert_eq!(wmc_dpll(&c, &w), wmc_enumerate(&c, &w));
+            assert_eq!(
+                exact_wmc(&c, &w, WmcBackend::Dpll),
+                exact_wmc(&c, &w, WmcBackend::Enumerate)
+            );
         }
     }
 
@@ -381,8 +373,8 @@ mod tests {
             vec![weight_int(1), weight_int(1)],
             vec![weight_int(-1), weight_int(1)],
         );
-        assert_eq!(wmc_dpll(&c, &w), weight_int(1));
-        assert_eq!(wmc_enumerate(&c, &w), weight_int(1));
+        assert_eq!(exact_wmc(&c, &w, WmcBackend::Dpll), weight_int(1));
+        assert_eq!(exact_wmc(&c, &w, WmcBackend::Enumerate), weight_int(1));
     }
 
     #[test]
@@ -394,13 +386,23 @@ mod tests {
         // (3·2 + 2·1) · 2 = 16 over x2's two values: x0 branch weights
         // (3 when true frees x1 → ·2; 2 when false forces x1 → ·1).
         let expected = weight_int(16);
-        assert_eq!(wmc_dpll(&c, &w), expected);
-        assert_eq!(wmc_enumerate(&c, &w), expected);
+        assert_eq!(exact_wmc(&c, &w, WmcBackend::Dpll), expected);
+        assert_eq!(exact_wmc(&c, &w, WmcBackend::Enumerate), expected);
         // An empty table degenerates to plain model counting.
         assert_eq!(
-            wmc_dpll(&c, &VarWeights::from_vecs(vec![], vec![])),
+            exact_wmc(&c, &VarWeights::from_vecs(vec![], vec![]), WmcBackend::Dpll),
             weight_int(6)
         );
+        // Every backend, for the CNF and for a formula mentioning x1 and x2
+        // past the table, in Exact and LogF64. The tautology `x2 ∨ ¬x2`
+        // widens the formula's universe to the CNF's three variables.
+        let f = PropFormula::and(
+            PropFormula::or(PropFormula::var(0), PropFormula::var(1)),
+            PropFormula::or(PropFormula::var(2), PropFormula::not(PropFormula::var(2))),
+        );
+        assert_weight_table_contract(&c, &f, &w, &expected);
+        let empty = VarWeights::from_vecs(vec![], vec![]);
+        assert_weight_table_contract(&c, &f, &empty, &weight_int(6));
     }
 
     #[test]
@@ -414,6 +416,9 @@ mod tests {
                 &[(1, false), (2, true)],
             ],
         );
-        assert_eq!(wmc_dpll(&c, &VarWeights::ones(3)), weight_int(1));
+        assert_eq!(
+            exact_wmc(&c, &VarWeights::ones(3), WmcBackend::Dpll),
+            weight_int(1)
+        );
     }
 }

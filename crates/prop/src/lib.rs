@@ -13,11 +13,14 @@
 //! * [`weights::VarWeights`] — per-variable weight pairs `(w, w̄)`, exactly the
 //!   `WMC(F, w, w̄)` setting of Eq. (2)–(3) in the paper (negative weights are
 //!   allowed);
-//! * [`counter`] — two exact counters: a brute-force enumerator and a weighted
-//!   DPLL with unit propagation, connected-component decomposition and
-//!   component caching.
+//! * [`counter`] — three counters behind one dispatcher ([`wmc_in`], and
+//!   [`wmc_formula_via_in`] for formulas): a brute-force enumerator, a
+//!   weighted DPLL with unit propagation, connected-component decomposition
+//!   and component caching, and d-DNNF compilation ([`counter::CompiledWmc`]).
+//!   Each runs in any evaluation algebra under a resource guard; an exact
+//!   count is the `Exact` instance.
 //!
-//! The two counters are cross-checked against each other by unit tests and by
+//! The counters are cross-checked against each other by unit tests and by
 //! property-based tests, and are benchmarked against each other in the
 //! `wmc_backends` ablation bench.
 
@@ -31,6 +34,6 @@ pub mod tseitin;
 pub mod weights;
 
 pub use cnf::{Cnf, Lit};
-pub use counter::{wmc, wmc_formula, WmcBackend};
+pub use counter::{wmc_formula_via_in, wmc_in, WmcBackend};
 pub use formula::PropFormula;
 pub use weights::VarWeights;

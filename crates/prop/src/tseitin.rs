@@ -147,15 +147,15 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::{wmc, wmc_formula, WmcBackend};
+    use crate::counter::{exact_wmc, exact_wmc_formula, WmcBackend};
     use wfomc_logic::weights::weight_int;
 
     fn check_count_preserved(f: &PropFormula, weights: &VarWeights) {
-        let direct = wmc_formula(f, weights);
+        let direct = exact_wmc_formula(f, weights, WmcBackend::Enumerate);
         let t = to_cnf(f, weights);
-        let via_cnf = wmc(&t.cnf, &t.weights, WmcBackend::Enumerate);
+        let via_cnf = exact_wmc(&t.cnf, &t.weights, WmcBackend::Enumerate);
         assert_eq!(direct, via_cnf, "Tseitin changed the count of {f}");
-        let via_dpll = wmc(&t.cnf, &t.weights, WmcBackend::Dpll);
+        let via_dpll = exact_wmc(&t.cnf, &t.weights, WmcBackend::Dpll);
         assert_eq!(direct, via_dpll);
     }
 
@@ -202,7 +202,10 @@ mod tests {
         let w = VarWeights::ones(3);
         let t = to_cnf(&f, &w);
         // Models: x0 = true, x1/x2 free → 4.
-        assert_eq!(wmc(&t.cnf, &t.weights, WmcBackend::Dpll), weight_int(4));
+        assert_eq!(
+            exact_wmc(&t.cnf, &t.weights, WmcBackend::Dpll),
+            weight_int(4)
+        );
     }
 
     #[test]
@@ -227,8 +230,8 @@ mod tests {
         let reweighted = t.weights_for(&new);
         assert_eq!(reweighted.len(), t.cnf.num_vars);
         assert_eq!(
-            wmc(&t.cnf, &reweighted, WmcBackend::Dpll),
-            wmc_formula(&f, &new)
+            exact_wmc(&t.cnf, &reweighted, WmcBackend::Dpll),
+            exact_wmc_formula(&f, &new, WmcBackend::Enumerate)
         );
     }
 

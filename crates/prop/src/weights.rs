@@ -119,8 +119,8 @@ impl VarWeights {
 }
 
 /// [`VarWeights`] is the [`Exact`]-algebra instance of the generic
-/// per-variable weight-pair interface, so the exact counters and the
-/// algebra-generic `_in` counters share one implementation.
+/// per-variable weight-pair interface, so an exact count is the `Exact`
+/// instance of the algebra-generic counters.
 impl VarPairs<Exact> for VarWeights {
     fn var_weight(&self, _algebra: &Exact, var: usize, value: bool) -> Weight {
         self.literal_weight(var, value)

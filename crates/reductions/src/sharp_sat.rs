@@ -159,13 +159,17 @@ fn encode_boolean(f: &PropFormula) -> Formula {
 mod tests {
     use super::*;
     use num_traits::ToPrimitive;
+    use wfomc_core::Guard;
     use wfomc_ground::{fomc, GroundSolver};
+    use wfomc_logic::algebra::Exact;
     use wfomc_logic::weights::{weight_int, Weights};
-    use wfomc_prop::counter::{wmc_formula, WmcBackend};
+    use wfomc_prop::counter::{wmc_formula_via_in, WmcBackend};
     use wfomc_prop::VarWeights;
 
     fn count_sat(f: &PropFormula, num_vars: usize) -> i64 {
-        wmc_formula(f, &VarWeights::ones(num_vars))
+        let ones = VarWeights::ones(num_vars);
+        wmc_formula_via_in(f, &Exact, &ones, WmcBackend::Enumerate, &Guard::unarmed())
+            .unwrap()
             .to_integer()
             .to_i64()
             .unwrap()

@@ -142,7 +142,7 @@ fn concurrent_clients_get_bit_identical_values() {
     assert_eq!(handle.stats().errors(), 0);
     assert!(handle.stats().requests() >= 25); // register + 24 counts
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 }
 
 #[test]
@@ -188,7 +188,7 @@ fn deadline_capped_request_fails_typed_and_plan_stays_usable() {
     );
 
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 }
 
 #[test]
@@ -227,7 +227,7 @@ fn batch_shares_one_budget_and_reports_per_point() {
     }
 
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 }
 
 #[test]
@@ -286,7 +286,7 @@ fn batch_log_algebra_matches_library_lanes_bitwise() {
     assert_eq!(reply.status, 400, "{}", reply.body);
 
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 }
 
 #[test]
@@ -345,7 +345,7 @@ fn batch_log_on_a_cq_plan_runs_lifted_and_matches_library_lanes_bitwise() {
     }
 
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 }
 
 #[test]
@@ -378,7 +378,7 @@ fn huge_domain_fails_typed_and_the_only_worker_survives() {
     assert_eq!(reply.status, 200, "{}", reply.body);
 
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 }
 
 #[test]
@@ -392,7 +392,7 @@ fn registry_log_survives_restart_and_truncates_corrupt_tail() {
     let reply = client::post(addr, &format!("/v1/plans/{id}/count"), r#"{"n": 5}"#).unwrap();
     assert_eq!(str_field(&json_of(&reply), "value"), want);
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 
     // Simulate a crash mid-append: torn garbage at the tail.
     {
@@ -429,7 +429,7 @@ fn registry_log_survives_restart_and_truncates_corrupt_tail() {
     assert_eq!(body.get("created").and_then(Value::as_bool), Some(false));
 
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
@@ -489,7 +489,7 @@ fn error_paths_are_typed() {
     assert_eq!(counter("snap.hits"), Some(0), "{}", reply.body);
 
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 }
 
 #[test]
@@ -497,7 +497,7 @@ fn shutdown_drains_and_rejects_new_work() {
     let (handle, addr, daemon) = boot(None);
     let id = register(addr, SENTENCE);
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 
     // The listener is gone; new connections are refused outright.
     assert!(client::post(addr, &format!("/v1/plans/{id}/count"), r#"{"n": 2}"#).is_err());
@@ -524,7 +524,7 @@ fn snapshot_warm_restart_is_bit_identical_and_survives_corruption() {
     let reply = client::post(addr, &format!("/v1/plans/{id}/count"), r#"{"n": 6}"#).unwrap();
     assert_eq!(str_field(&json_of(&reply), "value"), want);
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 
     let snap_path = path
         .parent()
@@ -550,7 +550,7 @@ fn snapshot_warm_restart_is_bit_identical_and_survives_corruption() {
     let reply = client::post(addr, &format!("/v1/plans/{id}/count"), r#"{"n": 6}"#).unwrap();
     assert_eq!(str_field(&json_of(&reply), "value"), want);
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 
     // Flip one payload byte: the checksum fails, the boot silently replans,
     // and the answer is unchanged. The replan then rewrites a good file.
@@ -567,13 +567,13 @@ fn snapshot_warm_restart_is_bit_identical_and_survives_corruption() {
     let reply = client::post(addr, &format!("/v1/plans/{id}/count"), r#"{"n": 6}"#).unwrap();
     assert_eq!(str_field(&json_of(&reply), "value"), want);
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 
     // The rewrite is valid again: one more boot, one more hit.
     let (handle, addr, daemon) = boot(Some(path.clone()));
     assert_eq!(metric(addr, "snap.hits"), 1);
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
@@ -584,7 +584,7 @@ fn version_skewed_snapshot_silently_replans() {
     let id = register(addr, SENTENCE);
     let want = direct_value(SENTENCE, 4);
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
 
     // A snapshot from a future (or past) format version: bump the version
     // field right after the 4-byte magic.
@@ -604,7 +604,7 @@ fn version_skewed_snapshot_silently_replans() {
     let reply = client::post(addr, &format!("/v1/plans/{id}/count"), r#"{"n": 4}"#).unwrap();
     assert_eq!(str_field(&json_of(&reply), "value"), want);
     handle.shutdown();
-    daemon.join().unwrap().unwrap();
+    join_promptly(daemon);
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 

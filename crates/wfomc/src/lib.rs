@@ -82,12 +82,10 @@ pub mod prelude {
     pub use wfomc_core::fo2::Fo2Prepared;
     pub use wfomc_core::normal::{
         remove_equality, remove_negation, skolemize, wfomc_via_equality_removal,
-        wfomc_via_equality_removal_compiled, wfomc_via_equality_removal_interpolated,
-        wfomc_via_equality_removal_with_oracle,
     };
     pub use wfomc_core::qs4::wfomc_qs4;
     pub use wfomc_core::{
-        CancelToken, DegradePolicy, ExecutionLimits, LiftError, LimitsReport, Method, Plan,
+        CancelToken, DegradePolicy, ExecutionLimits, Guard, LiftError, LimitsReport, Method, Plan,
         PlanReport, Problem, SolveError, Solver, SolverBuilder, SolverReport,
     };
     pub use wfomc_ground::{brute_force_fomc, brute_force_wfomc, CompiledWfomc, GroundSolver};
@@ -149,7 +147,8 @@ mod tests {
         // dispatching solver.
         let phi = catalog::table1_sentence();
         let voc = phi.vocabulary();
-        let compiled = CompiledWfomc::compile(&phi, &voc, 2);
+        let lineage = std::sync::Arc::new(wfomc_ground::Lineage::build(&phi, &voc, 2));
+        let compiled = CompiledWfomc::from_lineage_guarded(lineage, &Guard::unarmed()).unwrap();
         for s in 1..4i64 {
             let w = Weights::from_ints([("R", 2, 1), ("S", s, 1), ("T", 1, 1)]);
             let report = Solver::builder()
@@ -157,7 +156,8 @@ mod tests {
                 .build()
                 .wfomc(&phi, &voc, 2, &w)
                 .unwrap();
-            assert_eq!(compiled.wfomc(&w), report.value, "s = {s}");
+            let exact = AlgebraWeights::lift(&Exact, &w);
+            assert_eq!(compiled.wfomc_in(&Exact, &exact), report.value, "s = {s}");
         }
     }
 

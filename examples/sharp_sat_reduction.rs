@@ -6,7 +6,7 @@
 
 use num_traits::ToPrimitive;
 use wfomc::prelude::*;
-use wfomc::prop::counter::wmc_formula;
+use wfomc::prop::counter::wmc_formula_via_in;
 use wfomc::prop::VarWeights;
 
 fn main() {
@@ -16,7 +16,9 @@ fn main() {
         PropFormula::or(PropFormula::not(PropFormula::var(1)), PropFormula::var(2)),
     ]);
     let num_vars = 3;
-    let models = wmc_formula(&f, &VarWeights::ones(num_vars));
+    let ones = VarWeights::ones(num_vars);
+    let models = wmc_formula_via_in(&f, &Exact, &ones, WmcBackend::Enumerate, &Guard::unarmed())
+        .expect("an unarmed guard cannot interrupt");
     println!("Boolean formula F = {f}");
     println!("#F (by enumeration) = {models}\n");
 

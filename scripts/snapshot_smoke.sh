@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Cold-start smoke test for wfomc-snap/v1 plan-state snapshots, used by the
 # CI cold-start job and runnable locally: boots the daemon against a fresh
-# registry, registers and queries two plans, and shuts down gracefully
-# (which writes/refreshes the snapshots and compacts the log). A second
-# boot must come up entirely from snapshots (snap.hits == plans) and serve
-# bit-identical values; a third boot — after one snapshot is corrupted and
-# the other truncated — must silently replan (snap.invalid == plans) and
-# STILL serve the same values: a bad snapshot costs a replan, never an
-# answer.
+# registry, registers and queries three plans — two lifted, one grounded
+# (transitivity, whose count at n = 3 compiles a d-DNNF circuit) — and shuts
+# down gracefully (which writes/refreshes the snapshots and compacts the
+# log). A second boot must come up entirely from snapshots
+# (snap.hits == plans) and serve bit-identical values, the grounded one
+# from the snapshot's circuit (no ground-cache miss); a third boot — after
+# one lifted snapshot is corrupted and the other truncated — must silently
+# replan those two (snap.invalid == 2) and STILL serve the same values: a
+# bad snapshot costs a replan, never an answer.
 #
 #   cargo build --release -p wfomc-serve && bash scripts/snapshot_smoke.sh
 #
@@ -58,34 +60,48 @@ metric() { # <counter name>
 
 S1='forall x. forall y. S(x) | N(x,y) | S(y)'
 S2='forall x. exists y. R(x,y)'
+S3='forall x. forall y. forall z. E(x,y) & E(y,z) -> E(x,z)'
 
-# --- Cold boot: register two plans, record their values, shut down.
+# --- Cold boot: register three plans, record their values, shut down.
 boot
 ID1="$("$BIN" register --addr "$ADDR" "$S1" | extract_id)"
 ID2="$("$BIN" register --addr "$ADDR" "$S2" | extract_id)"
-test -n "$ID1" && test -n "$ID2" || { echo "registration returned no id" >&2; exit 1; }
+ID3="$("$BIN" register --addr "$ADDR" "$S3" | extract_id)"
+test -n "$ID1" && test -n "$ID2" && test -n "$ID3" || {
+    echo "registration returned no id" >&2
+    exit 1
+}
 V1="$(value_of "$ID1" 6)"
 V2="$(value_of "$ID2" 6)"
-test -n "$V1" && test -n "$V2" || { echo "query returned no value" >&2; exit 1; }
+V3="$(value_of "$ID3" 3)"
+test -n "$V1" && test -n "$V2" && test -n "$V3" || { echo "query returned no value" >&2; exit 1; }
 stop
 
-test -f "$SNAPDIR/$ID1.snap" || { echo "missing snapshot $SNAPDIR/$ID1.snap" >&2; exit 1; }
-test -f "$SNAPDIR/$ID2.snap" || { echo "missing snapshot $SNAPDIR/$ID2.snap" >&2; exit 1; }
-"$BIN" snapshots --registry "$REGISTRY" | grep -c '"status":"ok"' | grep -qx 2 || {
-    echo "expected two valid snapshots in the store listing" >&2
+for id in "$ID1" "$ID2" "$ID3"; do
+    test -f "$SNAPDIR/$id.snap" || { echo "missing snapshot $SNAPDIR/$id.snap" >&2; exit 1; }
+done
+"$BIN" snapshots --registry "$REGISTRY" | grep -c '"status":"ok"' | grep -qx 3 || {
+    echo "expected three valid snapshots in the store listing" >&2
     exit 1
 }
 
 # --- Warm boot: every plan restores from its snapshot, values identical.
+# The grounded plan answers n = 3 from the snapshot's compiled circuit, so
+# its ground cache records no miss.
 boot
 HITS="$(metric 'snap.hits')"
-test "$HITS" = "2" || { echo "expected 2 snapshot hits on warm boot, got '$HITS'" >&2; exit 1; }
+test "$HITS" = "3" || { echo "expected 3 snapshot hits on warm boot, got '$HITS'" >&2; exit 1; }
 test "$(value_of "$ID1" 6)" = "$V1" || { echo "warm boot changed $ID1's value" >&2; exit 1; }
 test "$(value_of "$ID2" 6)" = "$V2" || { echo "warm boot changed $ID2's value" >&2; exit 1; }
+test "$(value_of "$ID3" 3)" = "$V3" || { echo "warm boot changed $ID3's value" >&2; exit 1; }
+"$BIN" stats --addr "$ADDR" "$ID3" | grep -q '"ground_misses":0' || {
+    echo "warm boot re-grounded $ID3 instead of using the snapshot's circuit" >&2
+    exit 1
+}
 stop
 
 # --- Corrupt one snapshot (trailing garbage breaks the length/checksum)
-# and truncate the other mid-header: the boot must fall back to replanning
+# and truncate another mid-header: the boot must fall back to replanning
 # both, count them invalid, and serve the same bits as before.
 printf 'garbage' >>"$SNAPDIR/$ID1.snap"
 truncate -s 12 "$SNAPDIR/$ID2.snap"
@@ -98,10 +114,11 @@ INVALID="$(metric 'snap.invalid')"
 test "$INVALID" = "2" || { echo "expected 2 invalid snapshots, got '$INVALID'" >&2; exit 1; }
 test "$(value_of "$ID1" 6)" = "$V1" || { echo "corrupt fallback changed $ID1's value" >&2; exit 1; }
 test "$(value_of "$ID2" 6)" = "$V2" || { echo "corrupt fallback changed $ID2's value" >&2; exit 1; }
+test "$(value_of "$ID3" 3)" = "$V3" || { echo "corrupt fallback changed $ID3's value" >&2; exit 1; }
 stop
 
 # The fallback replans rewrote valid snapshots on the way out.
-"$BIN" snapshots --registry "$REGISTRY" | grep -c '"status":"ok"' | grep -qx 2 || {
+"$BIN" snapshots --registry "$REGISTRY" | grep -c '"status":"ok"' | grep -qx 3 || {
     echo "fallback boot did not rewrite valid snapshots" >&2
     exit 1
 }
