@@ -61,6 +61,7 @@ fn bench_lifted_workloads(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(8));
     let mut group = tuned.benchmark_group("bignum");
     let weights = standard_weights();
+    let exact = AlgebraWeights::lift(&Exact, &weights);
 
     // The FO² cell-sum engine's huge-exponent products (acceptance workload).
     let smokers = catalog::smokers_constraint();
@@ -69,7 +70,7 @@ fn bench_lifted_workloads(c: &mut Criterion) {
         b.iter(|| {
             Fo2Prepared::prepare(&smokers, &voc)
                 .unwrap()
-                .count(30, &weights, true, &Guard::unarmed())
+                .count_in(30, &Exact, &exact, true, &Guard::unarmed())
                 .unwrap()
         })
     });

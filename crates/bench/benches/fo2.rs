@@ -14,6 +14,7 @@ use wfomc_bench::standard_weights;
 fn bench_fo2(c: &mut Criterion) {
     let mut group = c.benchmark_group("fo2");
     let weights = standard_weights();
+    let exact = AlgebraWeights::lift(&Exact, &weights);
 
     let sentences = vec![
         ("forall-exists", catalog::forall_exists_edge()),
@@ -32,7 +33,7 @@ fn bench_fo2(c: &mut Criterion) {
                     b.iter(|| {
                         Fo2Prepared::prepare(sentence, &voc)
                             .unwrap()
-                            .count(n, &weights, true, &Guard::unarmed())
+                            .count_in(n, &Exact, &exact, true, &Guard::unarmed())
                             .unwrap()
                     })
                 },
@@ -54,7 +55,7 @@ fn bench_fo2(c: &mut Criterion) {
         b.iter(|| {
             Fo2Prepared::prepare(&sentence, &voc)
                 .unwrap()
-                .count(1, &weights, true, &Guard::unarmed())
+                .count_in(1, &Exact, &exact, true, &Guard::unarmed())
                 .unwrap()
                 .1
         })

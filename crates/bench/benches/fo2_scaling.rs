@@ -15,7 +15,7 @@ use wfomc_bench::{fo2_scaling_workload, standard_weights};
 
 fn bench_fo2_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fo2_scaling");
-    let weights = standard_weights();
+    let exact = AlgebraWeights::lift(&Exact, &standard_weights());
 
     let forall_exists = catalog::forall_exists_edge();
     let voc = forall_exists.vocabulary();
@@ -24,7 +24,7 @@ fn bench_fo2_scaling(c: &mut Criterion) {
             b.iter(|| {
                 Fo2Prepared::prepare(&forall_exists, &voc)
                     .unwrap()
-                    .count(n, &weights, true, &Guard::unarmed())
+                    .count_in(n, &Exact, &exact, true, &Guard::unarmed())
                     .unwrap()
             })
         });
@@ -37,7 +37,7 @@ fn bench_fo2_scaling(c: &mut Criterion) {
             b.iter(|| {
                 Fo2Prepared::prepare(&partition, &voc)
                     .unwrap()
-                    .count(n, &weights, true, &Guard::unarmed())
+                    .count_in(n, &Exact, &exact, true, &Guard::unarmed())
                     .unwrap()
             })
         });

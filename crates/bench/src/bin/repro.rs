@@ -92,6 +92,7 @@ fn table1() {
     let voc = sentence.vocabulary();
     let weights = standard_weights();
     let prepared = Fo2Prepared::prepare(&sentence, &voc).expect("table1 is FO²");
+    let ones = AlgebraWeights::ones();
     println!(
         "{:>3} {:>26} {:>26} {:>26}",
         "n", "FOMC closed form", "FOMC lifted (FO²)", "WFOMC closed form"
@@ -99,7 +100,7 @@ fn table1() {
     for n in 0..=6 {
         let closed = closed_form::fomc_table1(n);
         let (lifted, _) = prepared
-            .count(n, &Weights::ones(), true, &Guard::unarmed())
+            .count_in(n, &Exact, &ones, true, &Guard::unarmed())
             .unwrap();
         let weighted = closed_form::wfomc_table1(n, &weights);
         assert_eq!(closed, lifted);
@@ -263,7 +264,7 @@ fn qs4() {
 /// E6 — Appendix C.
 fn fo2() {
     header("E6  Appendix C: FO² data complexity is polynomial");
-    let weights = standard_weights();
+    let weights = AlgebraWeights::lift(&Exact, &standard_weights());
     for (name, sentence) in [
         ("∀x∃y R(x,y)", catalog::forall_exists_edge()),
         ("spouse constraint", catalog::spouse_constraint()),
@@ -273,7 +274,7 @@ fn fo2() {
         print!("{name:<22}");
         for n in [2usize, 4, 8, 16] {
             let (v, _) = prepared
-                .count(n, &weights, true, &Guard::unarmed())
+                .count_in(n, &Exact, &weights, true, &Guard::unarmed())
                 .unwrap();
             print!("  n={n}: {:<18}", short(&v));
         }
@@ -288,7 +289,7 @@ fn fo2_scaling() {
 
 fn fo2_scaling_with_sizes(sizes: &[usize]) {
     header("E6b  FO² scaling: prefix-sharing cell-sum engine");
-    let weights = standard_weights();
+    let weights = AlgebraWeights::lift(&Exact, &standard_weights());
     println!(
         "{:<18} {:>4} {:>6} {:>12} {:>12} {:>10}",
         "sentence", "n", "cells", "terms", "pruned", "ms"
@@ -301,7 +302,7 @@ fn fo2_scaling_with_sizes(sizes: &[usize]) {
         for &n in sizes {
             let start = Instant::now();
             let (_, stats) = prepared
-                .count(n, &weights, true, &Guard::unarmed())
+                .count_in(n, &Exact, &weights, true, &Guard::unarmed())
                 .unwrap();
             let ms = start.elapsed().as_secs_f64() * 1e3;
             println!(
@@ -356,7 +357,7 @@ fn plan_reuse_with_k(k: usize) {
 fn bignum() {
     header("E13  Bignum: inline small values + Karatsuba");
     println!("{:<26} {:>10}", "workload", "ms");
-    let weights = standard_weights();
+    let weights = AlgebraWeights::lift(&Exact, &standard_weights());
     let row = |name: &str, f: &mut dyn FnMut()| {
         println!("{name:<26} {:>10.2}", time_ms(&mut *f));
     };
@@ -368,7 +369,7 @@ fn bignum() {
     row("fo2-smokers-30", &mut || {
         Fo2Prepared::prepare(&smokers, &voc)
             .expect("smokers lifts")
-            .count(30, &weights, true, &Guard::unarmed())
+            .count_in(30, &Exact, &weights, true, &Guard::unarmed())
             .expect("an unarmed guard cannot interrupt");
     });
 }

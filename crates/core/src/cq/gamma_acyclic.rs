@@ -23,7 +23,8 @@
 //! value: each edge carries a weight-free label recording how its
 //! probability was built, so under one weight function equal labels mean
 //! equal values, no float is ever hashed, and lane runs stay bit-identical
-//! to scalar ones.
+//! to scalar ones. A plan keeps its tables across counts (`CqMemo`), one
+//! per probability vector, found by comparing vectors, not by hashing them.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
@@ -36,6 +37,7 @@ use wfomc_logic::weights::{Weight, Weights};
 
 use crate::combinatorics::binomial_weight;
 use crate::error::{demote, LiftError, SolveError};
+use crate::keyed::{self, KeyedLru};
 
 /// Guard phase name for the reduction loops.
 const PHASE: &str = "cq.reduce";
@@ -70,10 +72,7 @@ pub fn gamma_acyclic_wfomc_in<A: Algebra>(
     weights: &AlgebraWeights<A>,
     guard: &Guard,
 ) -> Result<A::Elem, SolveError> {
-    let (probabilities, normalization) = tuple_probabilities(query, n, algebra, weights)?;
-    let prob =
-        gamma_acyclic_probability_in(query, &uniform(query, n), algebra, &probabilities, guard)?;
-    Ok(algebra.mul(&prob, &normalization))
+    CqMemo::wfomc_in(&Mutex::default(), query, n, algebra, weights, guard)
 }
 
 /// Probability that a γ-acyclic conjunctive query is true when each tuple of
@@ -127,47 +126,59 @@ fn uniform(query: &ConjunctiveQuery, n: usize) -> BTreeMap<Variable, usize> {
     query.variables().into_iter().map(|v| (v, n)).collect()
 }
 
-/// The exact reduction tables of one [`crate::plan::Plan`]: one table per
-/// probability vector, so repeated counts under one weight function reuse
-/// rule (b)'s sub-reductions across calls and domain sizes.
+/// The reduction tables of one [`crate::plan::Plan`], in every algebra:
+/// one table per probability vector, so repeated counts under one weight
+/// function reuse rule (b)'s sub-reductions across calls and domain sizes.
+/// Each algebra keeps at most [`keyed::CAPACITY`] tables, least recently
+/// used evicted first.
 #[derive(Debug, Default)]
 pub(crate) struct CqMemo {
-    tables: HashMap<Vec<Weight>, Table<Weight>>,
+    tables: KeyedLru,
     /// Lifetime lookup hits and misses of the tables checked back in.
     hits: u64,
     misses: u64,
 }
 
+/// A table counts its memoized residual shapes toward the plan's report.
+impl<E: std::fmt::Debug + Send + 'static> keyed::Entry for Table<E> {
+    fn size(&self) -> usize {
+        self.memo.len()
+    }
+}
+
 impl CqMemo {
-    /// [`gamma_acyclic_wfomc_in`] in [`Exact`] with this weight function's
-    /// table, checked out for the reduction: the lock is never held while
-    /// reducing, so counts do not serialize and a panic cannot poison it.
-    /// The table holds only completed sub-reductions, so it goes back in
-    /// after an interrupt too (replacing one a concurrent count checked in
-    /// meanwhile; both are sound).
-    pub(crate) fn wfomc(
+    /// [`gamma_acyclic_wfomc_in`] with the memo's table for this
+    /// probability vector, checked out for the reduction: the lock is never
+    /// held while reducing, so counts do not serialize and a panic cannot
+    /// poison it. The table holds only completed sub-reductions, so it goes
+    /// back in after an interrupt too (replacing one a concurrent count
+    /// checked in meanwhile; both are sound). Under one probability vector
+    /// equal labels mean equal values, so a table answers every count
+    /// under that vector exactly as a fresh one would, bits included.
+    pub(crate) fn wfomc_in<A: Algebra>(
         memo: &Mutex<CqMemo>,
         query: &ConjunctiveQuery,
         n: usize,
-        weights: &AlgebraWeights<Exact>,
+        algebra: &A,
+        weights: &AlgebraWeights<A>,
         guard: &Guard,
-    ) -> Result<Weight, SolveError> {
-        let (probabilities, normalization) = tuple_probabilities(query, n, &Exact, weights)?;
-        let key: Vec<Weight> = probabilities.values().cloned().collect();
-        let checked_out = memo.lock().expect("cq memo poisoned").tables.remove(&key);
-        let mut table = checked_out.unwrap_or_default();
+    ) -> Result<A::Elem, SolveError> {
+        let (probabilities, normalization) = tuple_probabilities(query, n, algebra, weights)?;
+        let key: Vec<A::Elem> = probabilities.values().cloned().collect();
+        let checked_out = memo.lock().expect("cq memo poisoned").tables.take(&key);
+        let mut table: Table<A::Elem> = checked_out.unwrap_or_default();
         let domains = uniform(query, n);
-        let prob = reduce_query(query, &domains, &Exact, &probabilities, &mut table, guard);
+        let prob = reduce_query(query, &domains, algebra, &probabilities, &mut table, guard);
         let mut memo = memo.lock().expect("cq memo poisoned");
         memo.hits += std::mem::take(&mut table.hits);
         memo.misses += std::mem::take(&mut table.misses);
-        memo.tables.insert(key, table);
-        Ok(prob? * normalization)
+        memo.tables.put(key, table);
+        Ok(algebra.mul(&prob?, &normalization))
     }
 
     /// Number of memoized residual query shapes, over all tables.
     pub(crate) fn len(&self) -> usize {
-        self.tables.values().map(|t| t.memo.len()).sum()
+        self.tables.len()
     }
 
     /// Lifetime `(hits, misses)` of the memo's lookups.

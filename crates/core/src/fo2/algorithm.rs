@@ -6,7 +6,7 @@
 
 use super::cellsum::CellSumStats;
 
-/// Statistics of one FO² count ([`super::prepare::Fo2Prepared::count`]),
+/// Statistics of one FO² count ([`super::prepare::Fo2Prepared::count_in`]),
 /// used by the benchmarks and the `repro` harness to explain the cost profile (number of cells, number of
 /// compositions summed and pruned, number of Shannon branches).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -76,6 +76,7 @@ mod tests {
     use super::*;
     use wfomc_ground::{brute_force_wfomc, wfomc as ground_wfomc};
     use wfomc_guard::Guard;
+    use wfomc_logic::algebra::{AlgebraWeights, Exact};
     use wfomc_logic::builders::*;
     use wfomc_logic::catalog;
     use wfomc_logic::syntax::Formula;
@@ -92,8 +93,9 @@ mod tests {
         n: usize,
         weights: &Weights,
     ) -> Result<(Weight, Fo2Stats), LiftError> {
+        let lifted = AlgebraWeights::lift(&Exact, weights);
         Ok(Fo2Prepared::prepare(sentence, vocabulary)?
-            .count(n, weights, true, &Guard::unarmed())
+            .count_in(n, &Exact, &lifted, true, &Guard::unarmed())
             .expect("an unarmed guard cannot interrupt"))
     }
 

@@ -10,13 +10,13 @@
 //! `r_{ij}` sums, over all assignments to the cross atoms `B(x,y)`, `B(y,x)`,
 //! the weight of the assignments satisfying `Ψ(x,y) ∧ Ψ(y,x)`.
 
-use num_traits::{One, Zero};
+use num_traits::One;
 
 use wfomc_logic::algebra::{Algebra, AlgebraWeights};
 use wfomc_logic::syntax::Formula;
 use wfomc_logic::term::Term;
 use wfomc_logic::vocabulary::Predicate;
-use wfomc_logic::weights::{Weight, Weights};
+use wfomc_logic::weights::Weight;
 
 use super::normalize::{VAR_X, VAR_Y};
 use crate::error::LiftError;
@@ -37,8 +37,9 @@ impl CellSpace {
     }
 }
 
-/// A valid 1-type together with its weight
-/// `u_c = Π_U w-or-w̄(U) · Π_B w-or-w̄(B)` over its unary and reflexive atoms.
+/// A valid 1-type. Its weight `u_c = Π_U w-or-w̄(U) · Π_B w-or-w̄(B)` over
+/// its unary and reflexive atoms depends on the weight function, so
+/// [`bind_cell_weights_in`] computes it per binding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cell {
     /// Truth values of the unary atoms, aligned with [`CellSpace::unary`].
@@ -46,7 +47,8 @@ pub struct Cell {
     /// Truth values of the reflexive binary atoms, aligned with
     /// [`CellSpace::binary`].
     pub reflexive: Vec<bool>,
-    /// The cell weight `u_c`.
+    /// Always 1: prepared cells are weight-free shapes. The field stays
+    /// because the `wfomc-snap/v1` format stores it.
     pub weight: Weight,
 }
 
@@ -70,7 +72,7 @@ struct CrossAssign {
 ///
 /// Finding the satisfying assignments is the expensive part of building the
 /// table (it evaluates the matrix `2^{2b}` times per cell pair); summing the
-/// signature weights ([`bind_pair_table`]) is cheap and can be redone per
+/// signature weights ([`bind_pair_table_in`]) is cheap and can be redone per
 /// weight function, which is what lets a [`crate::plan::Plan`] analyze a
 /// sentence once and re-weight it many times.
 #[derive(Clone, Debug)]
@@ -159,7 +161,7 @@ impl PairStructure {
 
 /// Enumerates the valid cell *shapes* of a matrix: the truth assignments
 /// satisfying the diagonal constraint `Ψ(x, x)`, with every weight left at 1.
-/// [`bind_cell_weights`] turns shapes into weighted [`Cell`]s.
+/// [`bind_cell_weights_in`] computes their weights under a weight function.
 pub fn build_cell_shapes(matrix: &Formula, space: &CellSpace) -> Result<Vec<Cell>, LiftError> {
     let bits = space.cell_bits();
     if bits > 24 {
@@ -185,35 +187,6 @@ pub fn build_cell_shapes(matrix: &Formula, space: &CellSpace) -> Result<Vec<Cell
         cells.push(candidate);
     }
     Ok(cells)
-}
-
-/// Computes the cell weights `u_c` for a slice of (structural) cells under a
-/// weight function: the product of `w` / `w̄` over the cell's unary and
-/// reflexive atoms.
-pub fn bind_cell_weights(shapes: &[Cell], space: &CellSpace, weights: &Weights) -> Vec<Cell> {
-    let unary_pairs: Vec<_> = space.unary.iter().map(|p| weights.pair_of(p)).collect();
-    let binary_pairs: Vec<_> = space.binary.iter().map(|p| weights.pair_of(p)).collect();
-    shapes
-        .iter()
-        .map(|shape| {
-            let mut weight = Weight::one();
-            for (i, pair) in unary_pairs.iter().enumerate() {
-                weight *= if shape.unary[i] { &pair.pos } else { &pair.neg };
-            }
-            for (i, pair) in binary_pairs.iter().enumerate() {
-                weight *= if shape.reflexive[i] {
-                    &pair.pos
-                } else {
-                    &pair.neg
-                };
-            }
-            Cell {
-                unary: shape.unary.clone(),
-                reflexive: shape.reflexive.clone(),
-                weight,
-            }
-        })
-        .collect()
 }
 
 /// Computes the cell weights `u_c` of a slice of (structural) cells in an
@@ -251,18 +224,8 @@ pub fn bind_cell_weights_in<A: Algebra>(
         .collect()
 }
 
-/// Enumerates the valid cells of a matrix.
-pub fn build_cells(
-    matrix: &Formula,
-    space: &CellSpace,
-    weights: &Weights,
-) -> Result<Vec<Cell>, LiftError> {
-    let shapes = build_cell_shapes(matrix, space)?;
-    Ok(bind_cell_weights(&shapes, space, weights))
-}
-
 /// Finds, for every unordered pair of cells, the cross assignments satisfying
-/// `Ψ(x,y) ∧ Ψ(y,x)` — the weight-independent part of [`build_pair_table`].
+/// `Ψ(x,y) ∧ Ψ(y,x)` — the weight-independent part of the pair table.
 pub fn build_pair_structure(
     matrix: &Formula,
     space: &CellSpace,
@@ -318,54 +281,11 @@ pub fn build_pair_structure(
     Ok(PairStructure { sat })
 }
 
-/// Sums the weights of the satisfying cross assignments of every cell pair,
-/// producing the symmetric table `r_{ij}` for a weight function. Per binary
-/// predicate only the three products `w̄²`, `w·w̄`, `w²` exist, so each
-/// signature costs `b` multiplications instead of `2b` per raw assignment.
-pub fn bind_pair_table(
-    structure: &PairStructure,
-    space: &CellSpace,
-    weights: &Weights,
-) -> Vec<Vec<Weight>> {
-    let pows: Vec<[Weight; 3]> = space
-        .binary
-        .iter()
-        .map(|p| {
-            let pair = weights.pair_of(p);
-            [
-                &pair.neg * &pair.neg,
-                &pair.pos * &pair.neg,
-                &pair.pos * &pair.pos,
-            ]
-        })
-        .collect();
-    let k = structure.sat.len();
-    let mut table = vec![vec![Weight::zero(); k]; k];
-    for (i, row) in structure.sat.iter().enumerate() {
-        for (d, signatures) in row.iter().enumerate() {
-            let j = i + d;
-            let mut total = Weight::zero();
-            for (signature, count) in signatures {
-                let mut weight = if *count == 1 {
-                    Weight::one()
-                } else {
-                    Weight::from_integer((*count).into())
-                };
-                for (t, pow) in pows.iter().enumerate() {
-                    weight *= &pow[signature[t] as usize];
-                }
-                total += weight;
-            }
-            table[i][j] = total.clone();
-            table[j][i] = total;
-        }
-    }
-    table
-}
-
-/// Sums the signature weights of every cell pair in an arbitrary
-/// [`Algebra`] — the generic counterpart of [`bind_pair_table`], with ring
-/// elements in place of rationals.
+/// Sums the weights of the satisfying cross assignments of every cell pair
+/// in an arbitrary [`Algebra`], producing the symmetric table `r_{ij}` for
+/// a weight function. Per binary predicate only the three products `w̄²`,
+/// `w·w̄`, `w²` exist, so each signature costs `b` multiplications instead
+/// of `2b` per raw assignment.
 pub fn bind_pair_table_in<A: Algebra>(
     structure: &PairStructure,
     space: &CellSpace,
@@ -406,17 +326,6 @@ pub fn bind_pair_table_in<A: Algebra>(
         }
     }
     table
-}
-
-/// Builds the symmetric table `r_{ij}` over the valid cells.
-pub fn build_pair_table(
-    matrix: &Formula,
-    space: &CellSpace,
-    cells: &[Cell],
-    weights: &Weights,
-) -> Result<Vec<Vec<Weight>>, LiftError> {
-    let structure = build_pair_structure(matrix, space, cells)?;
-    Ok(bind_pair_table(&structure, space, weights))
 }
 
 /// Evaluates the matrix under a cell assignment for `x` and `y`.
@@ -548,12 +457,29 @@ fn eval_matrix(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use wfomc_logic::algebra::Exact;
     use wfomc_logic::builders::*;
     use wfomc_logic::term::Variable;
     use wfomc_logic::transform::substitute;
-    use wfomc_logic::weights::weight_int;
+    use wfomc_logic::weights::{weight_int, Weights};
+
+    /// The valid cells of a matrix with their exact weights `u` and pair
+    /// table `r` under `weights`.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn exact_cells(
+        matrix: &Formula,
+        space: &CellSpace,
+        weights: &Weights,
+    ) -> Result<(Vec<Cell>, Vec<Weight>, Vec<Vec<Weight>>), LiftError> {
+        let cells = build_cell_shapes(matrix, space)?;
+        let lifted = AlgebraWeights::lift(&Exact, weights);
+        let u = bind_cell_weights_in(&cells, space, &Exact, &lifted);
+        let structure = build_pair_structure(matrix, space, &cells)?;
+        let table = bind_pair_table_in(&structure, space, &Exact, &lifted);
+        Ok((cells, u, table))
+    }
 
     /// Builds the Table 1 matrix over the canonical variables.
     fn table1_matrix() -> Formula {
@@ -575,28 +501,30 @@ mod tests {
 
     #[test]
     fn valid_cells_of_table1() {
-        let cells = build_cells(&table1_matrix(), &table1_space(), &Weights::ones()).unwrap();
+        let (cells, u, _) =
+            exact_cells(&table1_matrix(), &table1_space(), &Weights::ones()).unwrap();
         // 8 candidate cells; only R=T=S(x,x)=false violates Ψ(x,x).
         assert_eq!(cells.len(), 7);
-        assert!(cells.iter().all(|c| c.weight == weight_int(1)));
+        assert!(u.iter().all(|w| *w == weight_int(1)));
     }
 
     #[test]
     fn cell_weights_multiply_unary_and_reflexive_atoms() {
         let weights = Weights::from_ints([("R", 2, 3), ("T", 5, 7), ("S", 11, 13)]);
-        let cells = build_cells(&table1_matrix(), &table1_space(), &weights).unwrap();
+        let (cells, u, _) = exact_cells(&table1_matrix(), &table1_space(), &weights).unwrap();
         // The cell with R true, T false, S(x,x) false weighs 2·7·13.
-        assert!(cells.iter().any(|c| c.unary == vec![true, false]
-            && c.reflexive == vec![false]
-            && c.weight == weight_int(2 * 7 * 13)));
+        assert!(cells
+            .iter()
+            .zip(&u)
+            .any(|(c, w)| c.unary == vec![true, false]
+                && c.reflexive == vec![false]
+                && *w == weight_int(2 * 7 * 13)));
     }
 
     #[test]
     fn pair_table_counts_cross_assignments() {
-        let space = table1_space();
-        let weights = Weights::ones();
-        let cells = build_cells(&table1_matrix(), &space, &weights).unwrap();
-        let table = build_pair_table(&table1_matrix(), &space, &cells, &weights).unwrap();
+        let (cells, _, table) =
+            exact_cells(&table1_matrix(), &table1_space(), &Weights::ones()).unwrap();
         // Find the cell where R and T are both true: the matrix is satisfied
         // regardless of the S cross atoms, so r = 4.
         let i = cells
@@ -634,9 +562,8 @@ mod tests {
             unary: vec![],
             binary: vec![Predicate::new("S", 2)],
         };
-        let cells = build_cells(&m, &space, &Weights::ones()).unwrap();
+        let (cells, _, table) = exact_cells(&m, &space, &Weights::ones()).unwrap();
         assert_eq!(cells.len(), 2);
-        let table = build_pair_table(&m, &space, &cells, &Weights::ones()).unwrap();
         // Off-diagonal: S(x,y) ∧ S(y,x) both required → exactly 1 assignment.
         assert_eq!(table[0][0], weight_int(1));
     }

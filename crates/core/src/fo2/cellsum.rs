@@ -55,16 +55,15 @@
 //! addition combines operands of comparable size instead of adding a small
 //! term to an ever-growing total.
 //!
-//! The engine itself ([`cell_sum_elems`]) only adds and multiplies, so it is
-//! generic over the evaluation [`Algebra`] — the zero-subtree cutoff is
-//! sound in any ring because `0 · x = 0`. The exact entry point
-//! ([`cell_sum_weights`]) additionally clears the rational denominators out
-//! of the bases before running the engine (so the hot loop multiplies
-//! gcd-free integers) and divides the correction back out at the end; that
-//! trick is specific to `BigRational` and lives in the wrapper, not the
-//! engine.
+//! The engine ([`cell_sum_elems`], its one entry point) only adds and
+//! multiplies, so it is generic over the evaluation [`Algebra`] — the
+//! zero-subtree cutoff is sound in any ring because `0 · x = 0`. It does no
+//! weight tricks of its own: exact counts reach it with integer weights,
+//! because [`crate::plan::Plan`] clears the denominators of every weight
+//! pair before binding (see [`Algebra::pair_scale`]), so the hot loop
+//! multiplies gcd-free integers.
 //!
-//! Both entry points run under a resource [`Guard`]: every DFS worker meters
+//! The engine runs under a resource [`Guard`]: every DFS worker meters
 //! its nodes and compositions through its own [`Meter`], so deadlines, work
 //! caps and cancellation interrupt the sum mid-search. Ungoverned callers
 //! pass [`Guard::unarmed`], whose meters cost one local add and compare per
@@ -73,14 +72,11 @@
 //! The seed implementation's term-by-term enumeration is kept under
 //! `cfg(test)` as the differential-testing oracle.
 
-use num_bigint::BigInt;
-use num_traits::{One, Zero};
-
 use wfomc_guard::{Guard, Interrupt, Meter};
-use wfomc_logic::algebra::{Algebra, Exact, Powers};
-use wfomc_logic::weights::{weight_int, weight_pow, Weight};
+use wfomc_logic::algebra::{Algebra, Powers};
+use wfomc_logic::weights::weight_int;
 
-use crate::combinatorics::{binomial_weight_triangle, num_compositions, weight_from_bigint};
+use crate::combinatorics::{binomial_weight_triangle, num_compositions};
 
 /// Guard phase name for the DFS engine.
 const PHASE: &str = "fo2.cellsum";
@@ -104,58 +100,14 @@ pub struct CellSumStats {
     pub compositions_total: usize,
 }
 
-/// The exact cell-decomposition sum over bare cell weights `u` and the
-/// symmetric pair table (what prepared plans store), under `guard`.
-/// `parallel` allows the engine to drain the top-level cell split with
-/// several threads (callers that already run branches concurrently pass
-/// `false`); the result does not depend on it.
-///
-/// This is the exact-rational fast path: it clears the common denominators
-/// out of the cell weights and pair entries (every composition uses exactly
-/// `n` cell-weight factors and `C(n,2)` pair factors, so one division by
-/// `D_u^n · D_r^{C(n,2)}` at the end restores the exact value), then runs
-/// the algebra-generic engine over denominator-1 rationals. An interrupted
-/// sum discards its partial accumulators; retrying simply restarts it.
-pub fn cell_sum_weights(
-    u: &[Weight],
-    table: &[Vec<Weight>],
-    n: usize,
-    parallel: bool,
-    guard: &Guard,
-) -> Result<(Weight, CellSumStats), Interrupt> {
-    // Clear denominators over the cells the engine will actually visit (the
-    // non-zero-weight ones), so the scaling never inflates for weights that
-    // are dropped anyway.
-    let keep: Vec<usize> = (0..u.len()).filter(|&i| !u[i].is_zero()).collect();
-    let d_u = lcm_of_denominators(keep.iter().map(|&i| &u[i]));
-    let d_r = lcm_of_denominators(
-        keep.iter()
-            .flat_map(|&i| keep.iter().map(move |&j| &table[i][j])),
-    );
-    let scale_u = weight_from_bigint(d_u);
-    let scale_r = weight_from_bigint(d_r);
-    let correction = weight_pow(&scale_u, n) * weight_pow(&scale_r, n * n.saturating_sub(1) / 2);
-
-    let scaled_u: Vec<Weight> = u.iter().map(|w| w * &scale_u).collect();
-    let scaled_table: Vec<Vec<Weight>> = table
-        .iter()
-        .map(|row| row.iter().map(|w| w * &scale_r).collect())
-        .collect();
-
-    let (total, stats) = cell_sum_elems(&Exact, &scaled_u, &scaled_table, n, parallel, guard)?;
-    let total = if correction.is_one() {
-        total
-    } else {
-        total / correction
-    };
-    Ok((total, stats))
-}
-
 /// The cell-decomposition sum in an arbitrary [`Algebra`]: `u[c]` are the
 /// cell weights, `table` the symmetric pair table, both as ring elements.
 /// This is the engine itself — no denominator tricks, no weight binding —
-/// shared by every algebra including [`Exact`]. Each DFS worker (one per
-/// thread draining the top-level split) meters its work against `guard`.
+/// shared by every algebra. `parallel` allows the engine to drain the
+/// top-level cell split with several threads (callers that already run
+/// branches concurrently pass `false`); the result does not depend on it.
+/// Each DFS worker meters its work against `guard`; an interrupted sum
+/// discards its partial accumulators, so retrying simply restarts it.
 pub fn cell_sum_elems<A: Algebra>(
     algebra: &A,
     u: &[A::Elem],
@@ -259,17 +211,6 @@ fn interchangeable_classes<E: PartialEq>(
         }
     }
     classes
-}
-
-/// Least common multiple of the denominators of `values`.
-fn lcm_of_denominators<'a>(values: impl Iterator<Item = &'a Weight>) -> BigInt {
-    let mut acc = BigInt::one();
-    for v in values {
-        let d = v.denom();
-        let g = BigInt::from(acc.magnitude().gcd(d.magnitude()));
-        acc = &acc / &g * d;
-    }
-    acc
 }
 
 impl<'a, A: Algebra> Engine<'a, A> {
@@ -778,22 +719,24 @@ impl<'e, 'g, A: Algebra> Worker<'e, 'g, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use num_traits::{One, Zero};
     use proptest::prelude::*;
     use wfomc_ground::wfomc as ground_wfomc;
-    use wfomc_logic::algebra::{AlgebraWeights, LogF64, Poly};
+    use wfomc_logic::algebra::{AlgebraWeights, Exact, LogF64, Poly};
     use wfomc_logic::builders::*;
     use wfomc_logic::catalog;
-    use wfomc_logic::weights::{weight_ratio, Weights};
+    use wfomc_logic::weights::{weight_pow, weight_ratio, Weight, Weights};
 
     use wfomc_logic::syntax::Formula;
 
     use crate::error::LiftError;
-    use crate::fo2::cells::{build_cells, build_pair_table, CellSpace};
+    use crate::fo2::cells::tests::exact_cells;
+    use crate::fo2::cells::CellSpace;
     use crate::fo2::normalize::{fo2_normal_form, Fo2Shape};
     use crate::fo2::prepare::Fo2Prepared;
 
-    /// The exact cell sum of one Shannon-free normal form: builds the
-    /// weighted cells and the pair table, then runs the engine unguarded.
+    /// The exact cell sum of one Shannon-free normal form: binds the cells
+    /// and the pair table, then runs the engine unguarded.
     fn cell_sum(
         matrix: &Formula,
         space: &CellSpace,
@@ -801,10 +744,19 @@ mod tests {
         n: usize,
         parallel: bool,
     ) -> (Weight, CellSumStats) {
-        let cells = build_cells(matrix, space, &shape.weights).unwrap();
-        let table = build_pair_table(matrix, space, &cells, &shape.weights).unwrap();
-        let u: Vec<Weight> = cells.iter().map(|c| c.weight.clone()).collect();
-        cell_sum_weights(&u, &table, n, parallel, &Guard::unarmed()).unwrap()
+        let (_, u, table) = exact_cells(matrix, space, &shape.weights).unwrap();
+        cell_sum_elems(&Exact, &u, &table, n, parallel, &Guard::unarmed()).unwrap()
+    }
+
+    /// The exact count of a prepared sentence with its statistics.
+    fn prepared_count(
+        prepared: &Fo2Prepared,
+        n: usize,
+        weights: &Weights,
+        parallel: bool,
+    ) -> Result<(Weight, crate::fo2::Fo2Stats), Interrupt> {
+        let lifted = AlgebraWeights::lift(&Exact, weights);
+        prepared.count_in(n, &Exact, &lifted, parallel, &Guard::unarmed())
     }
 
     /// The seed implementation — term-by-term enumeration over all compositions —
@@ -817,13 +769,12 @@ mod tests {
     ) -> Result<(Weight, CellSumStats), LiftError> {
         use crate::combinatorics::{compositions, multinomial_weight};
 
-        let cells = build_cells(matrix, space, &shape.weights)?;
-        if cells.is_empty() {
+        let (_, u, table) = exact_cells(matrix, space, &shape.weights)?;
+        if u.is_empty() {
             return Ok((Weight::zero(), CellSumStats::default()));
         }
-        let table = build_pair_table(matrix, space, &cells, &shape.weights)?;
 
-        let k = cells.len();
+        let k = u.len();
         let mut total = Weight::zero();
         let mut num_terms = 0usize;
         for comp in compositions(n, k) {
@@ -833,7 +784,7 @@ mod tests {
                 if count == 0 {
                     continue;
                 }
-                term *= weight_pow(&cells[c].weight, count);
+                term *= weight_pow(&u[c], count);
                 // Pairs within the same cell.
                 term *= weight_pow(&table[c][c], count * (count - 1) / 2);
             }
@@ -919,9 +870,7 @@ mod tests {
             unary: counted.iter().filter(|p| p.arity() == 1).cloned().collect(),
             binary: counted.iter().filter(|p| p.arity() == 2).cloned().collect(),
         };
-        let cells = build_cells(&shape.matrix, &space, &shape.weights).unwrap();
-        let table = build_pair_table(&shape.matrix, &space, &cells, &shape.weights).unwrap();
-        let u: Vec<Weight> = cells.iter().map(|c| c.weight.clone()).collect();
+        let (_, u, table) = exact_cells(&shape.matrix, &space, &shape.weights).unwrap();
         let n = 30;
         let engine = Engine::new(&Exact, &u, &table, n);
         assert!(num_compositions(n, engine.k) >= 4096, "k = {}", engine.k);
@@ -1045,10 +994,9 @@ mod tests {
             unary: counted.iter().filter(|p| p.arity() == 1).cloned().collect(),
             binary: counted.iter().filter(|p| p.arity() == 2).cloned().collect(),
         };
-        let cells = build_cells(&shape.matrix, &space, &shape.weights).unwrap();
-        let table = build_pair_table(&shape.matrix, &space, &cells, &shape.weights).unwrap();
+        let (_, u, table) = exact_cells(&shape.matrix, &space, &shape.weights).unwrap();
         let log = LogF64;
-        let lu: Vec<_> = cells.iter().map(|c| log.from_weight(&c.weight)).collect();
+        let lu: Vec<_> = u.iter().map(|w| log.from_weight(w)).collect();
         let lt: Vec<Vec<_>> = table
             .iter()
             .map(|row| row.iter().map(|w| log.from_weight(w)).collect())
@@ -1088,16 +1036,14 @@ mod tests {
             unary: counted.iter().filter(|p| p.arity() == 1).cloned().collect(),
             binary: counted.iter().filter(|p| p.arity() == 2).cloned().collect(),
         };
-        let cells = build_cells(&shape.matrix, &space, &shape.weights).unwrap();
-        let table = build_pair_table(&shape.matrix, &space, &cells, &shape.weights).unwrap();
+        let (cells, u, table) = exact_cells(&shape.matrix, &space, &shape.weights).unwrap();
         let n = 5;
-        let u: Vec<Weight> = cells.iter().map(|c| c.weight.clone()).collect();
         let guard = Guard::unarmed();
-        let (exact, exact_stats) = cell_sum_weights(&u, &table, n, false, &guard).unwrap();
+        let (exact, exact_stats) = cell_sum_elems(&Exact, &u, &table, n, false, &guard).unwrap();
 
         // LogF64: same engine, log-space floats.
         let log = LogF64;
-        let lu: Vec<_> = cells.iter().map(|c| log.from_weight(&c.weight)).collect();
+        let lu: Vec<_> = u.iter().map(|w| log.from_weight(w)).collect();
         let lt: Vec<Vec<_>> = table
             .iter()
             .map(|row| row.iter().map(|w| log.from_weight(w)).collect())
@@ -1171,9 +1117,7 @@ mod tests {
         let f = catalog::table1_sentence();
         let prepared = Fo2Prepared::prepare(&f, &f.vocabulary()).unwrap();
         let n = 30;
-        let (value, stats) = prepared
-            .count(n, &Weights::ones(), true, &Guard::unarmed())
-            .unwrap();
+        let (value, stats) = prepared_count(&prepared, n, &Weights::ones(), true).unwrap();
         assert_eq!(value, crate::closed_form::fomc_table1(n));
         assert!(stats.cells_merged > 0, "{stats}");
         assert_eq!(stats.zero_weight_cells_pruned, 0, "{stats}");
@@ -1192,7 +1136,7 @@ mod tests {
         let f = catalog::table1_sentence();
         let prepared = Fo2Prepared::prepare(&f, &f.vocabulary()).unwrap();
         let ones = Weights::ones();
-        let (exact, exact_stats) = prepared.count(12, &ones, false, &Guard::unarmed()).unwrap();
+        let (exact, exact_stats) = prepared_count(&prepared, 12, &ones, false).unwrap();
         assert!(exact_stats.cells_merged > 0);
 
         let log_weights = AlgebraWeights::lift(&LogF64, &ones);
@@ -1239,7 +1183,7 @@ mod tests {
                 }
                 check_engines_agree(&sentence, &weights, n);
                 let prepared = Fo2Prepared::prepare(&sentence, &voc).unwrap();
-                let (exact, _) = prepared.count(n, &weights, true, &Guard::unarmed()).unwrap();
+                let (exact, _) = prepared_count(&prepared, n, &weights, true).unwrap();
                 let grounded = ground_wfomc(&sentence, &voc, n, &weights);
                 prop_assert_eq!(&exact, &grounded, "ground mismatch for {} at n={}", sentence, n);
                 let poly_weights = AlgebraWeights::lift(&Poly, &weights);
@@ -1263,10 +1207,8 @@ mod tests {
             ] {
                 let voc = sentence.vocabulary();
                 check_engines_agree(&sentence, &weights, n);
-                let (lifted, _) = Fo2Prepared::prepare(&sentence, &voc)
-                    .unwrap()
-                    .count(n, &weights, true, &Guard::unarmed())
-                    .unwrap();
+                let prepared = Fo2Prepared::prepare(&sentence, &voc).unwrap();
+                let (lifted, _) = prepared_count(&prepared, n, &weights, true).unwrap();
                 let grounded = ground_wfomc(&sentence, &voc, n, &weights);
                 prop_assert_eq!(lifted, grounded, "ground mismatch for {} at n={}", sentence, n);
             }

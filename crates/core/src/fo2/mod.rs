@@ -24,6 +24,6 @@ pub mod normalize;
 pub mod prepare;
 
 pub use algorithm::Fo2Stats;
-pub use cellsum::{cell_sum_elems, cell_sum_weights, CellSumStats};
+pub use cellsum::{cell_sum_elems, CellSumStats};
 pub use normalize::{fo2_normal_form, Fo2Shape, VAR_X, VAR_Y};
 pub use prepare::Fo2Prepared;

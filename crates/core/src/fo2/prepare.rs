@@ -5,11 +5,11 @@
 //! size or the weight function: Scott normalization, Shannon expansion of the
 //! nullary predicates into branch matrices, valid-cell enumeration and the
 //! satisfying cross-assignment sets of every pair table
-//! ([`super::cells::PairStructure`]). [`Fo2Prepared::count`] then *binds* a
-//! weight function (cheap: products and sums over the prepared structures,
-//! cached for the most recent weights) and runs the prefix-sharing cell-sum
-//! engine at the requested `n`; [`Fo2Prepared::count_in`] does the same in
-//! any evaluation algebra. Both run under a resource [`Guard`].
+//! ([`super::cells::PairStructure`]). [`Fo2Prepared::count_in`] then
+//! *binds* a weight function in the requested evaluation algebra (cheap:
+//! products and sums over the prepared structures, cached per algebra for
+//! the most recent weights) and runs the prefix-sharing cell-sum engine at
+//! the requested `n`, under a resource [`Guard`].
 //!
 //! This is the prepared state behind [`crate::plan::Plan`] for
 //! [`crate::solver::Method::Fo2`].
@@ -21,30 +21,25 @@ use std::sync::{Arc, Mutex};
 use wfomc_ground::evaluate::evaluate;
 use wfomc_ground::structure::Structure;
 use wfomc_guard::{Guard, Interrupt};
-use wfomc_logic::algebra::{Algebra, AlgebraWeights, Exact};
+use wfomc_logic::algebra::{Algebra, AlgebraWeights};
 use wfomc_logic::snap;
 use wfomc_logic::syntax::Formula;
 use wfomc_logic::vocabulary::{Predicate, Vocabulary};
-use wfomc_logic::weights::{Weight, Weights};
+use wfomc_logic::weights::Weights;
 
 use super::algorithm::Fo2Stats;
 use super::cells::{
     bind_cell_weights_in, bind_pair_table_in, build_cell_shapes, build_pair_structure, Cell,
     CellSpace, PairStructure,
 };
-use super::cellsum::{cell_sum_elems, cell_sum_weights, CellSumStats};
+use super::cellsum::cell_sum_elems;
 use super::normalize::fo2_normal_form;
 use crate::error::{LiftError, SolveError};
 use crate::fanout;
+use crate::keyed::{self, KeyedLru};
 
 /// Guard phase name for the n-independent pair-structure analysis.
 const PREPARE_PHASE: &str = "fo2.prepare";
-
-/// Capacity of the keyed weight-binding cache: large enough that an
-/// alternating sweep over a handful of weight functions (the equality-removal
-/// sweep, MLN learning loops) never thrashes, small enough that long-running
-/// processes don't accumulate bindings without bound.
-const BIND_CACHE_CAPACITY: usize = 8;
 
 /// One Shannon branch with its weight-independent structure.
 #[derive(Clone, Debug)]
@@ -77,11 +72,16 @@ struct BoundBranchIn<E> {
     table: Vec<Vec<E>>,
 }
 
-/// The exact binding the keyed cache stores.
-type Fo2Bound = Fo2BoundIn<Weight>;
+/// A cached binding counts as one toward the plan's reported bindings.
+impl<E: std::fmt::Debug + Send + Sync + 'static> keyed::Entry for Arc<Fo2BoundIn<E>> {
+    fn size(&self) -> usize {
+        1
+    }
+}
 
 /// The FO² sentence analysis, fully independent of the domain size and the
-/// weight function. Prepare once, [`count`](Fo2Prepared::count) many times.
+/// weight function. Prepare once, [`count_in`](Fo2Prepared::count_in) many
+/// times.
 #[derive(Debug)]
 pub struct Fo2Prepared {
     /// The original sentence (used for the empty domain).
@@ -99,10 +99,11 @@ pub struct Fo2Prepared {
     leftover: Vec<Predicate>,
     /// The surviving (non-`Bottom`) Shannon branches.
     branches: Vec<PreparedBranch>,
-    /// A small keyed LRU of exact weight bindings (most recent first), so
-    /// alternating weight sweeps reuse their bindings instead of thrashing a
-    /// single slot. Capacity [`BIND_CACHE_CAPACITY`].
-    bound: Mutex<Vec<(Weights, Arc<Fo2Bound>)>>,
+    /// Weight bindings keyed by the weights, [`keyed::CAPACITY`] per
+    /// algebra, so alternating weight sweeps reuse their bindings instead of
+    /// thrashing a single slot and one algebra's traffic never evicts
+    /// another's.
+    bound: Mutex<KeyedLru>,
     /// Lifetime hits of the binding LRU. Always-on (one relaxed add next to
     /// a lock the cache takes anyway) so reports and the CI hit-rate gate
     /// see cache behavior while `wfomc_obs` recording is off.
@@ -232,7 +233,7 @@ impl Fo2Prepared {
             introduced_weights,
             leftover,
             branches,
-            bound: Mutex::new(Vec::new()),
+            bound: Mutex::default(),
             bind_hits: AtomicU64::new(0),
             bind_misses: AtomicU64::new(0),
         })
@@ -309,39 +310,37 @@ impl Fo2Prepared {
         Fo2BoundIn { branches, leftover }
     }
 
-    /// The exact binding for a weight function, through the keyed LRU cache
-    /// (capacity [`BIND_CACHE_CAPACITY`], most recently used first).
-    fn bind(&self, weights: &Weights) -> Arc<Fo2Bound> {
-        {
-            let mut cache = self.bound.lock().expect("fo2 bind cache poisoned");
-            if let Some(at) = cache.iter().position(|(cached, _)| cached == weights) {
-                let hit = cache.remove(at);
-                let bound = hit.1.clone();
-                cache.insert(0, hit);
-                self.bind_hits.fetch_add(1, Ordering::Relaxed);
-                wfomc_obs::metrics::FO2_BIND_HITS.inc();
-                return bound;
-            }
+    /// The binding for a weight function, through the keyed LRU
+    /// ([`keyed::CAPACITY`] bindings per algebra, most recently used first).
+    fn bind<A: Algebra>(
+        &self,
+        algebra: &A,
+        weights: &AlgebraWeights<A>,
+    ) -> Arc<Fo2BoundIn<A::Elem>> {
+        let hit = self
+            .bound
+            .lock()
+            .expect("fo2 bind cache poisoned")
+            .get(weights);
+        if let Some(bound) = hit {
+            self.bind_hits.fetch_add(1, Ordering::Relaxed);
+            wfomc_obs::metrics::FO2_BIND_HITS.inc();
+            return bound;
         }
         self.bind_misses.fetch_add(1, Ordering::Relaxed);
         wfomc_obs::metrics::FO2_BIND_MISSES.inc();
         let bound = {
             let _span = wfomc_obs::span("fo2.bind");
-            Arc::new(self.bind_in(&Exact, &AlgebraWeights::lift(&Exact, weights)))
+            Arc::new(self.bind_in(algebra, weights))
         };
         let mut cache = self.bound.lock().expect("fo2 bind cache poisoned");
-        // A concurrent binder may have inserted the same key while the lock
-        // was released; keep the cache duplicate-free.
-        if !cache.iter().any(|(cached, _)| cached == weights) {
-            cache.insert(0, (weights.clone(), bound.clone()));
-            cache.truncate(BIND_CACHE_CAPACITY);
-        }
+        cache.put(weights.clone(), bound.clone());
         wfomc_obs::metrics::FO2_BIND_CACHED.set(cache.len() as u64);
         bound
     }
 
-    /// Number of weight bindings currently cached (bounded by the keyed
-    /// LRU's capacity of 8).
+    /// Number of weight bindings currently cached, over all algebras (at
+    /// most 8 per algebra).
     pub fn cached_bindings(&self) -> usize {
         self.bound.lock().expect("fo2 bind cache poisoned").len()
     }
@@ -355,50 +354,24 @@ impl Fo2Prepared {
         )
     }
 
-    /// `WFOMC` of the prepared sentence at domain size `n` under `weights`,
-    /// together with the engine's cost statistics, under a resource
-    /// [`Guard`]. `allow_parallel` lets the Shannon branches / top-level
-    /// cell splits fan out over several threads (callers that already
-    /// parallelize across evaluation points pass `false`); values, log-space
-    /// bits included, do not depend on it.
+    /// `WFOMC` of the prepared sentence at domain size `n` under `weights`
+    /// in an arbitrary [`Algebra`], together with the engine's cost
+    /// statistics, under a resource [`Guard`]. `allow_parallel` lets the
+    /// Shannon branches / top-level cell splits fan out over several threads
+    /// (callers that already parallelize across evaluation points pass
+    /// `false`); values, log-space bits included, do not depend on it.
     ///
-    /// The weight binding goes through the keyed LRU, and the exact engine
-    /// clears rational denominators before the DFS. The binding and every
+    /// The weight binding goes through the keyed LRU of the algebra, then
+    /// every branch runs the prefix-sharing engine. The engine multiplies
+    /// whatever elements it is given: exact counts are fastest on integer
+    /// weights, which [`crate::plan::Plan`] arranges by clearing the
+    /// denominators of every weight pair first. The binding and every
     /// branch's cell sum are metered, so deadlines, work caps and
     /// cancellation interrupt mid-count; the LRU only ever stores
     /// *completed* bindings and the engine's accumulators are call-local, so
     /// an interrupted count leaves the prepared state fully reusable —
     /// retrying (with or without limits) gives the same answer as a fresh
     /// solve. Ungoverned callers pass [`Guard::unarmed`].
-    pub fn count(
-        &self,
-        n: usize,
-        weights: &Weights,
-        allow_parallel: bool,
-        guard: &Guard,
-    ) -> Result<(Weight, Fo2Stats), Interrupt> {
-        if n == 0 {
-            return Ok(self.empty_domain(&Exact, &AlgebraWeights::lift(&Exact, weights)));
-        }
-        self.evaluate(
-            &Exact,
-            n,
-            allow_parallel,
-            guard,
-            || self.bind(weights),
-            |b, parallel| cell_sum_weights(&b.u, &b.table, n, parallel, guard),
-        )
-    }
-
-    /// [`count`](Self::count) in an arbitrary [`Algebra`]: binds the weight
-    /// function in the ring and runs the same prefix-sharing engine.
-    ///
-    /// Exact-rational callers should prefer [`count`](Self::count): this
-    /// generic path neither caches bindings (only the exact path keeps the
-    /// keyed LRU — its `Weights` keys are comparable and its bindings
-    /// dominate repeat workloads) nor clears rational denominators before
-    /// the DFS (a `BigRational`-specific optimization the exact wrapper
-    /// applies), so `count_in(&Exact, …)` returns identical values slower.
     pub fn count_in<A: Algebra>(
         &self,
         n: usize,
@@ -410,14 +383,51 @@ impl Fo2Prepared {
         if n == 0 {
             return Ok(self.empty_domain(algebra, weights));
         }
-        self.evaluate(
-            algebra,
-            n,
-            allow_parallel,
-            guard,
-            || Arc::new(self.bind_in(algebra, weights)),
-            |b, parallel| cell_sum_elems(algebra, &b.u, &b.table, n, parallel, guard),
-        )
+        wfomc_guard::failpoint("fo2.bind")?;
+        guard.check("fo2.bind")?;
+        let bound = self.bind(algebra, weights);
+
+        let _span = wfomc_obs::span("fo2.cellsum");
+        let mut stats = Fo2Stats {
+            introduced_predicates: self.introduced.len(),
+            shannon_branches: self.shannon_branches(),
+            ..Fo2Stats::default()
+        };
+        let mut leftover = algebra.one();
+        for (p, total) in &bound.leftover {
+            algebra.mul_assign(&mut leftover, &algebra.pow(total, p.num_ground_tuples(n)));
+        }
+
+        // Branch costs are wildly uneven (a hard-constraint branch prunes to
+        // nothing, an unconstrained one sums every composition), so the
+        // branches go through the work-stealing fan-out. With fewer branch
+        // workers than cores, each branch's engine splits its top level too
+        // (its own composition-count threshold still applies). A panic is
+        // resumed here, where the plan layer's per-point containment turns
+        // it into `SolveError::WorkerPanicked`.
+        let branches = &bound.branches;
+        let cores = fanout::cores();
+        let workers = if allow_parallel && n >= 8 {
+            cores.min(branches.len())
+        } else {
+            1
+        };
+        let parallel_within = allow_parallel && workers < cores;
+        let sums = fanout::run(branches.len(), workers, |i| {
+            let b = &branches[i];
+            cell_sum_elems(algebra, &b.u, &b.table, n, parallel_within, guard)
+        });
+        let mut total = algebra.zero();
+        for (branch, outcome) in branches.iter().zip(sums) {
+            let (value, branch_stats) =
+                outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
+            stats.absorb_cell_sum(&branch_stats);
+            algebra.add_assign(&mut total, &algebra.mul(&branch.factor, &value));
+        }
+        wfomc_obs::metrics::CELLSUM_SUMMED.add(stats.compositions_summed as u64);
+        wfomc_obs::metrics::CELLSUM_PRUNED.add(stats.compositions_pruned as u64);
+        wfomc_obs::metrics::CELLSUM_CELLS_MERGED.add(stats.cells_merged as u64);
+        Ok((algebra.mul(&leftover, &total), stats))
     }
 
     /// `WFOMC` on the empty domain, where the structures differ only in
@@ -462,66 +472,6 @@ impl Fo2Prepared {
             }
         }
         (total, Fo2Stats::default())
-    }
-
-    /// Shared body of [`count`](Self::count) and
-    /// [`count_in`](Self::count_in) at `n ≥ 1`: the guarded weight binding,
-    /// leftover-predicate factors, branch evaluation (fanned out when
-    /// allowed and worthwhile) and stats accumulation.
-    fn evaluate<A: Algebra>(
-        &self,
-        algebra: &A,
-        n: usize,
-        allow_parallel: bool,
-        guard: &Guard,
-        bind: impl FnOnce() -> Arc<Fo2BoundIn<A::Elem>>,
-        eval: impl Fn(&BoundBranchIn<A::Elem>, bool) -> Result<(A::Elem, CellSumStats), Interrupt>
-            + Sync,
-    ) -> Result<(A::Elem, Fo2Stats), Interrupt> {
-        wfomc_guard::failpoint("fo2.bind")?;
-        guard.check("fo2.bind")?;
-        let bound = bind();
-
-        let _span = wfomc_obs::span("fo2.cellsum");
-        let mut stats = Fo2Stats {
-            introduced_predicates: self.introduced.len(),
-            shannon_branches: self.shannon_branches(),
-            ..Fo2Stats::default()
-        };
-        let mut leftover = algebra.one();
-        for (p, total) in &bound.leftover {
-            algebra.mul_assign(&mut leftover, &algebra.pow(total, p.num_ground_tuples(n)));
-        }
-
-        // Branch costs are wildly uneven (a hard-constraint branch prunes to
-        // nothing, an unconstrained one sums every composition), so the
-        // branches go through the work-stealing fan-out. With fewer branch
-        // workers than cores, each branch's engine splits its top level too
-        // (its own composition-count threshold still applies). A panic is
-        // resumed here, where the plan layer's per-point containment turns
-        // it into `SolveError::WorkerPanicked`.
-        let branches = &bound.branches;
-        let cores = fanout::cores();
-        let workers = if allow_parallel && n >= 8 {
-            cores.min(branches.len())
-        } else {
-            1
-        };
-        let parallel_within = allow_parallel && workers < cores;
-        let sums = fanout::run(branches.len(), workers, |i| {
-            eval(&branches[i], parallel_within)
-        });
-        let mut total = algebra.zero();
-        for (branch, outcome) in branches.iter().zip(sums) {
-            let (value, branch_stats) =
-                outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
-            stats.absorb_cell_sum(&branch_stats);
-            algebra.add_assign(&mut total, &algebra.mul(&branch.factor, &value));
-        }
-        wfomc_obs::metrics::CELLSUM_SUMMED.add(stats.compositions_summed as u64);
-        wfomc_obs::metrics::CELLSUM_PRUNED.add(stats.compositions_pruned as u64);
-        wfomc_obs::metrics::CELLSUM_CELLS_MERGED.add(stats.cells_merged as u64);
-        Ok((algebra.mul(&leftover, &total), stats))
     }
 }
 
@@ -685,7 +635,7 @@ impl Fo2Prepared {
             introduced_weights,
             leftover,
             branches,
-            bound: Mutex::new(Vec::new()),
+            bound: Mutex::default(),
             bind_hits: AtomicU64::new(0),
             bind_misses: AtomicU64::new(0),
         })
@@ -697,7 +647,22 @@ mod tests {
     use super::*;
     use num_traits::Zero;
     use wfomc_ground::wfomc as ground_wfomc;
+    use wfomc_logic::algebra::{Exact, LogF64, LogF64xN, Poly};
     use wfomc_logic::catalog;
+    use wfomc_logic::weights::Weight;
+
+    /// The exact count with its statistics, unguarded.
+    fn exact(
+        prepared: &Fo2Prepared,
+        n: usize,
+        weights: &Weights,
+        allow_parallel: bool,
+    ) -> (Weight, Fo2Stats) {
+        let lifted = AlgebraWeights::lift(&Exact, weights);
+        prepared
+            .count_in(n, &Exact, &lifted, allow_parallel, &Guard::unarmed())
+            .unwrap()
+    }
 
     #[test]
     fn prepared_count_matches_one_shot_across_n_and_weights() {
@@ -715,13 +680,9 @@ mod tests {
                 Weights::from_ints([("R", 0, 1), ("S", -1, 2), ("T", 2, 2)]),
             ] {
                 for n in 0..=4 {
-                    let (value, stats) = prepared
-                        .count(n, &weights, true, &Guard::unarmed())
-                        .unwrap();
-                    let (one_shot, one_shot_stats) = Fo2Prepared::prepare(&sentence, &voc)
-                        .expect("FO² applies")
-                        .count(n, &weights, true, &Guard::unarmed())
-                        .unwrap();
+                    let (value, stats) = exact(&prepared, n, &weights, true);
+                    let fresh = Fo2Prepared::prepare(&sentence, &voc).expect("FO² applies");
+                    let (one_shot, one_shot_stats) = exact(&fresh, n, &weights, true);
                     assert_eq!(value, one_shot, "{sentence} at n={n}");
                     assert_eq!(stats, one_shot_stats, "{sentence} stats at n={n}");
                     assert_eq!(
@@ -751,11 +712,8 @@ mod tests {
             dec.finish().expect("payload fully consumed");
             let weights = Weights::from_ints([("R", 2, 1), ("S", 0, -3), ("T", 1, 3)]);
             for n in 0..=4 {
-                let (value, stats) = prepared
-                    .count(n, &weights, true, &Guard::unarmed())
-                    .unwrap();
-                let (decoded_value, decoded_stats) =
-                    decoded.count(n, &weights, true, &Guard::unarmed()).unwrap();
+                let (value, stats) = exact(&prepared, n, &weights, true);
+                let (decoded_value, decoded_stats) = exact(&decoded, n, &weights, true);
                 assert_eq!(value, decoded_value, "{sentence} at n={n}");
                 assert_eq!(stats, decoded_stats, "{sentence} stats at n={n}");
             }
@@ -767,11 +725,11 @@ mod tests {
         let sentence = catalog::table1_sentence();
         let voc = sentence.vocabulary();
         let prepared = Fo2Prepared::prepare(&sentence, &voc).unwrap();
-        let w = Weights::from_ints([("R", 2, 1)]);
-        let first = prepared.bind(&w);
-        let second = prepared.bind(&w);
+        let w = AlgebraWeights::lift(&Exact, &Weights::from_ints([("R", 2, 1)]));
+        let first = prepared.bind(&Exact, &w);
+        let second = prepared.bind(&Exact, &w);
         assert!(Arc::ptr_eq(&first, &second), "same weights reuse binding");
-        let other = prepared.bind(&Weights::ones());
+        let other = prepared.bind(&Exact, &AlgebraWeights::ones());
         assert!(!Arc::ptr_eq(&first, &other), "new weights rebind");
     }
 
@@ -782,54 +740,67 @@ mod tests {
         let sentence = catalog::table1_sentence();
         let voc = sentence.vocabulary();
         let prepared = Fo2Prepared::prepare(&sentence, &voc).unwrap();
-        let sweep: Vec<Weights> = (0..4)
-            .map(|i| Weights::from_ints([("R", i + 2, 1)]))
+        let lift = |w: Weights| AlgebraWeights::lift(&Exact, &w);
+        let sweep: Vec<_> = (0..4)
+            .map(|i| lift(Weights::from_ints([("R", i + 2, 1)])))
             .collect();
-        let firsts: Vec<_> = sweep.iter().map(|w| prepared.bind(w)).collect();
+        let firsts: Vec<_> = sweep.iter().map(|w| prepared.bind(&Exact, w)).collect();
         // Second pass, alternating order: all hits.
         for (w, first) in sweep.iter().zip(&firsts).rev() {
             assert!(
-                Arc::ptr_eq(first, &prepared.bind(w)),
+                Arc::ptr_eq(first, &prepared.bind(&Exact, w)),
                 "alternating sweep must hit the LRU"
             );
         }
         assert_eq!(prepared.cached_bindings(), sweep.len());
         // Overflowing the capacity evicts the least recently used binding
         // (the last re-bound entry of the sweep is the most recent).
-        for i in 0..super::BIND_CACHE_CAPACITY {
-            let _ = prepared.bind(&Weights::from_ints([("T", i as i64 + 2, 1)]));
+        for i in 0..keyed::CAPACITY {
+            let _ = prepared.bind(&Exact, &lift(Weights::from_ints([("T", i as i64 + 2, 1)])));
         }
-        assert_eq!(prepared.cached_bindings(), super::BIND_CACHE_CAPACITY);
+        assert_eq!(prepared.cached_bindings(), keyed::CAPACITY);
         assert!(
-            !Arc::ptr_eq(&firsts[3], &prepared.bind(&sweep[3])),
+            !Arc::ptr_eq(&firsts[3], &prepared.bind(&Exact, &sweep[3])),
             "evicted weights rebind"
         );
     }
 
+    /// Every algebra binds through its own LRU slot: log and lane traffic
+    /// hits its own cached bindings and never evicts the exact ones.
     #[test]
-    fn count_in_exact_matches_count_and_other_algebras_track_it() {
-        use wfomc_logic::algebra::{AlgebraWeights, Exact, LogF64, Poly};
+    fn every_algebra_keeps_its_own_bindings() {
+        let sentence = catalog::table1_sentence();
+        let prepared = Fo2Prepared::prepare(&sentence, &sentence.vocabulary()).unwrap();
+        let weights = Weights::from_ints([("R", 2, 1)]);
+        let exact_binding = prepared.bind(&Exact, &AlgebraWeights::lift(&Exact, &weights));
+        let log = AlgebraWeights::lift(&LogF64, &weights);
+        let first = prepared.bind(&LogF64, &log);
+        assert!(Arc::ptr_eq(&first, &prepared.bind(&LogF64, &log)));
+        for i in 0..2 * keyed::CAPACITY as i64 {
+            let sweep = Weights::from_ints([("S", i + 2, 1)]);
+            let _ = prepared.bind(&LogF64xN, &LogF64xN::pack_weights(&[&sweep]));
+        }
+        assert_eq!(prepared.cached_bindings(), 2 + keyed::CAPACITY);
+        let again = prepared.bind(&Exact, &AlgebraWeights::lift(&Exact, &weights));
+        assert!(
+            Arc::ptr_eq(&exact_binding, &again),
+            "lanes never evict exact"
+        );
+        assert_eq!(
+            prepared.bind_cache_stats(),
+            (2, 2 + 2 * keyed::CAPACITY as u64)
+        );
+    }
 
+    #[test]
+    fn other_algebras_track_the_exact_count() {
         let sentence = catalog::smokers_constraint();
         let voc = sentence.vocabulary();
         let prepared = Fo2Prepared::prepare(&sentence, &voc).unwrap();
         let weights = Weights::from_ints([("Smokes", 3, 1), ("Friends", 1, 2)]);
         for n in 0..=5 {
-            let (exact, exact_stats) = prepared
-                .count(n, &weights, false, &Guard::unarmed())
-                .unwrap();
-            // Exact algebra through the generic path: identical values.
-            let (generic, generic_stats) = prepared
-                .count_in(
-                    n,
-                    &Exact,
-                    &AlgebraWeights::lift(&Exact, &weights),
-                    false,
-                    &Guard::unarmed(),
-                )
-                .unwrap();
-            assert_eq!(exact, generic, "n = {n}");
-            assert_eq!(exact_stats, generic_stats, "n = {n}");
+            let (exact, exact_stats) = exact(&prepared, n, &weights, false);
+            assert_eq!(exact, ground_wfomc(&sentence, &voc, n, &weights), "n = {n}");
             // LogF64 tracks the exact value within floating tolerance.
             let (log, _) = prepared
                 .count_in(
@@ -848,8 +819,9 @@ mod tests {
                     "n = {n}: {log} vs {expected}"
                 );
             }
-            // Poly with constant weights is a degree-0 polynomial.
-            let (poly, _) = prepared
+            // Poly with constant weights is a degree-0 polynomial, counted
+            // over the same cells as the exact count.
+            let (poly, poly_stats) = prepared
                 .count_in(
                     n,
                     &Poly,
@@ -859,6 +831,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(poly.coeff(0), exact, "n = {n}");
+            assert_eq!(poly_stats, exact_stats, "n = {n}");
         }
     }
 

@@ -48,6 +48,7 @@ pub mod cq;
 pub mod error;
 mod fanout;
 pub mod fo2;
+mod keyed;
 pub mod normal;
 pub mod plan;
 pub mod qs4;

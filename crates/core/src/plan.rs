@@ -25,13 +25,17 @@
 //!   vocabulary predicates; each count runs the `O(n²)` dynamic program.
 //! * **FO²** — the normalized sentence, Shannon branch matrices, valid cells
 //!   and satisfying cross-assignment sets ([`crate::fo2::Fo2Prepared`]);
-//!   each count binds the weights (cached) and runs the cell-sum engine.
-//! * **γ-acyclic CQ** — the recognized query plus exact reduction tables,
-//!   one per probability vector, reused across counts and domain sizes;
-//!   every algebra runs the same Theorem 3.6 reduction.
+//!   each count binds the weights (cached per algebra) and runs the
+//!   cell-sum engine.
+//! * **γ-acyclic CQ** — the recognized query plus reduction tables, one per
+//!   probability vector and at most 8 per algebra, reused across counts and
+//!   domain sizes; every algebra runs the same Theorem 3.6 reduction.
 //! * **Ground** — a domain-size-keyed cache of groundings, each compiled
 //!   once to a d-DNNF circuit that every count at that size evaluates.
 //!
+//! Every count takes one path: `count` is the [`Exact`] instance of
+//! [`Plan::count_in`] with a [`SolverReport`] around the value, and exact
+//! counts run on integer weights ([`Algebra::pair_scale`]).
 //! [`crate::Solver::wfomc`] is a one-shot plan-then-count, so the dispatch
 //! logic lives here exactly once.
 
@@ -51,15 +55,15 @@ use wfomc_logic::cq::ConjunctiveQuery;
 use wfomc_logic::snap;
 use wfomc_logic::syntax::Formula;
 use wfomc_logic::vocabulary::{Predicate, Vocabulary};
-use wfomc_logic::weights::Weights;
+use wfomc_logic::weights::{Weight, Weights};
 use wfomc_prop::counter::wmc_formula_via_in;
 use wfomc_prop::{PropFormula, WmcBackend};
 
 use crate::cq::gamma_acyclic::{gamma_acyclic_wfomc_in, CqMemo};
 use crate::error::{demote, LiftError, SolveError};
 use crate::fanout;
-use crate::fo2::Fo2Prepared;
-use crate::qs4::{is_qs4, wfomc_qs4, wfomc_qs4_in};
+use crate::fo2::{Fo2Prepared, Fo2Stats};
+use crate::qs4::{is_qs4, wfomc_qs4_in};
 use crate::solver::{LimitsReport, Method, PlanCacheStats, Solver, SolverReport};
 
 /// A counting problem: a sentence, the vocabulary it is counted over, and a
@@ -147,7 +151,7 @@ enum PlanState {
         query: ConjunctiveQuery,
         /// Vocabulary predicates outside the query.
         extra: Vec<Predicate>,
-        /// Exact reduction tables shared across all counts of this plan.
+        /// Reduction tables shared across all counts of this plan.
         memo: Mutex<CqMemo>,
     },
     /// No lifted method applies: every count grounds (with caching).
@@ -389,7 +393,7 @@ impl Plan {
     /// repeatable half of the solve. This is the governed path of
     /// [`count_with_limits`](Self::count_with_limits) with nothing armed.
     pub fn count(&self, n: usize, weights: &Weights) -> Result<SolverReport, LiftError> {
-        self.count_point_guarded(n, weights, true, &Guard::unarmed())
+        self.count_point(n, weights, true, &Guard::unarmed())
             .map_err(demote)
     }
 
@@ -439,7 +443,7 @@ impl Plan {
     ) -> Result<SolverReport, SolveError> {
         let guard = Guard::new(limits, cancel);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.count_point_guarded(n, weights, true, &guard)
+            self.count_point(n, weights, true, &guard)
         }));
         let mut report = contained(outcome)?;
         report.limits = limits_report(&guard, limits);
@@ -480,7 +484,7 @@ impl Plan {
         let (workers, alone) = batch_workers(points.len());
         let outcomes = fanout::run(points.len(), workers, |i| {
             let (n, weights) = &points[i];
-            self.count_point_guarded(*n, weights, alone, &guard)
+            self.count_point(*n, weights, alone, &guard)
         });
         let mut results: Vec<_> = outcomes.into_iter().map(contained).collect();
         if let Some(limits) = limits_report(&guard, limits) {
@@ -525,6 +529,7 @@ impl Plan {
         let scalar = |(n, weights): &(usize, Weights), alone| {
             let lifted = AlgebraWeights::lift(&LogF64, weights);
             self.count_in_guarded_point(*n, &LogF64, &lifted, alone, &guard)
+                .map(|counted| counted.value)
         };
         let Some(&(n, _)) = points.first() else {
             return Vec::new();
@@ -546,7 +551,9 @@ impl Plan {
             // unpacked below.
             let packed = LogF64xN::pack_weights(&lane_weights);
             match self.count_in_planned(n, &LogF64xN, &packed, true, &guard) {
-                Ok(lanes) => Ok((0..lane_weights.len()).map(|i| Ok(lanes.lane(i))).collect()),
+                Ok(lanes) => Ok((0..lane_weights.len())
+                    .map(|i| Ok(lanes.value.lane(i)))
+                    .collect()),
                 // One lane without tuple probabilities fails a whole CQ
                 // chunk; its points count as scalars, so every lane still
                 // equals its scalar run.
@@ -567,8 +574,38 @@ impl Plan {
         out
     }
 
-    /// One governed evaluation point in an arbitrary algebra, behind
-    /// [`count_in`](Self::count_in), the generic and log batches.
+    /// One governed exact point, reported: the [`Exact`] instance of
+    /// [`count_in_guarded_point`](Self::count_in_guarded_point) behind
+    /// `count`, `count_with_limits` and the exact batches.
+    fn count_point(
+        &self,
+        n: usize,
+        weights: &Weights,
+        allow_parallel: bool,
+        guard: &Guard,
+    ) -> Result<SolverReport, SolveError> {
+        let lifted = AlgebraWeights::lift(&Exact, weights);
+        let counted = self.count_in_guarded_point(n, &Exact, &lifted, allow_parallel, guard)?;
+        Ok(self.report(counted))
+    }
+
+    /// The report of an exact count, with the plan's cache accounting.
+    fn report(&self, counted: Counted<Weight>) -> SolverReport {
+        SolverReport {
+            backend: counted.backend,
+            fo2_stats: counted.fo2_stats,
+            cache: Some(self.cache_stats()),
+            ..SolverReport::new(counted.value, counted.method)
+        }
+    }
+
+    /// One governed evaluation point in an arbitrary algebra — the one path
+    /// of every count. Weight pairs the algebra can scale to cheaper ones
+    /// (exact rationals, to integers) are scaled first and the count divided
+    /// back at the end. A CQ point whose weights admit no tuple
+    /// probabilities (`w + w̄ = 0`, or a divisor the algebra cannot divide
+    /// by) grounds, unless the solver disables grounding; every other error
+    /// of the planned method propagates, exhaustion included.
     fn count_in_guarded_point<A: Algebra>(
         &self,
         n: usize,
@@ -576,18 +613,32 @@ impl Plan {
         weights: &AlgebraWeights<A>,
         allow_parallel: bool,
         guard: &Guard,
-    ) -> Result<A::Elem, SolveError> {
-        self.count_in_planned(n, algebra, weights, allow_parallel, guard)
-            .or_else(|e| {
-                self.or_ground(e, || {
-                    self.ground_count_in_guarded(n, algebra, weights, guard)
-                })
-            })
+    ) -> Result<Counted<A::Elem>, SolveError> {
+        let scaled = scale_pairs(&self.vocabulary, algebra, weights);
+        let weights = scaled.as_ref().map_or(weights, |(scaled, _)| scaled);
+        let mut counted = match self.count_in_planned(n, algebra, weights, allow_parallel, guard) {
+            Err(e) if undefined_probabilities(&e) && self.solver.allow_ground_fallback => {
+                self.ground_count_in_guarded(n, algebra, weights, guard)?
+            }
+            Err(e) if undefined_probabilities(&e) => return Err(no_lifted_method().into()),
+            counted => counted?,
+        };
+        if let Some((_, scales)) = scaled {
+            let mut divisor = algebra.one();
+            for (p, d) in scales {
+                algebra.mul_assign(&mut divisor, &algebra.pow(&d, p.num_ground_tuples(n)));
+            }
+            counted.value = algebra
+                .try_div(&counted.value, &divisor)
+                .expect("pair scales are non-zero");
+        }
+        Ok(counted)
     }
 
     /// [`count_in_guarded_point`](Self::count_in_guarded_point) with the
-    /// planned method alone: a CQ point whose weights admit no tuple
-    /// probabilities returns that error instead of grounding.
+    /// planned method alone and the weights as given: a CQ point whose
+    /// weights admit no tuple probabilities returns that error instead of
+    /// grounding. The one evaluation `match` over the prepared state.
     fn count_in_planned<A: Algebra>(
         &self,
         n: usize,
@@ -595,40 +646,37 @@ impl Plan {
         weights: &AlgebraWeights<A>,
         allow_parallel: bool,
         guard: &Guard,
-    ) -> Result<A::Elem, SolveError> {
+    ) -> Result<Counted<A::Elem>, SolveError> {
         wfomc_obs::metrics::PLAN_COUNTS.inc();
         let _span = wfomc_obs::span("plan.count");
+        // An already-expired deadline or raised token fails fast, before any
+        // method-specific work.
         guard.check("plan.count")?;
-        match &self.state {
-            PlanState::Qs4 { extra } => Ok(algebra.mul(
-                &wfomc_qs4_in(n, algebra, weights),
-                &predicate_factor_in(extra, n, algebra, weights),
-            )),
-            PlanState::Fo2(prepared) => Ok(prepared
-                .count_in(n, algebra, weights, allow_parallel, guard)?
-                .0),
-            PlanState::Cq { query, extra, .. } => Ok(algebra.mul(
-                &gamma_acyclic_wfomc_in(query, n, algebra, weights, guard)?,
-                &predicate_factor_in(extra, n, algebra, weights),
-            )),
-            PlanState::Ground => self.ground_count_in_guarded(n, algebra, weights, guard),
-        }
-    }
-
-    /// Answers a CQ point whose weights admit no tuple probabilities
-    /// (`w + w̄ = 0`, or a divisor the algebra cannot divide by) by
-    /// grounding, unless the solver disables grounding. Every other error
-    /// of the planned method propagates, exhaustion included.
-    fn or_ground<R>(
-        &self,
-        e: SolveError,
-        ground: impl FnOnce() -> Result<R, SolveError>,
-    ) -> Result<R, SolveError> {
-        match e {
-            e if !undefined_probabilities(&e) => Err(e),
-            _ if self.solver.allow_ground_fallback => ground(),
-            _ => Err(no_lifted_method().into()),
-        }
+        Ok(match &self.state {
+            PlanState::Qs4 { extra } => Counted::lifted(
+                algebra.mul(
+                    &wfomc_qs4_in(n, algebra, weights),
+                    &predicate_factor_in(extra, n, algebra, weights),
+                ),
+                Method::Qs4,
+            ),
+            PlanState::Fo2(prepared) => {
+                let (value, stats) =
+                    prepared.count_in(n, algebra, weights, allow_parallel, guard)?;
+                Counted {
+                    fo2_stats: Some(stats),
+                    ..Counted::lifted(value, Method::Fo2)
+                }
+            }
+            PlanState::Cq { query, extra, memo } => Counted::lifted(
+                algebra.mul(
+                    &CqMemo::wfomc_in(memo, query, n, algebra, weights, guard)?,
+                    &predicate_factor_in(extra, n, algebra, weights),
+                ),
+                Method::GammaAcyclicCq,
+            ),
+            PlanState::Ground => self.ground_count_in_guarded(n, algebra, weights, guard)?,
+        })
     }
 
     /// The probability of the sentence at domain size `n` under the problem's
@@ -730,7 +778,8 @@ impl Plan {
                     prepared.satisfying_pair_assignments(),
                 ));
                 details.push(
-                    "each count binds the weight function (cached) and runs the prefix-sharing \
+                    "each count binds the weight function (cached per algebra) and runs the \
+                     prefix-sharing \
                      cell-sum engine; exact and polynomial counts first drop zero-weight cells \
                      and merge interchangeable ones (equal weight and pair rows) into one cell \
                      per class"
@@ -740,7 +789,8 @@ impl Plan {
             PlanState::Cq { query, memo, .. } => {
                 details.push(format!(
                     "γ-acyclic conjunctive query with {} atom(s); every algebra runs the \
-                     reduction, exact counts keep one table per weight function ({} shape(s))",
+                     reduction and keeps one table per probability vector, at most 8 per \
+                     algebra ({} shape(s) memoized)",
                     query.atoms.len(),
                     memo.lock().expect("cq memo poisoned").len(),
                 ));
@@ -764,49 +814,6 @@ impl Plan {
         }
     }
 
-    /// One exact evaluation point. The guard is consulted by every
-    /// long-running loop underneath.
-    fn count_point_guarded(
-        &self,
-        n: usize,
-        weights: &Weights,
-        allow_parallel: bool,
-        guard: &Guard,
-    ) -> Result<SolverReport, SolveError> {
-        wfomc_obs::metrics::PLAN_COUNTS.inc();
-        let _span = wfomc_obs::span("plan.count");
-        // An already-expired deadline or raised token fails fast, before any
-        // method-specific work.
-        guard.check("plan.count")?;
-        let mut report = match &self.state {
-            PlanState::Qs4 { extra } => {
-                let lifted = AlgebraWeights::lift(&Exact, weights);
-                let factor = predicate_factor_in(extra, n, &Exact, &lifted);
-                SolverReport::new(wfomc_qs4(n, weights) * factor, Method::Qs4)
-            }
-            PlanState::Fo2(prepared) => {
-                let (value, stats) = prepared.count(n, weights, allow_parallel, guard)?;
-                SolverReport {
-                    fo2_stats: Some(stats),
-                    ..SolverReport::new(value, Method::Fo2)
-                }
-            }
-            PlanState::Cq { query, extra, memo } => {
-                let lifted = AlgebraWeights::lift(&Exact, weights);
-                match CqMemo::wfomc(memo, query, n, &lifted, guard) {
-                    Ok(value) => {
-                        let value = value * predicate_factor_in(extra, n, &Exact, &lifted);
-                        SolverReport::new(value, Method::GammaAcyclicCq)
-                    }
-                    Err(e) => self.or_ground(e, || self.ground_count_guarded(n, weights, guard))?,
-                }
-            }
-            PlanState::Ground => self.ground_count_guarded(n, weights, guard)?,
-        };
-        report.cache = Some(self.cache_stats());
-        Ok(report)
-    }
-
     /// The cached grounding for domain size `n` (built on first use, LRU
     /// eviction when the solver bounds the cache).
     fn ground_instance_guarded(
@@ -828,39 +835,25 @@ impl Plan {
             })
     }
 
-    /// One exact grounded evaluation: the [`Exact`] instance of
-    /// [`ground_count_in_guarded`](Self::ground_count_in_guarded), reported.
-    fn ground_count_guarded(
-        &self,
-        n: usize,
-        weights: &Weights,
-        guard: &Guard,
-    ) -> Result<SolverReport, SolveError> {
-        let lifted = AlgebraWeights::lift(&Exact, weights);
-        let value = self.ground_count_in_guarded(n, &Exact, &lifted, guard)?;
-        Ok(ground_report(value, WmcBackend::Circuit))
-    }
-
     /// The degradation chain's last stage: one exact DPLL search over the
     /// cached lineage, which needs no circuit and so stays within budgets a
     /// compilation cannot meet.
     fn ground_dpll_guarded(
         &self,
         n: usize,
-        weights: &Weights,
+        weights: &AlgebraWeights<Exact>,
         guard: &Guard,
-    ) -> Result<SolverReport, SolveError> {
+    ) -> Result<Counted<Weight>, SolveError> {
         guard.check("plan.ground")?;
         let instance = self.ground_instance_guarded(n, guard)?;
-        let lifted = AlgebraWeights::lift(&Exact, weights);
         let value = wmc_formula_via_in(
             &instance.lineage.prop,
             &Exact,
-            &instance.lineage.weights_in(&Exact, &lifted),
+            &instance.lineage.weights_in(&Exact, weights),
             WmcBackend::Dpll,
             guard,
         )?;
-        Ok(ground_report(value, WmcBackend::Dpll))
+        Ok(Counted::ground(value, WmcBackend::Dpll))
     }
 
     /// [`count_with_limits`](Self::count_with_limits) with graceful
@@ -894,18 +887,22 @@ impl Plan {
             .circuit
             .as_ref()
             .filter(|_| !matches!(self.state, PlanState::Ground));
-        type Stage = fn(&Plan, usize, &Weights, &Guard) -> Result<SolverReport, SolveError>;
+        type Stage =
+            fn(&Plan, usize, &AlgebraWeights<Exact>, &Guard) -> Result<Counted<Weight>, SolveError>;
         let stages: [(Option<&ExecutionLimits>, Stage); 2] = [
-            (circuit, Plan::ground_count_guarded),
+            (circuit, |plan, n, weights, guard| {
+                plan.ground_count_in_guarded(n, &Exact, weights, guard)
+            }),
             (policy.dpll.as_ref(), Plan::ground_dpll_guarded),
         ];
+        let lifted = AlgebraWeights::lift(&Exact, weights);
         for (limits, stage) in stages {
             let Some(limits) = limits else { continue };
             let guard = Guard::new(limits, cancel.clone());
-            match stage(self, n, weights, &guard) {
-                Ok(mut report) => {
+            match stage(self, n, &lifted, &guard) {
+                Ok(counted) => {
+                    let mut report = self.report(counted);
                     report.degraded = true;
-                    report.cache = Some(self.cache_stats());
                     report.limits = limits_report(&guard, limits);
                     wfomc_obs::metrics::GUARD_DEGRADED_SOLVES.inc();
                     return Ok(report);
@@ -930,13 +927,14 @@ impl Plan {
     /// * **γ-acyclic CQ** runs the Theorem 3.6 reduction over the ring, with
     ///   one [`Algebra::try_div`] per predicate for its tuple probability.
     ///   When that division fails (`w + w̄ = 0`, or a polynomial that does
-    ///   not divide) the point grounds, as exact counts do; this requires
-    ///   the solver's grounded fallback, which is on by default.
+    ///   not divide) the point grounds; this requires the solver's grounded
+    ///   fallback, which is on by default.
     ///
-    /// For exact-rational evaluation prefer [`count`](Self::count): it keeps
-    /// the FO² weight-binding LRU, the denominator-clearing fast path and
-    /// the CQ tables shared across calls, which this generic entry point
-    /// bypasses (identical values, slower).
+    /// Every algebra shares the plan's caches, each with its own slots: the
+    /// FO² weight-binding LRU and the CQ reduction tables. [`count`](Self::count)
+    /// is this method's [`Exact`] instance with a [`SolverReport`] around the
+    /// value, so `count_in(n, &Exact, …)` returns the same value at the same
+    /// speed, denominator clearing included.
     ///
     /// ```
     /// use wfomc_core::Problem;
@@ -957,6 +955,7 @@ impl Plan {
         weights: &AlgebraWeights<A>,
     ) -> Result<A::Elem, LiftError> {
         self.count_in_guarded_point(n, algebra, weights, true, &Guard::unarmed())
+            .map(|counted| counted.value)
             .map_err(demote)
     }
 
@@ -980,6 +979,7 @@ impl Plan {
             .map(|outcome| {
                 outcome
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    .map(|counted| counted.value)
                     .map_err(demote)
             })
             .collect()
@@ -1021,10 +1021,10 @@ impl Plan {
         algebra: &A,
         weights: &AlgebraWeights<A>,
         guard: &Guard,
-    ) -> Result<A::Elem, SolveError> {
+    ) -> Result<Counted<A::Elem>, SolveError> {
         // Fail fast on an expired budget even when everything below is
         // cached, so the degradation stages honor their sub-budgets the
-        // same way `count_point_guarded` honors the solve budget.
+        // same way `count_in_planned` honors the solve budget.
         guard.check("plan.ground")?;
         let instance = self.ground_instance_guarded(n, guard)?;
         // `OnceLock::get_or_init` cannot carry the interrupt out, so compile
@@ -1039,7 +1039,10 @@ impl Plan {
                 instance.compiled.get_or_init(|| built)
             }
         };
-        Ok(compiled.wfomc_in(algebra, weights))
+        Ok(Counted::ground(
+            compiled.wfomc_in(algebra, weights),
+            WmcBackend::Circuit,
+        ))
     }
 }
 
@@ -1109,12 +1112,57 @@ impl DegradePolicy {
     }
 }
 
-/// The report of a grounded count computed by `backend`.
-fn ground_report(value: wfomc_logic::weights::Weight, backend: WmcBackend) -> SolverReport {
-    SolverReport {
-        backend: Some(backend),
-        ..SolverReport::new(value, Method::Ground)
+/// A count in some algebra with what produced it: the value and the parts
+/// of a [`SolverReport`] that depend on the method that ran.
+struct Counted<E> {
+    value: E,
+    method: Method,
+    /// The FO² engine's statistics, for FO² counts.
+    fo2_stats: Option<Fo2Stats>,
+    /// The propositional backend, for grounded counts.
+    backend: Option<WmcBackend>,
+}
+
+impl<E> Counted<E> {
+    /// A count by a lifted `method`.
+    fn lifted(value: E, method: Method) -> Counted<E> {
+        Counted {
+            value,
+            method,
+            fo2_stats: None,
+            backend: None,
+        }
     }
+
+    /// A grounded count computed by `backend`.
+    fn ground(value: E, backend: WmcBackend) -> Counted<E> {
+        Counted {
+            backend: Some(backend),
+            ..Counted::lifted(value, Method::Ground)
+        }
+    }
+}
+
+/// The weights with every pair the algebra scales ([`Algebra::pair_scale`])
+/// replaced by `(d·w, d·w̄)`, and the scaled predicates with their `d`, or
+/// `None` when no predicate of `vocabulary` scales. A count under the
+/// scaled weights is the original count times `Π d^{n^arity}`.
+#[allow(clippy::type_complexity)]
+fn scale_pairs<'v, A: Algebra>(
+    vocabulary: &'v Vocabulary,
+    algebra: &A,
+    weights: &AlgebraWeights<A>,
+) -> Option<(AlgebraWeights<A>, Vec<(&'v Predicate, A::Elem)>)> {
+    let mut scaled: Option<(AlgebraWeights<A>, Vec<_>)> = None;
+    for p in vocabulary.iter() {
+        let (pos, neg) = weights.pair_of(algebra, p);
+        if let Some(d) = algebra.pair_scale(&pos, &neg) {
+            let (weights, scales) = scaled.get_or_insert_with(|| (weights.clone(), Vec::new()));
+            weights.set(p.name(), algebra.mul(&pos, &d), algebra.mul(&neg, &d));
+            scales.push((p, d));
+        }
+    }
+    scaled
 }
 
 /// The [`LimitsReport`] for a finished governed solve, or `None` when
@@ -2010,6 +2058,83 @@ mod tests {
                     .unwrap();
                 assert_eq!(poly.coeff(0), exact, "{sentence} at n={n}");
             }
+        }
+    }
+
+    /// `count` is the `Exact` instance of `count_in`: same value under
+    /// rational, zero and negative weights for every method, and the same
+    /// FO² binding (the exact count after `count` hits the LRU).
+    #[test]
+    fn count_in_exact_is_count_under_rational_zero_and_negative_weights() {
+        use wfomc_logic::algebra::Exact;
+
+        let weight_sets = [
+            Weights::from_ints([("R", 2, 1), ("S", 1, 3), ("T", 5, 1), ("E", 3, 2)]),
+            {
+                let mut w = Weights::ones();
+                for (name, (a, b), (c, d)) in [
+                    ("R", (1, 2), (2, 3)),
+                    ("S", (-3, 4), (5, 6)),
+                    ("T", (0, 1), (7, 9)),
+                    ("E", (2, 5), (-1, 10)),
+                    ("R1", (1, 3), (1, 6)),
+                    ("R2", (-2, 7), (3, 7)),
+                ] {
+                    w.set(name, weight_ratio(a, b), weight_ratio(c, d));
+                }
+                w
+            },
+        ];
+        for (sentence, method, max_n) in four_methods() {
+            let plan = Problem::new(sentence.clone()).plan().unwrap();
+            for weights in &weight_sets {
+                for n in 0..=max_n {
+                    let report = plan.count(n, weights).unwrap();
+                    let hits = plan.cache_stats().fo2_bind_hits;
+                    let generic = plan
+                        .count_in(n, &Exact, &AlgebraWeights::lift(&Exact, weights))
+                        .unwrap();
+                    assert_eq!(generic, report.value, "{sentence} ({method:?}) at n={n}");
+                    if method == Method::Fo2 && n > 0 {
+                        assert_eq!(plan.cache_stats().fo2_bind_hits, hits + 1, "n = {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Log-space counts bind through the plan's LRU too: a repeated
+    /// `count_in(&LogF64, w)` reuses the binding of the first.
+    #[test]
+    fn repeated_log_counts_hit_the_binding_lru() {
+        let plan = Problem::new(catalog::table1_sentence()).plan().unwrap();
+        let weights = AlgebraWeights::lift(&LogF64, &Weights::from_ints([("R", 2, 1)]));
+        let first = plan.count_in(6, &LogF64, &weights).unwrap();
+        let hits = plan.cache_stats().fo2_bind_hits;
+        let second = plan.count_in(6, &LogF64, &weights).unwrap();
+        assert_eq!(plan.cache_stats().fo2_bind_hits, hits + 1);
+        assert_eq!(first, second);
+    }
+
+    /// The CQ memo keeps at most a fixed number of tables per algebra, so
+    /// counting under ever new weight functions does not grow it.
+    #[test]
+    fn cq_memo_stays_bounded_under_distinct_weights() {
+        let plan = Problem::new(catalog::chain_query(3).to_formula())
+            .plan()
+            .unwrap();
+        assert_eq!(plan.method(), Method::GammaAcyclicCq);
+        let count = |i: i64| {
+            plan.count(3, &Weights::from_ints([("R1", i + 1, 1), ("R2", 1, i + 2)]))
+                .unwrap()
+        };
+        let per_table = count(0).cache.unwrap().cq_memo_len;
+        assert!(per_table > 0);
+        for i in 1..100 {
+            let report = count(i);
+            assert_eq!(report.method, Method::GammaAcyclicCq);
+            let len = report.cache.unwrap().cq_memo_len;
+            assert!(len <= 8 * per_table, "count {i}: {len} memoized shapes");
         }
     }
 

@@ -39,10 +39,10 @@ pub fn is_qs4(sentence: &Formula) -> bool {
     sentence == &catalog::qs4()
 }
 
-/// `WFOMC(QS4, n, w, w̄)` in time `O(n²)` arithmetic operations.
+/// `WFOMC(QS4, n, w, w̄)` in time `O(n²)` arithmetic operations: the
+/// [`Exact`] instance of [`wfomc_qs4_in`].
 pub fn wfomc_qs4(n: usize, weights: &Weights) -> Weight {
-    let pair = weights.pair("S");
-    wfomc_qs4_weights(n, &pair.pos, &pair.neg)
+    wfomc_qs4_in(n, &Exact, &AlgebraWeights::lift(&Exact, weights))
 }
 
 /// [`wfomc_qs4`] in an arbitrary [`Algebra`]: the recurrences of
@@ -58,16 +58,6 @@ pub fn wfomc_qs4_in<A: Algebra>(n: usize, algebra: &A, weights: &AlgebraWeights<
     algebra.add(&f[n][n], &g[n][n])
 }
 
-/// As [`wfomc_qs4`], with the weight pair for `S` given explicitly.
-pub fn wfomc_qs4_weights(n: usize, w: &Weight, w_bar: &Weight) -> Weight {
-    if n == 0 {
-        // A single empty structure of weight 1.
-        return Weight::one();
-    }
-    let (f, g) = qs4_tables(n, n, w, w_bar);
-    f[n][n].clone() + g[n][n].clone()
-}
-
 /// The generalized count of the proof, over a bipartite-style restriction
 /// where the `x` variables range over `[n₁]` and the `y` variables over
 /// `[n₂]`; returns `f(n₁,n₂) + g(n₁,n₂)`.
@@ -75,7 +65,7 @@ pub fn wfomc_qs4_rectangular(n1: usize, n2: usize, w: &Weight, w_bar: &Weight) -
     if n1 == 0 || n2 == 0 {
         return Weight::one();
     }
-    let (f, g) = qs4_tables(n1, n2, w, w_bar);
+    let (f, g) = qs4_tables_in(n1, n2, &Exact, w, w_bar);
     f[n1][n2].clone() + g[n1][n2].clone()
 }
 
@@ -91,17 +81,6 @@ pub fn wfomc_qs4_sentence(
         });
     }
     Ok(wfomc_qs4(n, weights))
-}
-
-/// Fills the `f` and `g` tables bottom-up (the [`Exact`] instance of
-/// [`qs4_tables_in`]).
-fn qs4_tables(
-    max1: usize,
-    max2: usize,
-    w: &Weight,
-    w_bar: &Weight,
-) -> (Vec<Vec<Weight>>, Vec<Vec<Weight>>) {
-    qs4_tables_in(max1, max2, &Exact, w, w_bar)
 }
 
 /// Fills the `f` and `g` tables bottom-up in an arbitrary algebra.

@@ -58,11 +58,13 @@ impl std::fmt::Display for Method {
 /// hit-rate gate works while `wfomc_obs` recording is off.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// FO² weight-binding LRU hits across the plan's lifetime.
+    /// FO² weight-binding LRU hits across the plan's lifetime, in every
+    /// algebra.
     pub fo2_bind_hits: u64,
     /// FO² weight-binding LRU misses (each one ran a full bind).
     pub fo2_bind_misses: u64,
-    /// Weight bindings currently cached by the FO² keyed LRU.
+    /// Weight bindings currently cached by the FO² keyed LRU, over all
+    /// algebras (at most 8 per algebra).
     pub fo2_cached_bindings: usize,
     /// Ground-plan LRU hits (a cached lineage/d-DNNF was reused).
     pub ground_hits: u64,
@@ -74,7 +76,8 @@ pub struct PlanCacheStats {
     pub cq_memo_hits: u64,
     /// γ-acyclic reduction memo misses (each one ran a reduction rule).
     pub cq_memo_misses: u64,
-    /// Residual query shapes currently memoized.
+    /// Residual query shapes currently memoized, over the reduction tables
+    /// of every algebra (at most 8 tables per algebra).
     pub cq_memo_len: usize,
 }
 

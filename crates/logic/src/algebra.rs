@@ -53,11 +53,13 @@ use crate::weights::{weight_pow, Weight, Weights};
 
 /// A commutative ring the evaluation half of the WFOMC pipeline can run in.
 ///
-/// Implementations are stateless handles (all three shipped algebras are
+/// Implementations are stateless handles (all four shipped algebras are
 /// zero-sized); the element type carries the values. The operations take the
 /// receiver so richer algebras (e.g. a fixed-modulus ring, a tropical
 /// semiring without `neg`, floats with a configurable precision) can carry
-/// configuration.
+/// configuration — in their *type* (a const-generic modulus, say): a plan
+/// caches its weight bindings and reduction tables per algebra type, keyed
+/// by the weights alone.
 ///
 /// # Contract
 ///
@@ -68,9 +70,9 @@ use crate::weights::{weight_pow, Weight, Weights};
 /// because `0 · x = 0`. Approximate algebras (such as [`LogF64`]) satisfy
 /// these laws only up to rounding; the workspace's differential tests pin
 /// the accepted tolerance.
-pub trait Algebra: Send + Sync {
+pub trait Algebra: Send + Sync + 'static {
     /// The ring element type.
-    type Elem: Clone + PartialEq + fmt::Debug + fmt::Display + Send + Sync;
+    type Elem: Clone + PartialEq + fmt::Debug + fmt::Display + Send + Sync + 'static;
 
     /// A short human-readable name (used by benches and reports).
     fn name(&self) -> &'static str;
@@ -159,6 +161,17 @@ pub trait Algebra: Send + Sync {
     fn order_sensitive(&self) -> bool {
         false
     }
+
+    /// A non-zero `d` that makes the weight pair `(d·w, d·w̄)` cheaper to
+    /// count with than `(w, w̄)`, or `None` (the default) when scaling gains
+    /// nothing. Every ground tuple contributes exactly one of `w` and `w̄`,
+    /// so a count over the scaled pair is the original count times
+    /// `d^{#tuples}`, which the caller divides back out once. [`Exact`]
+    /// returns the least common multiple of the two denominators, so counts
+    /// multiply integers instead of reducing fractions at every step.
+    fn pair_scale(&self, _pos: &Self::Elem, _neg: &Self::Elem) -> Option<Self::Elem> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -227,6 +240,12 @@ impl Algebra for Exact {
         } else {
             Some(a / b)
         }
+    }
+
+    fn pair_scale(&self, pos: &Weight, neg: &Weight) -> Option<Weight> {
+        let (a, b) = (pos.denom(), neg.denom());
+        let lcm = a / BigInt::from(a.magnitude().gcd(b.magnitude())) * b;
+        (!lcm.is_one()).then(|| Weight::from_integer(lcm))
     }
 }
 
@@ -763,6 +782,12 @@ impl<A: Algebra> fmt::Debug for AlgebraWeights<A> {
         f.debug_struct("AlgebraWeights")
             .field("by_predicate", &self.by_predicate)
             .finish()
+    }
+}
+
+impl<A: Algebra> PartialEq for AlgebraWeights<A> {
+    fn eq(&self, other: &Self) -> bool {
+        self.by_predicate == other.by_predicate
     }
 }
 
