@@ -1067,6 +1067,24 @@ mod tests {
         assert!(Exact.is_zero(&Exact.zero()) && !Exact.is_zero(&Exact.one()));
     }
 
+    /// Exact pairs scale by the LCM of their denominators; integer pairs
+    /// (zero included) and the other algebras do not scale.
+    #[test]
+    fn exact_pairs_scale_to_integers() {
+        let scale = |a, b| Exact.pair_scale(&a, &b);
+        assert_eq!(
+            scale(weight_ratio(-3, 4), weight_ratio(5, 6)),
+            Some(weight_int(12))
+        );
+        assert_eq!(
+            scale(weight_int(0), weight_ratio(7, 9)),
+            Some(weight_int(9))
+        );
+        assert_eq!(scale(weight_int(2), weight_int(-1)), None);
+        let half = LogF64.from_weight(&weight_ratio(1, 2));
+        assert!(LogF64.pair_scale(&half, &half).is_none());
+    }
+
     #[test]
     fn log_algebra_tracks_signs_and_magnitudes() {
         let a = LogF64.from_weight(&weight_int(3));
