@@ -65,7 +65,7 @@ pub fn multinomial(n: usize, parts: &[usize]) -> BigInt {
 }
 
 /// Converts a big integer into a rational [`Weight`].
-pub fn weight_from_bigint(i: BigInt) -> Weight {
+fn weight_from_bigint(i: BigInt) -> Weight {
     BigRational::from_integer(i)
 }
 
@@ -142,9 +142,6 @@ pub fn num_compositions(n: usize, k: usize) -> usize {
 /// i.e. all vectors `(n₁, …, n_k)` with `Σ nᵢ = n`. There are `C(n+k−1, k−1)`
 /// of them. For `k = 0` the iterator yields a single empty composition when
 /// `n = 0` and nothing otherwise.
-///
-/// Each item is a freshly allocated `Vec`; hot paths should prefer the
-/// non-allocating visitor [`for_each_composition`].
 pub fn compositions(n: usize, k: usize) -> Compositions {
     Compositions {
         n,
@@ -229,27 +226,6 @@ impl Iterator for Compositions {
     }
 }
 
-/// Visits every composition of `n` into `k` non-negative parts without
-/// allocating per item: the callback borrows one scratch buffer that is
-/// advanced in place. Same order as [`compositions`].
-pub fn for_each_composition<F: FnMut(&[usize])>(n: usize, k: usize, mut f: F) {
-    if k == 0 {
-        if n == 0 {
-            f(&[]);
-        }
-        return;
-    }
-    let mut current = vec![0; k];
-    current[k - 1] = n;
-    let mut pivot = None;
-    loop {
-        f(&current);
-        if !advance_composition(&mut current, &mut pivot) {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,16 +287,19 @@ mod tests {
     }
 
     #[test]
-    fn visitor_matches_iterator() {
+    fn iterator_yields_each_composition_once_in_order() {
         for (n, k) in [(0usize, 0usize), (0, 3), (3, 1), (5, 3), (6, 4), (2, 0)] {
-            let mut visited: Vec<Vec<usize>> = Vec::new();
-            for_each_composition(n, k, |c| visited.push(c.to_vec()));
-            let iterated: Vec<Vec<usize>> = compositions(n, k).collect();
-            assert_eq!(visited, iterated, "n = {n}, k = {k}");
+            let all: Vec<Vec<usize>> = compositions(n, k).collect();
             assert_eq!(
-                visited.len(),
+                all.len(),
                 num_compositions(n, k),
                 "count for n = {n}, k = {k}"
+            );
+            // Stars-and-bars order is strictly increasing lexicographically,
+            // so no composition repeats.
+            assert!(
+                all.windows(2).all(|w| w[0] < w[1]),
+                "order for n = {n}, k = {k}"
             );
         }
     }

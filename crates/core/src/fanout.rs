@@ -25,6 +25,22 @@ pub(crate) fn cores() -> usize {
         .unwrap_or(1)
 }
 
+/// Estimated work (compositions summed, matrix evaluations) below which a
+/// fan-out costs more in thread spawns than it saves. The cell-sum engine's
+/// top-level split, its per-branch fan-out and the Shannon-mask build all
+/// gate on it.
+pub(crate) const MIN_PARALLEL_WORK: usize = 4096;
+
+/// Workers for a fan-out over `items` items whose estimated work totals
+/// `work`: one below [`MIN_PARALLEL_WORK`], otherwise up to one per core.
+pub(crate) fn workers_for(items: usize, work: usize) -> usize {
+    if work < MIN_PARALLEL_WORK {
+        1
+    } else {
+        cores().min(items).max(1)
+    }
+}
+
 /// Runs `work(i)` for `i in 0..len` on up to `workers` scoped threads and
 /// returns the outcomes in index order.
 ///

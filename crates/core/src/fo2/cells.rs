@@ -9,8 +9,14 @@
 //! For an (unordered) pair of elements with cells `i` and `j`, the table entry
 //! `r_{ij}` sums, over all assignments to the cross atoms `B(x,y)`, `B(y,x)`,
 //! the weight of the assignments satisfying `Ψ(x,y) ∧ Ψ(y,x)`.
+//!
+//! Off the diagonal the matrix reads only part of a cell: the unary atoms it
+//! mentions and the reflexive atoms `B(v,v)` it mentions. Cells that agree on
+//! those bits form one *row class*: their pair rows are identical, so the
+//! cross assignments are enumerated once per class pair, not once per cell
+//! pair.
 
-use num_traits::One;
+use std::collections::{BTreeMap, HashMap};
 
 use wfomc_logic::algebra::{Algebra, AlgebraWeights};
 use wfomc_logic::syntax::Formula;
@@ -37,9 +43,10 @@ impl CellSpace {
     }
 }
 
-/// A valid 1-type. Its weight `u_c = Π_U w-or-w̄(U) · Π_B w-or-w̄(B)` over
-/// its unary and reflexive atoms depends on the weight function, so
-/// [`bind_cell_weights_in`] computes it per binding.
+/// A valid 1-type: a weight-free shape. Its weight
+/// `u_c = Π_U w-or-w̄(U) · Π_B w-or-w̄(B)` over its unary and reflexive atoms
+/// depends on the weight function, so [`bind_cell_weights_in`] computes it
+/// per binding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cell {
     /// Truth values of the unary atoms, aligned with [`CellSpace::unary`].
@@ -47,9 +54,6 @@ pub struct Cell {
     /// Truth values of the reflexive binary atoms, aligned with
     /// [`CellSpace::binary`].
     pub reflexive: Vec<bool>,
-    /// Always 1: prepared cells are weight-free shapes. The field stays
-    /// because the `wfomc-snap/v1` format stores it.
-    pub weight: Weight,
 }
 
 /// An assignment to the cross atoms of an ordered pair `(x, y)`.
@@ -60,9 +64,11 @@ struct CrossAssign {
     bwd: Vec<bool>,
 }
 
-/// The weight-independent part of the pair table: for every unordered pair of
-/// valid cells `i ≤ j`, the multiset of *signatures* of the cross assignments
-/// satisfying `Ψ(x,y) ∧ Ψ(y,x)`.
+/// The weight-independent part of the pair table: the row class of every
+/// valid cell and, for every unordered pair of row classes `a ≤ b`, the
+/// multiset of *signatures* of the cross assignments satisfying
+/// `Ψ(x,y) ∧ Ψ(y,x)`. The cell pair `(i, j)` reads the multiset of its class
+/// pair.
 ///
 /// A satisfying assignment to the `2b` cross atoms contributes
 /// `Π_t w_t^{a_t} · w̄_t^{2 − a_t}` where `a_t ∈ {0, 1, 2}` counts how many of
@@ -71,14 +77,16 @@ struct CrossAssign {
 /// signatures with multiplicities.
 ///
 /// Finding the satisfying assignments is the expensive part of building the
-/// table (it evaluates the matrix `2^{2b}` times per cell pair); summing the
+/// table (it evaluates the matrix `2^{2b}` times per class pair); summing the
 /// signature weights ([`bind_pair_table_in`]) is cheap and can be redone per
 /// weight function, which is what lets a [`crate::plan::Plan`] analyze a
 /// sentence once and re-weight it many times.
 #[derive(Clone, Debug)]
 pub struct PairStructure {
-    /// `sat[i][j - i]` holds the signature multiset of the pair `(i, j)`,
-    /// `i ≤ j`.
+    /// The row class of every cell, in cell order. Every class has a member.
+    class_of: Vec<usize>,
+    /// `sat[a][b - a]` holds the signature multiset of the class pair
+    /// `(a, b)`, `a ≤ b`.
     sat: Vec<Vec<SignatureMultiset>>,
 }
 
@@ -87,81 +95,116 @@ pub struct PairStructure {
 pub(crate) type SignatureMultiset = Vec<(Vec<u8>, u64)>;
 
 impl PairStructure {
-    /// Total number of satisfying cross assignments over all cell pairs.
+    /// Number of row classes.
+    pub fn num_classes(&self) -> usize {
+        self.sat.len()
+    }
+
+    /// The row class of every cell, in cell order.
+    pub fn class_of(&self) -> &[usize] {
+        &self.class_of
+    }
+
+    /// Number of cells in every row class.
+    fn class_sizes(&self) -> Vec<usize> {
+        let mut sizes = vec![0; self.num_classes()];
+        for &a in &self.class_of {
+            sizes[a] += 1;
+        }
+        sizes
+    }
+
+    /// The signature multiset of the class pair `(a, b)`, in either order.
+    fn signatures(&self, a: usize, b: usize) -> &SignatureMultiset {
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        &self.sat[a][b - a]
+    }
+
+    /// Total number of satisfying cross assignments over all unordered cell
+    /// pairs `i ≤ j`.
     pub fn num_satisfying(&self) -> usize {
-        self.sat
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|(_, count)| *count as usize)
-            .sum()
-    }
-
-    /// Per-cell count of *structural* zeros: pairs `(i, j)` with no
-    /// satisfying cross assignment at all, whose bound table entry is zero
-    /// for every weight function. Unlike the bound entries these counts are
-    /// weight-independent, so a cell order derived from them is shared by
-    /// every weight vector — which is what lets order-sensitive (float)
-    /// algebras front-load constrained cells without breaking bit-for-bit
-    /// lane/scalar agreement.
-    pub fn structural_zero_counts(&self) -> Vec<usize> {
-        let k = self.sat.len();
-        let mut zeros = vec![0usize; k];
-        for (i, row) in self.sat.iter().enumerate() {
+        let sizes = self.class_sizes();
+        let mut total = 0;
+        for (a, row) in self.sat.iter().enumerate() {
             for (d, signatures) in row.iter().enumerate() {
-                if signatures.is_empty() {
-                    zeros[i] += 1;
-                    if d > 0 {
-                        zeros[i + d] += 1;
-                    }
-                }
-            }
-        }
-        zeros
-    }
-
-    /// Reindexes the structure by `perm` (new index `a` maps to old cell
-    /// `perm[a]`), preserving the triangular `i ≤ j` layout.
-    pub fn permute(&self, perm: &[usize]) -> PairStructure {
-        let k = self.sat.len();
-        debug_assert_eq!(perm.len(), k);
-        let mut sat = Vec::with_capacity(k);
-        for a in 0..k {
-            let mut row = Vec::with_capacity(k - a);
-            for b in a..k {
-                let (i, j) = if perm[a] <= perm[b] {
-                    (perm[a], perm[b])
+                let cell_pairs = if d == 0 {
+                    sizes[a] * (sizes[a] + 1) / 2
                 } else {
-                    (perm[b], perm[a])
+                    sizes[a] * sizes[a + d]
                 };
-                row.push(self.sat[i][j - i].clone());
+                let per_pair: usize = signatures.iter().map(|(_, count)| *count as usize).sum();
+                total += cell_pairs * per_pair;
             }
-            sat.push(row);
         }
-        PairStructure { sat }
+        total
     }
 
-    /// The triangular signature table, row-major, for the snapshot codec.
+    /// Per-cell count of *structural* zeros: cells `j` (the cell itself
+    /// included once) whose pair with the cell has no satisfying cross
+    /// assignment at all, so its bound table entry is zero for every weight
+    /// function. Unlike the bound entries these counts are weight-independent,
+    /// so a cell order derived from them is shared by every weight vector —
+    /// which is what lets order-sensitive (float) algebras front-load
+    /// constrained cells without breaking bit-for-bit lane/scalar agreement.
+    pub fn structural_zero_counts(&self) -> Vec<usize> {
+        let sizes = self.class_sizes();
+        let classes = self.num_classes();
+        let class_zeros: Vec<usize> = (0..classes)
+            .map(|a| {
+                (0..classes)
+                    .filter(|&b| self.signatures(a, b).is_empty())
+                    .map(|b| sizes[b])
+                    .sum()
+            })
+            .collect();
+        self.class_of.iter().map(|&a| class_zeros[a]).collect()
+    }
+
+    /// Reindexes the cells by `perm` (new index `a` maps to old cell
+    /// `perm[a]`). The classes and their pair table stay as they are.
+    pub fn permute(&self, perm: &[usize]) -> PairStructure {
+        debug_assert_eq!(perm.len(), self.class_of.len());
+        PairStructure {
+            class_of: perm.iter().map(|&i| self.class_of[i]).collect(),
+            sat: self.sat.clone(),
+        }
+    }
+
+    /// The triangular class-pair signature table, row-major, for the
+    /// snapshot codec.
     pub(crate) fn sat_rows(&self) -> &[Vec<SignatureMultiset>] {
         &self.sat
     }
 
-    /// Rebuilds a structure from decoded rows, validating the triangular
-    /// layout (`sat[i].len() == k − i`). Returns `None` on violation.
-    pub(crate) fn from_rows(sat: Vec<Vec<SignatureMultiset>>) -> Option<PairStructure> {
-        let k = sat.len();
-        for (i, row) in sat.iter().enumerate() {
-            if row.len() != k - i {
-                return None;
-            }
+    /// Rebuilds a structure from decoded parts, validating the triangular
+    /// layout (`sat[a].len() == c − a`), that every class index is below `c`
+    /// and that every class has a member cell.
+    pub(crate) fn from_parts(
+        class_of: Vec<usize>,
+        sat: Vec<Vec<SignatureMultiset>>,
+    ) -> Result<PairStructure, &'static str> {
+        let classes = sat.len();
+        if sat
+            .iter()
+            .enumerate()
+            .any(|(a, row)| row.len() != classes - a)
+        {
+            return Err("class-pair table is not triangular");
         }
-        Some(PairStructure { sat })
+        let mut seen = vec![false; classes];
+        for &a in &class_of {
+            *seen.get_mut(a).ok_or("row class index out of range")? = true;
+        }
+        if seen.contains(&false) {
+            return Err("row class without a member cell");
+        }
+        Ok(PairStructure { class_of, sat })
     }
 }
 
 /// Enumerates the valid cell *shapes* of a matrix: the truth assignments
-/// satisfying the diagonal constraint `Ψ(x, x)`, with every weight left at 1.
-/// [`bind_cell_weights_in`] computes their weights under a weight function.
+/// satisfying the diagonal constraint `Ψ(x, x)`. [`bind_cell_weights_in`]
+/// computes their weights under a weight function.
 pub fn build_cell_shapes(matrix: &Formula, space: &CellSpace) -> Result<Vec<Cell>, LiftError> {
     let bits = space.cell_bits();
     if bits > 24 {
@@ -175,11 +218,7 @@ pub fn build_cell_shapes(matrix: &Formula, space: &CellSpace) -> Result<Vec<Cell
         let reflexive: Vec<bool> = (0..space.binary.len())
             .map(|i| code >> (space.unary.len() + i) & 1 == 1)
             .collect();
-        let candidate = Cell {
-            unary,
-            reflexive,
-            weight: Weight::one(),
-        };
+        let candidate = Cell { unary, reflexive };
         // Validity: Ψ(x, x) must hold.
         if !eval_matrix(matrix, space, &candidate, &candidate, None, true)? {
             continue;
@@ -224,13 +263,75 @@ pub fn bind_cell_weights_in<A: Algebra>(
         .collect()
 }
 
-/// Finds, for every unordered pair of cells, the cross assignments satisfying
-/// `Ψ(x,y) ∧ Ψ(y,x)` — the weight-independent part of the pair table.
+/// The cell bits the matrix reads off the diagonal: the unary predicates it
+/// mentions and the binary predicates it mentions with a repeated variable
+/// (`B(v,v)`), as indices into `space`.
+fn off_diagonal_reads(matrix: &Formula, space: &CellSpace) -> (Vec<usize>, Vec<usize>) {
+    let mut unary = vec![false; space.unary.len()];
+    let mut reflexive = vec![false; space.binary.len()];
+    matrix.visit(&mut |node| {
+        let Formula::Atom(atom) = node else { return };
+        let (reads, predicates) = match atom.args.as_slice() {
+            [_] => (&mut unary, &space.unary),
+            [a, b] if a == b => (&mut reflexive, &space.binary),
+            _ => return,
+        };
+        if let Some(i) = predicates.iter().position(|p| p == &atom.predicate) {
+            reads[i] = true;
+        }
+    });
+    let indices =
+        |reads: Vec<bool>| -> Vec<usize> { (0..reads.len()).filter(|&i| reads[i]).collect() };
+    (indices(unary), indices(reflexive))
+}
+
+/// Groups the cells into row classes: cells that agree on every bit the
+/// matrix reads off the diagonal. Returns every cell's class and every
+/// class's first member, classes numbered by first occurrence.
+fn row_classes(matrix: &Formula, space: &CellSpace, cells: &[Cell]) -> (Vec<usize>, Vec<usize>) {
+    let (unary, reflexive) = off_diagonal_reads(matrix, space);
+    let mut index: HashMap<Vec<bool>, usize> = HashMap::new();
+    let mut representatives = Vec::new();
+    let class_of = cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            let key: Vec<bool> = unary
+                .iter()
+                .map(|&u| cell.unary[u])
+                .chain(reflexive.iter().map(|&b| cell.reflexive[b]))
+                .collect();
+            *index.entry(key).or_insert_with(|| {
+                representatives.push(i);
+                representatives.len() - 1
+            })
+        })
+        .collect();
+    (class_of, representatives)
+}
+
+/// Finds, for every unordered pair of row classes, the cross assignments
+/// satisfying `Ψ(x,y) ∧ Ψ(y,x)` — the weight-independent part of the pair
+/// table. Each class pair is enumerated once, on the classes' first members.
 pub fn build_pair_structure(
     matrix: &Formula,
     space: &CellSpace,
     cells: &[Cell],
 ) -> Result<PairStructure, LiftError> {
+    check_cross_atoms(space)?;
+    let (class_of, representatives) = row_classes(matrix, space, cells);
+    let mut sat = Vec::with_capacity(representatives.len());
+    for (a, &i) in representatives.iter().enumerate() {
+        let row = representatives[a..]
+            .iter()
+            .map(|&j| pair_signatures(matrix, space, &cells[i], &cells[j]))
+            .collect::<Result<_, _>>()?;
+        sat.push(row);
+    }
+    Ok(PairStructure { class_of, sat })
+}
+
+fn check_cross_atoms(space: &CellSpace) -> Result<(), LiftError> {
     let b = space.binary.len();
     if 2 * b > 24 {
         return Err(LiftError::Internal(format!(
@@ -238,54 +339,46 @@ pub fn build_pair_structure(
             2 * b
         )));
     }
-    let k = cells.len();
-    let mut sat = Vec::with_capacity(k);
-    for i in 0..k {
-        let mut row = Vec::with_capacity(k - i);
-        for j in i..k {
-            let mut signatures: std::collections::BTreeMap<Vec<u8>, u64> =
-                std::collections::BTreeMap::new();
-            for code in 0u64..(1u64 << (2 * b)) {
-                let fwd: Vec<bool> = (0..b).map(|t| code >> t & 1 == 1).collect();
-                let bwd: Vec<bool> = (0..b).map(|t| code >> (b + t) & 1 == 1).collect();
-                let cross = CrossAssign {
-                    fwd: fwd.clone(),
-                    bwd: bwd.clone(),
-                };
-                let cross_swapped = CrossAssign { fwd: bwd, bwd: fwd };
-                let forward_ok =
-                    eval_matrix(matrix, space, &cells[i], &cells[j], Some(&cross), false)?;
-                if !forward_ok {
-                    continue;
-                }
-                let backward_ok = eval_matrix(
-                    matrix,
-                    space,
-                    &cells[j],
-                    &cells[i],
-                    Some(&cross_swapped),
-                    false,
-                )?;
-                if !backward_ok {
-                    continue;
-                }
-                let signature: Vec<u8> = (0..b)
-                    .map(|t| (code >> t & 1) as u8 + (code >> (b + t) & 1) as u8)
-                    .collect();
-                *signatures.entry(signature).or_insert(0) += 1;
-            }
-            row.push(signatures.into_iter().collect());
-        }
-        sat.push(row);
-    }
-    Ok(PairStructure { sat })
+    Ok(())
 }
 
-/// Sums the weights of the satisfying cross assignments of every cell pair
-/// in an arbitrary [`Algebra`], producing the symmetric table `r_{ij}` for
-/// a weight function. Per binary predicate only the three products `w̄²`,
-/// `w·w̄`, `w²` exist, so each signature costs `b` multiplications instead
-/// of `2b` per raw assignment.
+/// The signature multiset of the cross assignments satisfying
+/// `Ψ(x,y) ∧ Ψ(y,x)` with `x` in `cell_x` and `y` in `cell_y`.
+fn pair_signatures(
+    matrix: &Formula,
+    space: &CellSpace,
+    cell_x: &Cell,
+    cell_y: &Cell,
+) -> Result<SignatureMultiset, LiftError> {
+    let b = space.binary.len();
+    let mut signatures: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    for code in 0u64..(1u64 << (2 * b)) {
+        let fwd: Vec<bool> = (0..b).map(|t| code >> t & 1 == 1).collect();
+        let bwd: Vec<bool> = (0..b).map(|t| code >> (b + t) & 1 == 1).collect();
+        let cross = CrossAssign {
+            fwd: fwd.clone(),
+            bwd: bwd.clone(),
+        };
+        let cross_swapped = CrossAssign { fwd: bwd, bwd: fwd };
+        if !eval_matrix(matrix, space, cell_x, cell_y, Some(&cross), false)? {
+            continue;
+        }
+        if !eval_matrix(matrix, space, cell_y, cell_x, Some(&cross_swapped), false)? {
+            continue;
+        }
+        let signature: Vec<u8> = (0..b)
+            .map(|t| (code >> t & 1) as u8 + (code >> (b + t) & 1) as u8)
+            .collect();
+        *signatures.entry(signature).or_insert(0) += 1;
+    }
+    Ok(signatures.into_iter().collect())
+}
+
+/// Sums the weights of the satisfying cross assignments of every class pair
+/// in an arbitrary [`Algebra`], then fills the symmetric cell table `r_{ij}`
+/// for a weight function from the class table. Per binary predicate only the
+/// three products `w̄²`, `w·w̄`, `w²` exist, so each signature costs `b`
+/// multiplications instead of `2b` per raw assignment.
 pub fn bind_pair_table_in<A: Algebra>(
     structure: &PairStructure,
     space: &CellSpace,
@@ -304,28 +397,42 @@ pub fn bind_pair_table_in<A: Algebra>(
             ]
         })
         .collect();
-    let k = structure.sat.len();
-    let mut table = vec![vec![algebra.zero(); k]; k];
-    for (i, row) in structure.sat.iter().enumerate() {
-        for (d, signatures) in row.iter().enumerate() {
-            let j = i + d;
-            let mut total = algebra.zero();
-            for (signature, count) in signatures {
-                let mut weight = if *count == 1 {
-                    algebra.one()
-                } else {
-                    algebra.from_weight(&Weight::from_integer((*count).into()))
-                };
-                for (t, pow) in pows.iter().enumerate() {
-                    algebra.mul_assign(&mut weight, &pow[signature[t] as usize]);
-                }
-                algebra.add_assign(&mut total, &weight);
-            }
-            table[i][j] = total.clone();
-            table[j][i] = total;
-        }
-    }
-    table
+    let classes: Vec<Vec<A::Elem>> = structure
+        .sat
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|signatures| {
+                    let mut total = algebra.zero();
+                    for (signature, count) in signatures {
+                        let mut weight = if *count == 1 {
+                            algebra.one()
+                        } else {
+                            algebra.from_weight(&Weight::from_integer((*count).into()))
+                        };
+                        for (t, pow) in pows.iter().enumerate() {
+                            algebra.mul_assign(&mut weight, &pow[signature[t] as usize]);
+                        }
+                        algebra.add_assign(&mut total, &weight);
+                    }
+                    total
+                })
+                .collect()
+        })
+        .collect();
+    let class_of = &structure.class_of;
+    class_of
+        .iter()
+        .map(|&a| {
+            class_of
+                .iter()
+                .map(|&b| {
+                    let (a, b) = if a <= b { (a, b) } else { (b, a) };
+                    classes[a][b - a].clone()
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Evaluates the matrix under a cell assignment for `x` and `y`.
@@ -459,11 +566,34 @@ fn eval_matrix(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use wfomc_logic::algebra::Exact;
+    use proptest::prelude::*;
+    use wfomc_logic::algebra::{Exact, LogF64, LogF64xN, LOG_LANES};
     use wfomc_logic::builders::*;
     use wfomc_logic::term::Variable;
     use wfomc_logic::transform::substitute;
     use wfomc_logic::weights::{weight_int, Weights};
+
+    /// The per-cell-pair enumeration the class form replaces, kept as the
+    /// differential oracle: every cell is its own row class.
+    pub(crate) fn build_pair_structure_per_pair(
+        matrix: &Formula,
+        space: &CellSpace,
+        cells: &[Cell],
+    ) -> Result<PairStructure, LiftError> {
+        check_cross_atoms(space)?;
+        let mut sat = Vec::with_capacity(cells.len());
+        for (i, cell_x) in cells.iter().enumerate() {
+            let row = cells[i..]
+                .iter()
+                .map(|cell_y| pair_signatures(matrix, space, cell_x, cell_y))
+                .collect::<Result<_, _>>()?;
+            sat.push(row);
+        }
+        Ok(PairStructure {
+            class_of: (0..cells.len()).collect(),
+            sat,
+        })
+    }
 
     /// The valid cells of a matrix with their exact weights `u` and pair
     /// table `r` under `weights`.
@@ -566,5 +696,197 @@ pub(crate) mod tests {
         assert_eq!(cells.len(), 2);
         // Off-diagonal: S(x,y) ∧ S(y,x) both required → exactly 1 assignment.
         assert_eq!(table[0][0], weight_int(1));
+    }
+
+    #[test]
+    fn table1_cells_fall_into_four_row_classes() {
+        // Off the diagonal the matrix reads R and T but never S(x,x): the
+        // seven valid cells share four (R, T) projections.
+        let (matrix, space) = (table1_matrix(), table1_space());
+        let cells = build_cell_shapes(&matrix, &space).unwrap();
+        let structure = build_pair_structure(&matrix, &space, &cells).unwrap();
+        assert_eq!(cells.len(), 7);
+        assert_eq!(structure.num_classes(), 4);
+        let oracle = build_pair_structure_per_pair(&matrix, &space, &cells).unwrap();
+        assert_eq!(structure.num_satisfying(), oracle.num_satisfying());
+        assert_eq!(
+            structure.structural_zero_counts(),
+            oracle.structural_zero_counts()
+        );
+    }
+
+    #[test]
+    fn reflexive_atoms_the_matrix_mentions_split_classes() {
+        // S(x,x) ∨ S(x,y): only cells with S(x,x) true are valid, so the
+        // S(x,x) bit the matrix reads is the same in all of them; E(x,x),
+        // which the matrix never mentions, does not split them either.
+        let space = CellSpace {
+            unary: vec![],
+            binary: vec![Predicate::new("S", 2), Predicate::new("E", 2)],
+        };
+        let s_xx = atom("S", &[VAR_X, VAR_X]);
+        let s_xy = atom("S", &[VAR_X, VAR_Y]);
+        let matrix = or(vec![s_xx.clone(), s_xy.clone()]);
+        let cells = build_cell_shapes(&matrix, &space).unwrap();
+        assert_eq!(cells.len(), 2, "S(x,x) true, E(x,x) free");
+        assert_eq!(
+            build_pair_structure(&matrix, &space, &cells)
+                .unwrap()
+                .num_classes(),
+            1
+        );
+        // x = y ∨ (S(x,x) ∧ S(x,y)): every cell is valid, and the row of a
+        // cell depends on its S(x,x) bit.
+        let matrix = or(vec![eq(VAR_X, VAR_Y), and(vec![s_xx, s_xy])]);
+        let cells = build_cell_shapes(&matrix, &space).unwrap();
+        assert_eq!(cells.len(), 4);
+        assert_eq!(
+            build_pair_structure(&matrix, &space, &cells)
+                .unwrap()
+                .num_classes(),
+            2
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_bad_class_maps_and_layouts() {
+        let table = || vec![vec![vec![], vec![]], vec![vec![]]];
+        assert!(PairStructure::from_parts(vec![0, 1, 1], table()).is_ok());
+        assert_eq!(
+            PairStructure::from_parts(vec![0, 2], table()).unwrap_err(),
+            "row class index out of range"
+        );
+        assert_eq!(
+            PairStructure::from_parts(vec![1, 1], table()).unwrap_err(),
+            "row class without a member cell"
+        );
+        assert_eq!(
+            PairStructure::from_parts(vec![0, 1], vec![vec![vec![]], vec![vec![]]]).unwrap_err(),
+            "class-pair table is not triangular"
+        );
+    }
+
+    /// A random quantifier-free FO² matrix over `unary` unary predicates,
+    /// `binary` binary predicates and a Skolem predicate `Sk`, drawn from
+    /// `picks`: a conjunction of clauses over unary, reflexive, cross and
+    /// equality literals, plus a Skolemized piece `¬clause ∨ Sk(x)`.
+    fn random_matrix(unary: usize, binary: usize, picks: &[u64]) -> (Formula, CellSpace) {
+        let (x, y) = (VAR_X, VAR_Y);
+        let mut atoms = vec![eq(x, y)];
+        for u in 0..unary {
+            let name = format!("U{u}");
+            atoms.push(atom(&name, &[x]));
+            atoms.push(atom(&name, &[y]));
+        }
+        for b in 0..binary {
+            let name = format!("B{b}");
+            for args in [[x, x], [y, y], [x, y], [y, x], [x, y], [y, x]] {
+                atoms.push(atom(&name, &args));
+            }
+        }
+        let mut picks = picks.iter().copied();
+        let literal = |picks: &mut dyn Iterator<Item = u64>| {
+            let pick = picks.next().unwrap_or(0);
+            let a = atoms[(pick >> 1) as usize % atoms.len()].clone();
+            if pick & 1 == 1 {
+                not(a)
+            } else {
+                a
+            }
+        };
+        let clause = |picks: &mut dyn Iterator<Item = u64>| {
+            let len = 1 + picks.next().unwrap_or(0) % 3;
+            or((0..len).map(|_| literal(&mut *picks)).collect())
+        };
+        let mut pieces: Vec<Formula> = (0..2).map(|_| clause(&mut picks)).collect();
+        pieces.push(or(vec![not(clause(&mut picks)), atom("Sk", &[x])]));
+        let space = CellSpace {
+            unary: (0..unary)
+                .map(|u| Predicate::new(format!("U{u}"), 1))
+                .chain([Predicate::new("Sk", 1)])
+                .collect(),
+            binary: (0..binary)
+                .map(|b| Predicate::new(format!("B{b}"), 2))
+                .collect(),
+        };
+        (and(pieces), space)
+    }
+
+    /// Integer weight pairs (zero and negative included) for every predicate
+    /// of `space`, `Sk` at its Skolem pair (1, −1).
+    fn random_weights(space: &CellSpace, picks: &[i64]) -> Weights {
+        let mut weights = Weights::ones();
+        let mut picks = picks.iter().cycle();
+        for p in space.unary.iter().chain(&space.binary) {
+            let (pos, neg) = if p.name() == "Sk" {
+                (1, -1)
+            } else {
+                (*picks.next().unwrap(), *picks.next().unwrap())
+            };
+            weights.set(p.name(), weight_int(pos), weight_int(neg));
+        }
+        weights
+    }
+
+    /// Bit-level identity of two log-space tables.
+    fn log_bits(table: &[Vec<wfomc_logic::algebra::LogWeight>]) -> Vec<(i8, u64)> {
+        table
+            .iter()
+            .flatten()
+            .map(|w| (w.signum(), w.ln_abs().to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The class-built structure binds to the per-pair oracle's table:
+        /// equal in `Exact`, bit-identical in `LogF64` and every lane of
+        /// `LogF64xN`, with the same satisfying count and structural zeros.
+        #[test]
+        fn class_form_matches_the_per_pair_oracle(
+            binary in 1usize..5,
+            unary in 0usize..3,
+            picks in proptest::collection::vec(0u64..1024, 24..25),
+            weight_picks in proptest::collection::vec(-2i64..4, 16..17),
+        ) {
+            // Keep the oracle's k²·4^b evaluations small: at most 5 cell bits
+            // with four binary predicates.
+            let unary = unary.min(4usize.saturating_sub(binary));
+            let (matrix, space) = random_matrix(unary, binary, &picks);
+            let cells = build_cell_shapes(&matrix, &space).unwrap();
+            let classes = build_pair_structure(&matrix, &space, &cells).unwrap();
+            let oracle = build_pair_structure_per_pair(&matrix, &space, &cells).unwrap();
+            prop_assert!(classes.num_classes() <= cells.len().max(1));
+            prop_assert_eq!(classes.num_satisfying(), oracle.num_satisfying());
+            prop_assert_eq!(classes.structural_zero_counts(), oracle.structural_zero_counts());
+
+            let weights = random_weights(&space, &weight_picks);
+            let exact = AlgebraWeights::lift(&Exact, &weights);
+            prop_assert_eq!(
+                bind_pair_table_in(&classes, &space, &Exact, &exact),
+                bind_pair_table_in(&oracle, &space, &Exact, &exact)
+            );
+            let log = AlgebraWeights::lift(&LogF64, &weights);
+            prop_assert_eq!(
+                log_bits(&bind_pair_table_in(&classes, &space, &LogF64, &log)),
+                log_bits(&bind_pair_table_in(&oracle, &space, &LogF64, &log))
+            );
+            let sweep: Vec<Weights> = (0..LOG_LANES)
+                .map(|lane| {
+                    let shifted: Vec<i64> = weight_picks.iter().map(|w| w + lane as i64 - 2).collect();
+                    random_weights(&space, &shifted)
+                })
+                .collect();
+            let lanes = LogF64xN::pack_weights(&sweep.iter().collect::<Vec<_>>());
+            let by_class = bind_pair_table_in(&classes, &space, &LogF64xN, &lanes);
+            let by_pair = bind_pair_table_in(&oracle, &space, &LogF64xN, &lanes);
+            for lane in 0..LOG_LANES {
+                let pick = |table: &[Vec<wfomc_logic::algebra::LogWeightxN>]| -> Vec<Vec<_>> {
+                    table.iter().map(|row| row.iter().map(|w| w.lane(lane)).collect()).collect()
+                };
+                prop_assert_eq!(log_bits(&pick(&by_class)), log_bits(&pick(&by_pair)), "lane {}", lane);
+            }
+        }
     }
 }

@@ -280,7 +280,7 @@ impl<'a, A: Algebra> Engine<'a, A> {
             return 1;
         }
         // Below a few thousand compositions the spawn overhead dominates.
-        if num_compositions(self.n, self.k) < 4096 {
+        if num_compositions(self.n, self.k) < crate::fanout::MIN_PARALLEL_WORK {
             return 1;
         }
         std::thread::available_parallelism()

@@ -14,8 +14,10 @@
 //!   (1, −1);
 //! * nothing else — the original predicates keep their weights.
 //!
-//! The construction assumes `n ≥ 1` (vacuous quantifiers are dropped and
-//! `∃v φ ≡ φ` for `v` not free in `φ`); the caller special-cases `n = 0`.
+//! The construction assumes `n ≥ 1` (vacuous quantifiers are dropped,
+//! `∃v φ ≡ φ` for `v` not free in `φ`, and miniscoping pulls parts that do
+//! not mention `v` out of `∀v (A ∧ B)` and `∃v (A ∨ B)`); the caller
+//! special-cases `n = 0`.
 
 use wfomc_logic::syntax::Formula;
 use wfomc_logic::term::{Term, Variable};
@@ -101,7 +103,7 @@ pub fn fo2_normal_form(
         pieces: Vec::new(),
     };
 
-    let f = nnf(&simplify(sentence));
+    let f = miniscope(&nnf(&simplify(sentence)));
     for conjunct in flatten_and(&f) {
         process_top(&conjunct, &mut ctx)?;
     }
@@ -129,6 +131,64 @@ fn flatten_and(f: &Formula) -> Vec<Formula> {
     match f {
         Formula::And(parts) => parts.clone(),
         other => vec![other.clone()],
+    }
+}
+
+/// Miniscoping, bottom-up, of a formula in negation normal form. A
+/// quantifier whose variable is not free in its body is dropped (a
+/// re-binding of the same variable shadows it). A quantifier over a
+/// conjunction (or disjunction) that is not quantifier-free pulls the
+/// parts that do not mention its variable out of its scope, so
+/// `∀x (R(x,x) ∧ ∀x∀y φ)` becomes `∀x R(x,x) ∧ ∀x∀y φ` and needs no
+/// definition predicate. Prenex pieces with a quantifier-free body are left
+/// alone: pulling `R(x)` out of `∀x∀y (R(x) ∨ S(x,y))` would nest `∀y` under
+/// `∀x` and cost a definition predicate. `∀v (A ∧ B) ≡ A ∧ ∀v B` and
+/// `∃v (A ∨ B) ≡ A ∨ ∃v B` for `v` not free in `A`, and dropping a vacuous
+/// quantifier, hold for n ≥ 1; the other two pulls hold always.
+fn miniscope(f: &Formula) -> Formula {
+    match f {
+        Formula::Not(g) => Formula::not(miniscope(g)),
+        Formula::And(gs) => Formula::and_all(gs.iter().map(miniscope)),
+        Formula::Or(gs) => Formula::or_all(gs.iter().map(miniscope)),
+        Formula::Forall(v, g) | Formula::Exists(v, g) => {
+            let body = miniscope(g);
+            if !body.free_variables().contains(v) {
+                return body;
+            }
+            let quantify = |body: Formula| match f {
+                Formula::Forall(..) => Formula::forall(v.clone(), body),
+                _ => Formula::exists(v.clone(), body),
+            };
+            let (parts, join): (_, fn(Vec<Formula>) -> Formula) = match &body {
+                Formula::And(parts) => (parts, Formula::and_all),
+                Formula::Or(parts) => (parts, Formula::or_all),
+                _ => return quantify(body),
+            };
+            if body.is_quantifier_free() {
+                return quantify(body);
+            }
+            let mentions = |part: &Formula| part.free_variables().contains(v);
+            let inside: Vec<Formula> = parts.iter().filter(|p| mentions(p)).cloned().collect();
+            if inside.len() == parts.len() {
+                return quantify(body);
+            }
+            // Rebuild in the original order, the quantified group standing at
+            // its first member's position.
+            let first = parts
+                .iter()
+                .position(mentions)
+                .expect("v is free in the body");
+            let mut out = Vec::with_capacity(parts.len() - inside.len() + 1);
+            for (i, part) in parts.iter().enumerate() {
+                if i == first {
+                    out.push(quantify(join(inside.clone())));
+                } else if !mentions(part) {
+                    out.push(part.clone());
+                }
+            }
+            join(out)
+        }
+        other => other.clone(),
     }
 }
 

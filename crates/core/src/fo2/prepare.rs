@@ -3,8 +3,9 @@
 //!
 //! [`Fo2Prepared::prepare`] runs everything that does not depend on the domain
 //! size or the weight function: Scott normalization, Shannon expansion of the
-//! nullary predicates into branch matrices, valid-cell enumeration and the
-//! satisfying cross-assignment sets of every pair table
+//! nullary predicates into branch matrices, valid-cell enumeration, the
+//! grouping of the cells into row classes and the satisfying
+//! cross-assignment sets of every class pair
 //! ([`super::cells::PairStructure`]). [`Fo2Prepared::count_in`] then
 //! *binds* a weight function in the requested evaluation algebra (cheap:
 //! products and sums over the prepared structures, cached per algebra for
@@ -30,10 +31,11 @@ use wfomc_logic::weights::Weights;
 use super::algorithm::Fo2Stats;
 use super::cells::{
     bind_cell_weights_in, bind_pair_table_in, build_cell_shapes, build_pair_structure, Cell,
-    CellSpace, PairStructure,
+    CellSpace, PairStructure, SignatureMultiset,
 };
 use super::cellsum::cell_sum_elems;
 use super::normalize::fo2_normal_form;
+use crate::combinatorics::num_compositions;
 use crate::error::{LiftError, SolveError};
 use crate::fanout;
 use crate::keyed::{self, KeyedLru};
@@ -47,9 +49,10 @@ struct PreparedBranch {
     /// Truth assignment to the nullary predicates (bit `i` is the `i`-th
     /// nullary predicate).
     mask: u64,
-    /// Valid cells of the branch matrix (weights left at 1).
+    /// Valid cells of the branch matrix (weight-free shapes).
     shapes: Vec<Cell>,
-    /// Satisfying cross assignments of every cell pair.
+    /// Row classes of the cells and the satisfying cross assignments of
+    /// every class pair.
     pairs: PairStructure,
 }
 
@@ -170,10 +173,11 @@ impl Fo2Prepared {
 
         // Shannon expansion: one branch matrix per truth assignment to the
         // nullary predicates, each analyzed into cells and pair structures.
-        // The pair-structure build (`2^{2b}` cross assignments per cell
-        // pair) dominates and varies per branch, so many-branch expansions
-        // fan the masks over a work-stealing pool; the common zero-nullary
-        // case (one mask) stays on the caller's thread.
+        // The pair-structure build (`2^{2b}` cross assignments per class
+        // pair) dominates and varies per branch, so expansions with enough
+        // matrix evaluations in all fan the masks over a work-stealing pool;
+        // the common zero-nullary case (one mask) stays on the caller's
+        // thread.
         let build_branch = |mask: u64| -> Result<Option<PreparedBranch>, SolveError> {
             guard.tick(PREPARE_PHASE, 1)?;
             let branch_matrix = if nullary.is_empty() {
@@ -214,7 +218,7 @@ impl Fo2Prepared {
             }))
         };
         let total_masks = 1usize << nullary.len();
-        let workers = if total_masks >= 4 { fanout::cores() } else { 1 };
+        let workers = mask_workers(total_masks, &space);
         let built = fanout::run(total_masks, workers, |mask| build_branch(mask as u64));
         let mut branches = Vec::new();
         // Surface the mask-order-first error so the parallel build fails
@@ -257,6 +261,12 @@ impl Fo2Prepared {
     /// Total number of valid cells over the prepared branches.
     pub fn total_cells(&self) -> usize {
         self.branches.iter().map(|b| b.shapes.len()).sum()
+    }
+
+    /// Total number of row classes over the prepared branches: cells whose
+    /// pair rows the matrix cannot tell apart share one class.
+    pub fn total_classes(&self) -> usize {
+        self.branches.iter().map(|b| b.pairs.num_classes()).sum()
     }
 
     /// Total number of satisfying cross assignments captured by the prepared
@@ -400,19 +410,16 @@ impl Fo2Prepared {
 
         // Branch costs are wildly uneven (a hard-constraint branch prunes to
         // nothing, an unconstrained one sums every composition), so the
-        // branches go through the work-stealing fan-out. With fewer branch
+        // branches go through the work-stealing fan-out once their
+        // compositions pay for the threads. The branch sums are added in
+        // branch order whatever the schedule. With fewer branch
         // workers than cores, each branch's engine splits its top level too
         // (its own composition-count threshold still applies). A panic is
         // resumed here, where the plan layer's per-point containment turns
         // it into `SolveError::WorkerPanicked`.
         let branches = &bound.branches;
-        let cores = fanout::cores();
-        let workers = if allow_parallel && n >= 8 {
-            cores.min(branches.len())
-        } else {
-            1
-        };
-        let parallel_within = allow_parallel && workers < cores;
+        let workers = branch_workers(branches, n, allow_parallel);
+        let parallel_within = allow_parallel && workers < fanout::cores();
         let sums = fanout::run(branches.len(), workers, |i| {
             let b = &branches[i];
             cell_sum_elems(algebra, &b.u, &b.table, n, parallel_within, guard)
@@ -475,12 +482,35 @@ impl Fo2Prepared {
     }
 }
 
-// ---- Snapshot codec (wfomc-snap/v1) ---------------------------------------
+/// Workers for the Shannon-mask build: each mask evaluates the matrix on
+/// every candidate cell (`2^{cell bits}`) and at least once per cross
+/// assignment (`4^b`, one class pair).
+fn mask_workers(total_masks: usize, space: &CellSpace) -> usize {
+    let per_mask = (1usize << space.cell_bits().min(24))
+        .saturating_add(1usize << (2 * space.binary.len()).min(24));
+    fanout::workers_for(total_masks, total_masks.saturating_mul(per_mask))
+}
+
+/// Workers for the per-branch cell sums at domain size `n`: the estimated
+/// work is the number of compositions the branches range over.
+fn branch_workers<E>(branches: &[BoundBranchIn<E>], n: usize, allow_parallel: bool) -> usize {
+    if !allow_parallel {
+        return 1;
+    }
+    let work = branches
+        .iter()
+        .map(|b| num_compositions(n, b.u.len()))
+        .fold(0, usize::saturating_add);
+    fanout::workers_for(branches.len(), work)
+}
+
+// ---- Snapshot codec (wfomc-snap/v2) ---------------------------------------
 //
 // Everything prepare computes is serialized verbatim — normal-form cell
 // space, introduced predicates with their fixed weights, Shannon branches
-// with valid-cell shapes and pair-structure signature multisets (in their
-// structural-zero-sorted order, so decode skips the reordering pass too).
+// with valid-cell shapes (in their structural-zero-sorted order, so decode
+// skips the reordering pass too), each cell's row class and the class-pair
+// signature multisets.
 // The binding LRU is deliberately *not* persisted: bindings are cheap,
 // weight-dependent, and the cache starts cold like a fresh prepare.
 
@@ -493,7 +523,6 @@ fn snap_encode_cell(enc: &mut snap::Enc, cell: &Cell) {
     for &b in &cell.reflexive {
         enc.bool(b);
     }
-    snap::encode_weight(enc, &cell.weight);
 }
 
 fn snap_decode_cell(dec: &mut snap::Dec<'_>) -> snap::SnapResult<Cell> {
@@ -507,12 +536,7 @@ fn snap_decode_cell(dec: &mut snap::Dec<'_>) -> snap::SnapResult<Cell> {
     for _ in 0..n {
         reflexive.push(dec.bool()?);
     }
-    let weight = snap::decode_weight(dec)?;
-    Ok(Cell {
-        unary,
-        reflexive,
-        weight,
-    })
+    Ok(Cell { unary, reflexive })
 }
 
 fn snap_encode_predicates(enc: &mut snap::Enc, predicates: &[Predicate]) {
@@ -532,7 +556,18 @@ fn snap_decode_predicates(dec: &mut snap::Dec<'_>) -> snap::SnapResult<Vec<Predi
 }
 
 fn snap_encode_pairs(enc: &mut snap::Enc, pairs: &PairStructure) {
-    let rows = pairs.sat_rows();
+    snap_encode_pair_parts(enc, pairs.class_of(), pairs.sat_rows());
+}
+
+fn snap_encode_pair_parts(
+    enc: &mut snap::Enc,
+    class_of: &[usize],
+    rows: &[Vec<SignatureMultiset>],
+) {
+    enc.usize(class_of.len());
+    for &class in class_of {
+        enc.usize(class);
+    }
     enc.usize(rows.len());
     for row in rows {
         enc.usize(row.len());
@@ -547,9 +582,14 @@ fn snap_encode_pairs(enc: &mut snap::Enc, pairs: &PairStructure) {
 }
 
 fn snap_decode_pairs(dec: &mut snap::Dec<'_>) -> snap::SnapResult<PairStructure> {
-    let k = dec.len()?;
-    let mut rows = Vec::with_capacity(k);
-    for _ in 0..k {
+    let cells = dec.len()?;
+    let mut class_of = Vec::with_capacity(cells);
+    for _ in 0..cells {
+        class_of.push(dec.usize()?);
+    }
+    let classes = dec.len()?;
+    let mut rows = Vec::with_capacity(classes);
+    for _ in 0..classes {
         let len = dec.len()?;
         let mut row = Vec::with_capacity(len);
         for _ in 0..len {
@@ -564,8 +604,7 @@ fn snap_decode_pairs(dec: &mut snap::Dec<'_>) -> snap::SnapResult<PairStructure>
         }
         rows.push(row);
     }
-    PairStructure::from_rows(rows)
-        .ok_or_else(|| snap::SnapError::new("pair structure is not triangular"))
+    PairStructure::from_parts(class_of, rows).map_err(snap::SnapError::new)
 }
 
 impl Fo2Prepared {
@@ -618,8 +657,8 @@ impl Fo2Prepared {
                 shapes.push(shape);
             }
             let pairs = snap_decode_pairs(dec)?;
-            if pairs.sat_rows().len() != shapes.len() {
-                return Err(snap::SnapError::new("pair structure does not match cells"));
+            if pairs.class_of().len() != shapes.len() {
+                return Err(snap::SnapError::new("row class map does not match cells"));
             }
             branches.push(PreparedBranch {
                 mask,
@@ -852,5 +891,183 @@ mod tests {
         assert_eq!(prepared.shannon_branches(), 1);
         assert_eq!(prepared.branches_prepared(), 1);
         assert!(prepared.total_cells() >= 3);
+    }
+
+    #[test]
+    fn catalog_cells_fall_into_row_classes() {
+        for (sentence, cells, classes) in [
+            (catalog::table1_sentence(), 7, 4),
+            (catalog::spouse_constraint(), 7, 4),
+            (catalog::smokers_constraint(), 4, 2),
+            (catalog::forall_exists_edge(), 3, 2),
+        ] {
+            let prepared = Fo2Prepared::prepare(&sentence, &sentence.vocabulary()).unwrap();
+            assert_eq!(prepared.total_cells(), cells, "{sentence}");
+            assert_eq!(prepared.total_classes(), classes, "{sentence}");
+        }
+    }
+
+    /// `∀x (R(x,x) ∧ ∀x∀y φ)` — the inner `∀x` re-binds `x` — and its
+    /// explicitly scoped spelling normalize alike after miniscoping: no
+    /// introduced predicates, one Shannon branch, equal counts.
+    #[test]
+    fn miniscoping_normalizes_both_scopings_alike() {
+        let body = "forall x. forall y. (R(x,y) | S(x,y) | T(x,y) | U(x,y))";
+        let nested = wfomc_logic::parser::parse(&format!("forall x. R(x,x) & {body}")).unwrap();
+        let scoped = wfomc_logic::parser::parse(&format!("(forall x. R(x,x)) & ({body})")).unwrap();
+        let voc = scoped.vocabulary();
+        let nested_prepared = Fo2Prepared::prepare(&nested, &voc).unwrap();
+        let scoped_prepared = Fo2Prepared::prepare(&scoped, &voc).unwrap();
+        for prepared in [&nested_prepared, &scoped_prepared] {
+            assert_eq!(prepared.introduced_predicates(), 0);
+            assert_eq!(prepared.shannon_branches(), 1);
+            assert_eq!(prepared.total_cells(), 8);
+            assert_eq!(prepared.total_classes(), 1);
+        }
+        for weights in [
+            Weights::from_ints([("R", 0, 1), ("S", -1, 2), ("T", 2, 0), ("U", 3, -2)]),
+            Weights::from_ints([("R", -2, 3), ("S", 0, 0), ("T", 1, -1), ("U", 1, 1)]),
+        ] {
+            for n in 0..=4 {
+                let (value, _) = exact(&nested_prepared, n, &weights, false);
+                assert_eq!(
+                    value,
+                    exact(&scoped_prepared, n, &weights, false).0,
+                    "n = {n}"
+                );
+                if n <= 2 {
+                    assert_eq!(value, ground_wfomc(&nested, &voc, n, &weights), "n = {n}");
+                }
+            }
+        }
+    }
+
+    /// The branch fan-out and the mask build go parallel on estimated work,
+    /// not on `n` or the mask count: `∃y S(y)` has two branches and ten
+    /// compositions at n = 8, so its branches sum on the caller's thread.
+    #[test]
+    fn fan_outs_are_gated_on_estimated_work() {
+        let sentence = catalog::exists_unary();
+        let prepared = Fo2Prepared::prepare(&sentence, &sentence.vocabulary()).unwrap();
+        let bound = prepared.bind(&Exact, &AlgebraWeights::ones());
+        assert_eq!(bound.branches.len(), 2);
+        let compositions = |n| -> usize {
+            bound
+                .branches
+                .iter()
+                .map(|b| num_compositions(n, b.u.len()))
+                .sum()
+        };
+        assert_eq!(compositions(8), 10);
+        assert_eq!(branch_workers(&bound.branches, 8, true), 1);
+        let large = fanout::MIN_PARALLEL_WORK;
+        assert!(compositions(large) >= fanout::MIN_PARALLEL_WORK);
+        assert_eq!(
+            branch_workers(&bound.branches, large, true),
+            fanout::cores().min(2)
+        );
+        assert_eq!(branch_workers(&bound.branches, large, false), 1);
+
+        // Four masks over four binary predicates evaluate the matrix about
+        // 4·(2⁴ + 4⁴) times: too little to fan out. Six binary predicates
+        // make it 4·(2⁶ + 4⁶).
+        let binary = |b: usize| CellSpace {
+            unary: vec![],
+            binary: (0..b).map(|i| Predicate::new(format!("B{i}"), 2)).collect(),
+        };
+        assert_eq!(mask_workers(4, &binary(4)), 1);
+        assert_eq!(mask_workers(1, &binary(6)), 1);
+        assert_eq!(mask_workers(4, &binary(6)), fanout::cores().min(4));
+    }
+
+    /// Byte offset of the first branch's row class map in an encoded
+    /// prepared state.
+    fn class_map_offset(bytes: &[u8]) -> usize {
+        let mut dec = snap::Dec::new(bytes);
+        snap::decode_formula(&mut dec).unwrap();
+        for _ in 0..4 {
+            snap_decode_predicates(&mut dec).unwrap();
+        }
+        snap::decode_weights(&mut dec).unwrap();
+        snap_decode_predicates(&mut dec).unwrap();
+        assert!(dec.len().unwrap() >= 1, "at least one branch");
+        dec.u64().unwrap();
+        for _ in 0..dec.len().unwrap() {
+            snap_decode_cell(&mut dec).unwrap();
+        }
+        bytes.len() - dec.remaining()
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_corrupt_class_maps() {
+        // smokers: four cells in two row classes, class map `[k, c₀ … c₃]`.
+        let sentence = catalog::smokers_constraint();
+        let prepared = Fo2Prepared::prepare(&sentence, &sentence.vocabulary()).unwrap();
+        assert_eq!((prepared.total_cells(), prepared.total_classes()), (4, 2));
+        let mut enc = snap::Enc::new();
+        prepared.snap_encode(&mut enc);
+        let pristine = enc.into_bytes();
+        let at = class_map_offset(&pristine);
+        let entry = |i: usize| at + 8 * (1 + i);
+        let decode = |bytes: &[u8]| {
+            Fo2Prepared::snap_decode(&mut snap::Dec::new(bytes))
+                .map(|_| ())
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(Fo2Prepared::snap_decode(&mut snap::Dec::new(&pristine)).is_ok());
+
+        // A class index ≥ the number of classes.
+        let mut bytes = pristine.clone();
+        bytes[entry(0)..entry(1)].copy_from_slice(&2u64.to_le_bytes());
+        assert!(
+            decode(&bytes).contains("out of range"),
+            "{}",
+            decode(&bytes)
+        );
+        let mut bytes = pristine.clone();
+        bytes[entry(3)..entry(4)].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(
+            decode(&bytes).contains("out of range"),
+            "{}",
+            decode(&bytes)
+        );
+
+        // A class with no member: every cell in class 0.
+        let mut bytes = pristine.clone();
+        for i in 0..4 {
+            bytes[entry(i)..entry(i + 1)].copy_from_slice(&0u64.to_le_bytes());
+        }
+        assert!(
+            decode(&bytes).contains("without a member"),
+            "{}",
+            decode(&bytes)
+        );
+
+        // A map one entry short or long of the four cells, with every class
+        // still present.
+        let classes: Vec<u64> = (0..4)
+            .map(|i| u64::from_le_bytes(pristine[entry(i)..entry(i + 1)].try_into().unwrap()))
+            .collect();
+        for map in [vec![0u64, 1, 1], vec![0, 1, 1, 0, 1]] {
+            assert!(classes.contains(&0) && classes.contains(&1));
+            let mut bytes = pristine[..at].to_vec();
+            bytes.extend_from_slice(&(map.len() as u64).to_le_bytes());
+            for class in &map {
+                bytes.extend_from_slice(&class.to_le_bytes());
+            }
+            bytes.extend_from_slice(&pristine[entry(4)..]);
+            assert!(
+                decode(&bytes).contains("does not match cells"),
+                "{}",
+                decode(&bytes)
+            );
+        }
+
+        // Truncation anywhere in the class map or the class table is an
+        // error, never a panic.
+        for cut in at..pristine.len() {
+            assert!(Fo2Prepared::snap_decode(&mut snap::Dec::new(&pristine[..cut])).is_err());
+        }
     }
 }

@@ -24,7 +24,8 @@
 //! * **QS4** — the recognized sentence shape plus the factor for unused
 //!   vocabulary predicates; each count runs the `O(n²)` dynamic program.
 //! * **FO²** — the normalized sentence, Shannon branch matrices, valid cells
-//!   and satisfying cross-assignment sets ([`crate::fo2::Fo2Prepared`]);
+//!   grouped into row classes, and the satisfying cross-assignment sets of
+//!   every class pair ([`crate::fo2::Fo2Prepared`]);
 //!   each count binds the weights (cached per algebra) and runs the
 //!   cell-sum engine.
 //! * **γ-acyclic CQ** — the recognized query plus reduction tables, one per
@@ -770,11 +771,13 @@ impl Plan {
             PlanState::Fo2(prepared) => {
                 details.push(format!(
                     "FO² normal form prepared once: {} introduced predicate(s), {}/{} Shannon \
-                     branch(es) survive, {} valid cell(s), {} satisfying pair assignment(s)",
+                     branch(es) survive, {} valid cells in {} row classes, {} satisfying pair \
+                     assignment(s)",
                     prepared.introduced_predicates(),
                     prepared.branches_prepared(),
                     prepared.shannon_branches(),
                     prepared.total_cells(),
+                    prepared.total_classes(),
                     prepared.satisfying_pair_assignments(),
                 ));
                 details.push(
@@ -1247,7 +1250,7 @@ fn predicate_factor_in<A: Algebra>(
     factor
 }
 
-// ---- Snapshot codec (wfomc-snap/v1) ---------------------------------------
+// ---- Snapshot codec (wfomc-snap/v2) ---------------------------------------
 //
 // A plan serializes to a flat payload covering everything `Solver::plan`
 // computes plus the mutable caches worth keeping across restarts: the FO²
@@ -1514,7 +1517,7 @@ fn snap_decode_compiled(
 
 impl Plan {
     /// Serializes the plan's full prepared state — analysis plus the ground
-    /// lineage cache and any compiled circuits — as a `wfomc-snap/v1`
+    /// lineage cache and any compiled circuits — as a `wfomc-snap/v2`
     /// payload. The inverse is [`snap_decode`](Self::snap_decode); the
     /// weight-binding LRU and cache hit counters are not persisted (they
     /// restart cold, like a fresh plan).
@@ -2017,7 +2020,7 @@ mod tests {
         assert_eq!(report.method, Method::Fo2);
         let text = report.to_string();
         assert!(text.contains("fo2-cells"), "{text}");
-        assert!(text.contains("valid cell"), "{text}");
+        assert!(text.contains("7 valid cells in 4 row classes"), "{text}");
 
         let cq = Problem::new(catalog::chain_query(3).to_formula())
             .plan()

@@ -967,9 +967,8 @@ impl<A: Algebra> VarPairs<A> for ElemWeights<A> {
 // Generic power cache
 // ---------------------------------------------------------------------------
 
-/// A per-base cache of integer powers of a ring element — the generic
-/// counterpart of [`crate::weights::PowCache`], used by the FO² cell-sum
-/// engine. A dense table `base⁰ … base^cap` grows incrementally (one
+/// A per-base cache of integer powers of a ring element, used by the FO²
+/// cell-sum engine. A dense table `base⁰ … base^cap` grows incrementally (one
 /// multiplication per new entry); exponents beyond `cap` fall back to
 /// memoized square-and-multiply.
 pub struct Powers<A: Algebra> {

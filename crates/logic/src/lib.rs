@@ -54,7 +54,7 @@ pub use poly::Polynomial;
 pub use syntax::{Atom, Formula};
 pub use term::{Constant, Term, Variable};
 pub use vocabulary::{Predicate, Vocabulary};
-pub use weights::{PowCache, Weight, Weights};
+pub use weights::{Weight, Weights};
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
@@ -68,5 +68,5 @@ pub mod prelude {
     pub use crate::syntax::{Atom, Formula};
     pub use crate::term::{Constant, Term, Variable};
     pub use crate::vocabulary::{Predicate, Vocabulary};
-    pub use crate::weights::{PowCache, Weight, Weights};
+    pub use crate::weights::{Weight, Weights};
 }

@@ -1,4 +1,4 @@
-//! Byte-level codec primitives for the `wfomc-snap/v1` snapshot format.
+//! Byte-level codec primitives for the `wfomc-snap/v2` snapshot format.
 //!
 //! Prepared plan state (normal forms, cell tables, compiled circuits) is
 //! persisted by `wfomc-serve` as a flat binary payload so daemon restarts

@@ -51,57 +51,6 @@ pub fn weight_pow(base: &Weight, exp: usize) -> Weight {
     result
 }
 
-/// A per-base cache of integer powers of a [`Weight`].
-///
-/// The hot loops of the lifted algorithms (notably the FO² cell-sum engine)
-/// raise a small, fixed set of bases to many different exponents. A dense
-/// table `base⁰ … base^cap` is grown incrementally — each new entry is one
-/// multiplication — and exponents beyond `cap` fall back to square-and-multiply
-/// ([`weight_pow`]) with the results memoized sparsely, so every distinct
-/// power of a base is computed at most once per cache.
-///
-/// This is the exact-rational instance of the algebra-generic
-/// [`crate::algebra::Powers`] cache (one implementation, two entry points:
-/// the generic engines use `Powers` directly, exact-only callers keep this
-/// algebra-free signature).
-#[derive(Clone, Debug)]
-pub struct PowCache {
-    inner: crate::algebra::Powers<crate::algebra::Exact>,
-}
-
-impl PowCache {
-    /// Creates a cache for `base` whose dense table grows up to exponent
-    /// `cap` (inclusive).
-    pub fn new(base: Weight, cap: usize) -> Self {
-        PowCache {
-            inner: crate::algebra::Powers::new(&crate::algebra::Exact, base, cap),
-        }
-    }
-
-    /// The cached base.
-    pub fn base(&self) -> &Weight {
-        self.inner.base()
-    }
-
-    /// `base^exp`, from the dense table when `exp ≤ cap`, otherwise by
-    /// memoized square-and-multiply.
-    ///
-    /// Returns a clone; prefer [`pow_ref`](Self::pow_ref) on hot paths.
-    /// (Word-sized powers clone allocation-free since the bignum's inline
-    /// small-value representation, so the distinction only matters for
-    /// genuinely large values.)
-    pub fn pow(&mut self, exp: usize) -> Weight {
-        self.inner.pow(&crate::algebra::Exact, exp)
-    }
-
-    /// Like [`pow`](Self::pow) but borrows the cached value — hot loops
-    /// multiply two borrowed powers (or `*=` one) without ever cloning a
-    /// heap-sized rational per lookup.
-    pub fn pow_ref(&mut self, exp: usize) -> &Weight {
-        self.inner.pow_ref(&crate::algebra::Exact, exp)
-    }
-}
-
 /// The pair of weights attached to one predicate: `w` for present tuples,
 /// `w̄` ("negative weight" in the WFOMC literature) for absent tuples.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -309,18 +258,19 @@ mod tests {
 
     #[test]
     fn pow_cache_matches_weight_pow() {
+        use crate::algebra::{Exact, Powers};
         let base = weight_ratio(-3, 2);
-        let mut cache = PowCache::new(base.clone(), 8);
+        let mut cache = Powers::new(&Exact, base.clone(), 8);
         assert_eq!(cache.base(), &base);
         // Dense range, out of order; sparse fallback beyond the cap; repeats.
         for e in [0usize, 3, 1, 8, 5, 20, 100, 20, 8] {
-            assert_eq!(cache.pow(e), weight_pow(&base, e), "e = {e}");
+            assert_eq!(cache.pow(&Exact, e), weight_pow(&base, e), "e = {e}");
         }
         // Zero base: 0⁰ = 1, 0^e = 0.
-        let mut zero = PowCache::new(Weight::zero(), 4);
-        assert_eq!(zero.pow(0), Weight::one());
-        assert!(zero.pow(3).is_zero());
-        assert!(zero.pow(9).is_zero());
+        let mut zero = Powers::new(&Exact, Weight::zero(), 4);
+        assert_eq!(zero.pow(&Exact, 0), Weight::one());
+        assert!(zero.pow(&Exact, 3).is_zero());
+        assert!(zero.pow(&Exact, 9).is_zero());
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl ServeStats {
 struct ServerCtx {
     registry: PlanRegistry,
     log: Option<Mutex<RegistryLog>>,
-    /// Plan-state snapshots (`wfomc-snap/v1`), enabled alongside the log:
+    /// Plan-state snapshots (`wfomc-snap/v2`), enabled alongside the log:
     /// a `snapshots/` directory next to the registry JSONL.
     snap: Option<SnapshotStore>,
     stats: ServeStats,
@@ -175,7 +175,7 @@ pub struct Server {
 
 impl Server {
     /// Binds the listener and replays the registry log (if configured).
-    /// Each logged record first tries its `wfomc-snap/v1` snapshot — one
+    /// Each logged record first tries its `wfomc-snap/v2` snapshot — one
     /// read plus a validated decode — and only replans when the snapshot
     /// is missing, version-skewed, corrupt, or does not match the record,
     /// so the daemon serves the same plan ids (and warm caches) it did

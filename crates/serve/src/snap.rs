@@ -1,4 +1,4 @@
-//! The `wfomc-snap/v1` on-disk snapshot store for prepared plan state.
+//! The `wfomc-snap/v2` on-disk snapshot store for prepared plan state.
 //!
 //! Replay from the JSONL registry log is correct but not cheap: every
 //! logged sentence is re-planned from scratch (normal form, cell tables,
@@ -43,9 +43,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use wfomc_logic::snap::{fnv1a, Dec};
 
-/// Version of the snapshot container format. Bump on any layout change;
-/// older files then fall back to replan silently.
-pub const FORMAT_VERSION: u16 = 1;
+/// Version of the snapshot format, container and payload layout alike. Bump
+/// on any layout change; older files then fall back to replan silently.
+/// Version 2 stores FO² pair structures per row class.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// The four magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"WSNP";

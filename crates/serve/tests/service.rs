@@ -15,6 +15,7 @@ use wfomc_logic::parser::parse;
 use wfomc_serve::client::{self, Reply};
 use wfomc_serve::http::{Server, ServerConfig, ServerHandle};
 use wfomc_serve::json::Value;
+use wfomc_serve::snap::FORMAT_VERSION;
 
 /// FO² sentence (independent-set style) used throughout: every count is
 /// checked against a direct `Plan::count` on the same build.
@@ -586,25 +587,44 @@ fn version_skewed_snapshot_silently_replans() {
     handle.shutdown();
     join_promptly(daemon);
 
-    // A snapshot from a future (or past) format version: bump the version
-    // field right after the 4-byte magic.
     let snap_path = path
         .parent()
         .unwrap()
         .join("snapshots")
         .join(format!("{id}.snap"));
-    let mut bytes = std::fs::read(&snap_path).unwrap();
-    bytes[4] = bytes[4].wrapping_add(1);
-    std::fs::write(&snap_path, &bytes).unwrap();
+    // A `wfomc-snap/v1` file, written before FO² pair structures were
+    // stored per row class, and one from a future format: the version
+    // field follows the 4-byte magic. Each boot replans and rewrites the
+    // file at this build's version.
+    assert_eq!(FORMAT_VERSION, 2);
+    for version in [1u16, FORMAT_VERSION + 1] {
+        let mut bytes = std::fs::read(&snap_path).unwrap();
+        assert_eq!(bytes[4..6], FORMAT_VERSION.to_le_bytes(), "rewritten at v2");
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&snap_path, &bytes).unwrap();
 
-    let (handle, addr, daemon) = boot(Some(path.clone()));
-    assert_eq!(handle.plans(), 1, "skew costs a replan, never a plan");
-    assert_eq!(metric(addr, "snap.invalid"), 1, "skew counted as invalid");
-    assert_eq!(metric(addr, "snap.hits"), 0);
-    let reply = client::post(addr, &format!("/v1/plans/{id}/count"), r#"{"n": 4}"#).unwrap();
-    assert_eq!(str_field(&json_of(&reply), "value"), want);
-    handle.shutdown();
-    join_promptly(daemon);
+        let (handle, addr, daemon) = boot(Some(path.clone()));
+        assert_eq!(
+            handle.plans(),
+            1,
+            "v{version}: skew costs a replan, never a plan"
+        );
+        assert_eq!(
+            metric(addr, "snap.invalid"),
+            1,
+            "v{version}: counted as invalid"
+        );
+        assert_eq!(metric(addr, "snap.hits"), 0, "v{version}");
+        assert_eq!(
+            metric(addr, "snap.writes"),
+            1,
+            "v{version}: replan rewrote the file"
+        );
+        let reply = client::post(addr, &format!("/v1/plans/{id}/count"), r#"{"n": 4}"#).unwrap();
+        assert_eq!(str_field(&json_of(&reply), "value"), want, "v{version}");
+        handle.shutdown();
+        join_promptly(daemon);
+    }
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Cold-start smoke test for wfomc-snap/v1 plan-state snapshots, used by the
+# Cold-start smoke test for wfomc-snap/v2 plan-state snapshots, used by the
 # CI cold-start job and runnable locally: boots the daemon against a fresh
 # registry, registers and queries three plans — two lifted, one grounded
 # (transitivity, whose count at n = 3 compiles a d-DNNF circuit) — and shuts
