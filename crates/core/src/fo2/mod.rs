@@ -8,8 +8,9 @@
 //!    (1,−1)), and everything is conjoined into a single quantifier-free
 //!    matrix `Ψ(x, y)` under an implicit `∀x∀y`.
 //! 2. [`prepare`] — Shannon expansion over the nullary predicates, then the
-//!    1-type (cell) decomposition: enumerate the valid cells, build the
-//!    two-element table `r_{ij}`, and sum
+//!    1-type (cell) decomposition: enumerate the valid cells, group them
+//!    into row classes, build the two-element table `r_{ij}` once per class
+//!    pair, and sum
 //!    `Σ_{n₁+…+n_C = n} (n; n₁…n_C) Π_c u_c^{n_c} Π_{i≤j} r_{ij}^{…}`
 //!    over all compositions of the domain.
 //!

@@ -174,15 +174,12 @@ fn miniscope(f: &Formula) -> Formula {
             }
             // Rebuild in the original order, the quantified group standing at
             // its first member's position.
-            let first = parts
-                .iter()
-                .position(mentions)
-                .expect("v is free in the body");
-            let mut out = Vec::with_capacity(parts.len() - inside.len() + 1);
-            for (i, part) in parts.iter().enumerate() {
-                if i == first {
-                    out.push(quantify(join(inside.clone())));
-                } else if !mentions(part) {
+            let mut group = Some(quantify(join(inside)));
+            let mut out = Vec::new();
+            for part in parts {
+                if mentions(part) {
+                    out.extend(group.take());
+                } else {
                     out.push(part.clone());
                 }
             }

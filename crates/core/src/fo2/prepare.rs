@@ -31,7 +31,7 @@ use wfomc_logic::weights::Weights;
 use super::algorithm::Fo2Stats;
 use super::cells::{
     bind_cell_weights_in, bind_pair_table_in, build_cell_shapes, build_pair_structure, Cell,
-    CellSpace, PairStructure, SignatureMultiset,
+    CellSpace, PairStructure,
 };
 use super::cellsum::cell_sum_elems;
 use super::normalize::fo2_normal_form;
@@ -556,18 +556,11 @@ fn snap_decode_predicates(dec: &mut snap::Dec<'_>) -> snap::SnapResult<Vec<Predi
 }
 
 fn snap_encode_pairs(enc: &mut snap::Enc, pairs: &PairStructure) {
-    snap_encode_pair_parts(enc, pairs.class_of(), pairs.sat_rows());
-}
-
-fn snap_encode_pair_parts(
-    enc: &mut snap::Enc,
-    class_of: &[usize],
-    rows: &[Vec<SignatureMultiset>],
-) {
-    enc.usize(class_of.len());
-    for &class in class_of {
+    enc.usize(pairs.class_of().len());
+    for &class in pairs.class_of() {
         enc.usize(class);
     }
+    let rows = pairs.sat_rows();
     enc.usize(rows.len());
     for row in rows {
         enc.usize(row.len());
