@@ -132,8 +132,10 @@ impl PairStructure {
                 } else {
                     sizes[a] * sizes[a + d]
                 };
-                let per_pair: usize = signatures.iter().map(|(_, count)| *count as usize).sum();
-                total += cell_pairs * per_pair;
+                let per_pair = signatures.iter().fold(0usize, |sum, (_, count)| {
+                    sum.saturating_add(*count as usize)
+                });
+                total = cell_pairs.saturating_mul(per_pair).saturating_add(total);
             }
         }
         total
@@ -177,11 +179,13 @@ impl PairStructure {
     }
 
     /// Rebuilds a structure from decoded parts, validating the triangular
-    /// layout (`sat[a].len() == c − a`), that every class index is below `c`
+    /// layout (`sat[a].len() == c − a`), that every signature has one count
+    /// in `0..=2` per binary predicate, that every class index is below `c`
     /// and that every class has a member cell.
     pub(crate) fn from_parts(
         class_of: Vec<usize>,
         sat: Vec<Vec<SignatureMultiset>>,
+        binary: usize,
     ) -> Result<PairStructure, &'static str> {
         let classes = sat.len();
         if sat
@@ -190,6 +194,17 @@ impl PairStructure {
             .any(|(a, row)| row.len() != classes - a)
         {
             return Err("class-pair table is not triangular");
+        }
+        let well_formed = |signature: &Vec<u8>| {
+            signature.len() == binary && signature.iter().all(|&count| count <= 2)
+        };
+        if !sat
+            .iter()
+            .flatten()
+            .flatten()
+            .all(|(sig, _)| well_formed(sig))
+        {
+            return Err("signature does not match the binary predicates");
         }
         let mut seen = vec![false; classes];
         for &a in &class_of {
@@ -725,20 +740,26 @@ pub(crate) mod tests {
 
     #[test]
     fn from_parts_rejects_bad_class_maps_and_layouts() {
-        let table = || vec![vec![vec![], vec![]], vec![vec![]]];
-        assert!(PairStructure::from_parts(vec![0, 1, 1], table()).is_ok());
+        let table = |signature: Vec<u8>| vec![vec![vec![(signature, 1)], vec![]], vec![vec![]]];
+        assert!(PairStructure::from_parts(vec![0, 1, 1], table(vec![2]), 1).is_ok());
         assert_eq!(
-            PairStructure::from_parts(vec![0, 2], table()).unwrap_err(),
+            PairStructure::from_parts(vec![0, 2], table(vec![2]), 1).unwrap_err(),
             "row class index out of range"
         );
         assert_eq!(
-            PairStructure::from_parts(vec![1, 1], table()).unwrap_err(),
+            PairStructure::from_parts(vec![1, 1], table(vec![2]), 1).unwrap_err(),
             "row class without a member cell"
         );
         assert_eq!(
-            PairStructure::from_parts(vec![0, 1], vec![vec![vec![]], vec![vec![]]]).unwrap_err(),
+            PairStructure::from_parts(vec![0, 1], vec![vec![vec![]], vec![vec![]]], 1).unwrap_err(),
             "class-pair table is not triangular"
         );
+        for signature in [vec![3], vec![1, 1], vec![]] {
+            assert_eq!(
+                PairStructure::from_parts(vec![0, 1], table(signature), 1).unwrap_err(),
+                "signature does not match the binary predicates"
+            );
+        }
     }
 
     /// A random quantifier-free FO² matrix over `unary` unary predicates,

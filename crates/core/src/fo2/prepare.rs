@@ -574,7 +574,7 @@ fn snap_encode_pairs(enc: &mut snap::Enc, pairs: &PairStructure) {
     }
 }
 
-fn snap_decode_pairs(dec: &mut snap::Dec<'_>) -> snap::SnapResult<PairStructure> {
+fn snap_decode_pairs(dec: &mut snap::Dec<'_>, binary: usize) -> snap::SnapResult<PairStructure> {
     let cells = dec.len()?;
     let mut class_of = Vec::with_capacity(cells);
     for _ in 0..cells {
@@ -597,7 +597,7 @@ fn snap_decode_pairs(dec: &mut snap::Dec<'_>) -> snap::SnapResult<PairStructure>
         }
         rows.push(row);
     }
-    PairStructure::from_parts(class_of, rows).map_err(snap::SnapError::new)
+    PairStructure::from_parts(class_of, rows, binary).map_err(snap::SnapError::new)
 }
 
 impl Fo2Prepared {
@@ -649,7 +649,7 @@ impl Fo2Prepared {
                 }
                 shapes.push(shape);
             }
-            let pairs = snap_decode_pairs(dec)?;
+            let pairs = snap_decode_pairs(dec, space.binary.len())?;
             if pairs.class_of().len() != shapes.len() {
                 return Err(snap::SnapError::new("row class map does not match cells"));
             }
