@@ -88,6 +88,7 @@ pub fn gamma_acyclic_probability_in<A: Algebra>(
     probabilities: &BTreeMap<String, A::Elem>,
     guard: &Guard,
 ) -> Result<A::Elem, SolveError> {
+    wfomc_guard::failpoint(PHASE)?;
     let mut table = Table::default();
     reduce_query(query, domains, algebra, probabilities, &mut table, guard)
 }
@@ -163,6 +164,7 @@ impl CqMemo {
         weights: &AlgebraWeights<A>,
         guard: &Guard,
     ) -> Result<A::Elem, SolveError> {
+        wfomc_guard::failpoint(PHASE)?;
         let (probabilities, normalization) = tuple_probabilities(query, n, algebra, weights)?;
         let key: Vec<A::Elem> = probabilities.values().cloned().collect();
         let checked_out = memo.lock().expect("cq memo poisoned").tables.take(&key);
@@ -174,6 +176,26 @@ impl CqMemo {
         memo.misses += std::mem::take(&mut table.misses);
         memo.tables.put(key, table);
         Ok(algebra.mul(&prob?, &normalization))
+    }
+
+    /// The entries one cold count at domain size `n` leaves in a fresh
+    /// table: the residual states the reduction computes. Labels and domain
+    /// sizes key the states, never values, so the figure does not depend on
+    /// the weights; it is taken under the unweighted tuple probability 1/2.
+    /// An estimate, not a count: no failpoint fires and no guard meters it.
+    pub(crate) fn table_entries(query: &ConjunctiveQuery, n: usize) -> Result<usize, SolveError> {
+        let mut table = Table::default();
+        let unweighted = BTreeMap::new();
+        let domains = uniform(query, n);
+        reduce_query(
+            query,
+            &domains,
+            &Exact,
+            &unweighted,
+            &mut table,
+            &Guard::unarmed(),
+        )?;
+        Ok(table.memo.len())
     }
 
     /// Number of memoized residual query shapes, over all tables.
@@ -304,7 +326,6 @@ fn reduce_query<A: Algebra>(
     table: &mut Table<A::Elem>,
     guard: &Guard,
 ) -> Result<A::Elem, SolveError> {
-    wfomc_guard::failpoint(PHASE)?;
     if !query.is_self_join_free() {
         return Err(LiftError::HasSelfJoin.into());
     }

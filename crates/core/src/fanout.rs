@@ -3,32 +3,51 @@
 //! (The cell-sum DFS splits its top level with its own loop: each of its
 //! workers carries DFS caches and the sum stops at the first interrupt.)
 //!
+//! Every count-time fan-out decides its worker count through one gate,
+//! [`workers_for`], on one figure: the plan's work estimate
+//! ([`crate::plan::Plan::estimate`], in compositions of the FO² cell sum or
+//! their equivalent), summed over a batch's points, taken over an FO²
+//! count's branches, or the post-merge composition count of one cell sum.
+//! Below [`MIN_PARALLEL_WORK`] the items run inline on the caller's thread.
+//! Both costs the gate trades are measured (2-vCPU Xeon, release build):
+//! `std::thread::available_parallelism` reads cgroup files and costs
+//! 16–26 µs a call, so [`cores`] probes it once per process; spawning and
+//! joining two scoped threads costs 60–90 µs, more than a small count (a
+//! 4-point CQ batch took 122–176 µs fanned out against 23–37 µs for four
+//! sequential counts). The prepare-time Shannon-mask build gates on its own
+//! matrix-evaluation count through the same function.
+//!
 //! [`run`] evaluates `work(state, i)` for every index `i < len`. Item costs
 //! vary wildly (a hard-constraint branch prunes to nothing, one domain size
 //! dwarfs another), so the indices go through a work-stealing
 //! [`stealer::Pool`] rather than a fixed round-robin split. With one worker
 //! the items run inline, in order, on the caller's thread.
 //!
-//! Every item is contained on its own: a panic while computing item `i`
-//! becomes the `Err` payload of outcome `i` and the worker moves on, so one
-//! bad item never loses the others. Callers decide what a panic means — the
-//! plan layer reports it as `SolveError::WorkerPanicked` for that point,
-//! FO² internals resume it so the plan layer above reports it.
+//! Every item is contained on its own, inline or fanned out: a panic while
+//! computing item `i` becomes the `Err` payload of outcome `i` and the
+//! worker moves on, so one bad item never loses the others. Callers decide
+//! what a panic means — the plan layer reports it as
+//! `SolveError::WorkerPanicked` for that point, FO² internals resume it so
+//! the plan layer above reports it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::thread;
 
-/// The machine's available parallelism (1 when it cannot be queried).
+/// The machine's available parallelism (1 when it cannot be queried),
+/// probed on the first call and reused for the life of the process: the
+/// probe reads cgroup files, which costs more than a small count. A CPU
+/// quota changed while the process runs is therefore not seen. This is the
+/// crate's one caller of `std::thread::available_parallelism`.
 pub(crate) fn cores() -> usize {
-    thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |c| c.get()))
 }
 
-/// Estimated work (compositions summed, matrix evaluations) below which a
-/// fan-out costs more in thread spawns than it saves. The cell-sum engine's
-/// top-level split, its per-branch fan-out and the Shannon-mask build all
-/// gate on it.
+/// Estimated work (compositions summed, or their equivalent; matrix
+/// evaluations at prepare time) below which a fan-out costs more in thread
+/// spawns than it saves. Every fan-out gates on it through
+/// [`workers_for`].
 pub(crate) const MIN_PARALLEL_WORK: usize = 4096;
 
 /// Workers for a fan-out over `items` items whose estimated work totals

@@ -274,19 +274,14 @@ impl<'a, A: Algebra> Engine<'a, A> {
         }
     }
 
-    /// How many workers the top-level cell split should use.
+    /// How many workers the top-level cell split should use: the fan-out
+    /// gate on the compositions the DFS ranges over (after the zero-cell
+    /// drop and the merge), one task per first-cell count `m₀`.
     fn thread_count(&self, parallel: bool) -> usize {
         if !parallel || self.k < 2 || self.n < 2 {
             return 1;
         }
-        // Below a few thousand compositions the spawn overhead dominates.
-        if num_compositions(self.n, self.k) < crate::fanout::MIN_PARALLEL_WORK {
-            return 1;
-        }
-        std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1)
-            .min(self.n + 1)
+        crate::fanout::workers_for(self.n + 1, num_compositions(self.n, self.k))
     }
 
     /// Sums the decomposition one top-level count `m₀` at a time, on
@@ -874,7 +869,7 @@ mod tests {
         let n = 30;
         let engine = Engine::new(&Exact, &u, &table, n);
         assert!(num_compositions(n, engine.k) >= 4096, "k = {}", engine.k);
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let cores = crate::fanout::cores();
         assert_eq!(engine.thread_count(true), cores.min(n + 1));
         if cores >= 2 {
             assert!(engine.thread_count(true) > 1);

@@ -269,6 +269,27 @@ impl Fo2Prepared {
         self.branches.iter().map(|b| b.pairs.num_classes()).sum()
     }
 
+    /// The valid-cell count of every prepared branch, in branch order.
+    pub(crate) fn branch_cells(&self) -> Vec<usize> {
+        self.branches.iter().map(|b| b.shapes.len()).collect()
+    }
+
+    /// The work of one count at domain size `n`, in compositions: each
+    /// prepared branch's cell sum ranges over `C(n+k−1, k−1)` compositions
+    /// of `n` into its `k` valid cells (saturating). This is the cell sum's
+    /// size before any weight is bound, so it bounds every algebra's
+    /// `compositions_summed + compositions_pruned`: binding drops branches
+    /// with a zero nullary factor, and exact and polynomial counts drop
+    /// zero-weight cells and merge interchangeable ones. Log-space counts
+    /// range over every cell of every bound branch, so for them it is the
+    /// reported `compositions_total` whenever no branch is dropped.
+    pub fn estimate(&self, n: usize) -> usize {
+        self.branches
+            .iter()
+            .map(|b| num_compositions(n, b.shapes.len()))
+            .fold(0, usize::saturating_add)
+    }
+
     /// Total number of satisfying cross assignments captured by the prepared
     /// pair structures (what each weight binding sums over, grouped by
     /// signature).
@@ -418,7 +439,7 @@ impl Fo2Prepared {
         // resumed here, where the plan layer's per-point containment turns
         // it into `SolveError::WorkerPanicked`.
         let branches = &bound.branches;
-        let workers = branch_workers(branches, n, allow_parallel);
+        let workers = self.branch_workers(branches.len(), n, allow_parallel);
         let parallel_within = allow_parallel && workers < fanout::cores();
         let sums = fanout::run(branches.len(), workers, |i| {
             let b = &branches[i];
@@ -435,6 +456,16 @@ impl Fo2Prepared {
         wfomc_obs::metrics::CELLSUM_PRUNED.add(stats.compositions_pruned as u64);
         wfomc_obs::metrics::CELLSUM_CELLS_MERGED.add(stats.cells_merged as u64);
         Ok((algebra.mul(&leftover, &total), stats))
+    }
+
+    /// Workers for the cell sums of `branches` bound branches at domain
+    /// size `n`: the fan-out gate on [`estimate`](Self::estimate).
+    fn branch_workers(&self, branches: usize, n: usize, allow_parallel: bool) -> usize {
+        if allow_parallel {
+            fanout::workers_for(branches, self.estimate(n))
+        } else {
+            1
+        }
     }
 
     /// `WFOMC` on the empty domain, where the structures differ only in
@@ -489,19 +520,6 @@ fn mask_workers(total_masks: usize, space: &CellSpace) -> usize {
     let per_mask = (1usize << space.cell_bits().min(24))
         .saturating_add(1usize << (2 * space.binary.len()).min(24));
     fanout::workers_for(total_masks, total_masks.saturating_mul(per_mask))
-}
-
-/// Workers for the per-branch cell sums at domain size `n`: the estimated
-/// work is the number of compositions the branches range over.
-fn branch_workers<E>(branches: &[BoundBranchIn<E>], n: usize, allow_parallel: bool) -> usize {
-    if !allow_parallel {
-        return 1;
-    }
-    let work = branches
-        .iter()
-        .map(|b| num_compositions(n, b.u.len()))
-        .fold(0, usize::saturating_add);
-    fanout::workers_for(branches.len(), work)
 }
 
 // ---- Snapshot codec (wfomc-snap/v2) ---------------------------------------
@@ -681,7 +699,7 @@ mod tests {
     use wfomc_ground::wfomc as ground_wfomc;
     use wfomc_logic::algebra::{Exact, LogF64, LogF64xN, Poly};
     use wfomc_logic::catalog;
-    use wfomc_logic::weights::Weight;
+    use wfomc_logic::weights::{weight_int, Weight};
 
     /// The exact count with its statistics, unguarded.
     fn exact(
@@ -935,6 +953,77 @@ mod tests {
         }
     }
 
+    /// The work estimate brackets what the cell sum ranges over, on every
+    /// catalog sentence the FO² method prepares, in the exact and the
+    /// log-space algebra: exact counts may drop zero-weight cells and merge
+    /// interchangeable ones, so the estimate bounds their compositions;
+    /// log-space counts keep every cell, so without nullary predicates in
+    /// the sentence, whose zero weights are what drop a branch, it is
+    /// their composition total.
+    #[test]
+    fn estimate_brackets_the_compositions_summed() {
+        let mut sentences = vec![
+            catalog::table1_sentence(),
+            catalog::forall_exists_edge(),
+            catalog::exists_unary(),
+            catalog::spouse_constraint(),
+            catalog::smokers_constraint(),
+            catalog::qs4(),
+            catalog::k_cycle(3),
+            catalog::table1_dual_cq().to_formula(),
+            catalog::chain_query(1).to_formula(),
+            catalog::chain_query(3).to_formula(),
+            catalog::star_query(1).to_formula(),
+            catalog::star_query(3).to_formula(),
+        ];
+        sentences.extend(catalog::table2_open_problems().into_iter().map(|(_, f)| f));
+        let mut prepared_sentences = 0;
+        for sentence in &sentences {
+            let voc = sentence.vocabulary();
+            let Ok(prepared) = Fo2Prepared::prepare(sentence, &voc) else {
+                continue;
+            };
+            prepared_sentences += 1;
+            let nullary_free = voc.iter().all(|p| p.arity() > 0);
+            // Unit weights, and weights with zeros and negatives for the
+            // exact engine to drop and prune.
+            let mut mixed = Weights::ones();
+            for (i, p) in voc.iter().enumerate() {
+                mixed.set(
+                    p.name(),
+                    weight_int(i as i64 % 3),
+                    weight_int(1 - i as i64 % 2),
+                );
+            }
+            for weights in [Weights::ones(), mixed] {
+                let log_weights = AlgebraWeights::lift(&LogF64, &weights);
+                for n in 1..=8 {
+                    let estimate = prepared.estimate(n);
+                    let (_, exact_stats) = exact(&prepared, n, &weights, false);
+                    let (_, log_stats) = prepared
+                        .count_in(n, &LogF64, &log_weights, false, &Guard::unarmed())
+                        .unwrap();
+                    for stats in [&exact_stats, &log_stats] {
+                        assert!(
+                            estimate >= stats.compositions_summed + stats.compositions_pruned,
+                            "{sentence} at n = {n}: {estimate} < {stats:?}"
+                        );
+                    }
+                    if nullary_free {
+                        assert_eq!(
+                            estimate, log_stats.compositions_total,
+                            "{sentence} at n = {n}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            prepared_sentences >= 8,
+            "{prepared_sentences} FO² sentences"
+        );
+    }
+
     /// The branch fan-out and the mask build go parallel on estimated work,
     /// not on `n` or the mask count: `∃y S(y)` has two branches and ten
     /// compositions at n = 8, so its branches sum on the caller's thread.
@@ -944,22 +1033,15 @@ mod tests {
         let prepared = Fo2Prepared::prepare(&sentence, &sentence.vocabulary()).unwrap();
         let bound = prepared.bind(&Exact, &AlgebraWeights::ones());
         assert_eq!(bound.branches.len(), 2);
-        let compositions = |n| -> usize {
-            bound
-                .branches
-                .iter()
-                .map(|b| num_compositions(n, b.u.len()))
-                .sum()
-        };
-        assert_eq!(compositions(8), 10);
-        assert_eq!(branch_workers(&bound.branches, 8, true), 1);
+        assert_eq!(prepared.estimate(8), 10);
+        assert_eq!(prepared.branch_workers(2, 8, true), 1);
         let large = fanout::MIN_PARALLEL_WORK;
-        assert!(compositions(large) >= fanout::MIN_PARALLEL_WORK);
+        assert!(prepared.estimate(large) >= fanout::MIN_PARALLEL_WORK);
         assert_eq!(
-            branch_workers(&bound.branches, large, true),
+            prepared.branch_workers(2, large, true),
             fanout::cores().min(2)
         );
-        assert_eq!(branch_workers(&bound.branches, large, false), 1);
+        assert_eq!(prepared.branch_workers(2, large, false), 1);
 
         // Four masks over four binary predicates evaluate the matrix about
         // 4·(2⁴ + 4⁴) times: too little to fan out. Six binary predicates

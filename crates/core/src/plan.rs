@@ -154,6 +154,9 @@ enum PlanState {
         extra: Vec<Predicate>,
         /// Reduction tables shared across all counts of this plan.
         memo: Mutex<CqMemo>,
+        /// The table entries of one cold count at n = 1 and n = 2, probed
+        /// on the first [`Plan::estimate`].
+        table_probe: OnceLock<(usize, usize)>,
     },
     /// No lifted method applies: every count grounds (with caching).
     Ground,
@@ -243,6 +246,14 @@ impl GroundPrep {
         }
         wfomc_obs::metrics::GROUND_CACHE_LEN.set(cache.map.len() as u64);
         Ok(instance)
+    }
+
+    /// The node count of the circuit compiled at domain size `n`, when one
+    /// is cached; a lookup that leaves the LRU stamps and hit counts alone.
+    fn circuit_nodes(&self, n: usize) -> Option<usize> {
+        let cache = self.instances.lock().expect("ground cache poisoned");
+        let (instance, _) = cache.map.get(&n)?;
+        Some(instance.compiled.get()?.compiled().inner().circuit().len())
     }
 
     /// Number of groundings currently cached.
@@ -350,6 +361,7 @@ impl Plan {
                         query,
                         extra,
                         memo: Mutex::new(CqMemo::default()),
+                        table_probe: OnceLock::new(),
                     });
                 }
             }
@@ -388,6 +400,41 @@ impl Plan {
     /// The problem's default weight function.
     pub fn default_weights(&self) -> &Weights {
         &self.default_weights
+    }
+
+    /// The work of one count at domain size `n`, estimated from the
+    /// prepared state alone (no weights, no counting), in compositions of
+    /// the FO² cell sum or their equivalent. Each method's unit is scaled to
+    /// cost about one composition (a release probe at n ≤ 8 on a 2-vCPU
+    /// Xeon put an exact composition at 0.4–1.2 µs):
+    ///
+    /// * **FO²**: `Σ C(n+k−1, k−1)` over the prepared Shannon branches, `k`
+    ///   the branch's valid cells ([`Fo2Prepared::estimate`]);
+    /// * **QS4**: `n·(n+1)²`, the dynamic program's `(n+1)²` cells times
+    ///   the up to `n` terms each one sums;
+    /// * **γ-acyclic CQ**: `(n+1)` per entry of a cold reduction table,
+    ///   since rule (b) sums up to `n+1` terms per entry; the entries are
+    ///   linear through the tables of one count at n = 1 and n = 2, which
+    ///   is exact for chains and stars;
+    /// * **Ground**: an eighth of the node count of the circuit cached for
+    ///   `n` (an exact node evaluates in 60–80 ns). A domain size with no
+    ///   compiled circuit yet counts as `usize::MAX`: its first count
+    ///   grounds and compiles, which dwarfs any fan-out.
+    ///
+    /// Every count-time fan-out gates on this figure: a batch sums it over
+    /// its points and runs inline below the crate's one work threshold.
+    pub fn estimate(&self, n: usize) -> usize {
+        match &self.state {
+            PlanState::Qs4 { .. } => n.saturating_mul((n + 1).saturating_mul(n + 1)),
+            PlanState::Fo2(prepared) => prepared.estimate(n),
+            PlanState::Cq {
+                query, table_probe, ..
+            } => cq_table_entries(query, table_probe, n).saturating_mul(n + 1),
+            PlanState::Ground => self
+                .ground
+                .circuit_nodes(n)
+                .map_or(usize::MAX, |nodes| nodes.div_ceil(8)),
+        }
     }
 
     /// Symmetric WFOMC at domain size `n` under `weights` — the cheap,
@@ -482,7 +529,7 @@ impl Plan {
         cancel: Option<CancelToken>,
     ) -> Vec<Result<SolverReport, SolveError>> {
         let guard = Guard::new(limits, cancel);
-        let (workers, alone) = batch_workers(points.len());
+        let (workers, alone) = self.batch_workers(points.iter().map(|(n, _)| *n));
         let outcomes = fanout::run(points.len(), workers, |i| {
             let (n, weights) = &points[i];
             self.count_point(*n, weights, alone, &guard)
@@ -536,7 +583,7 @@ impl Plan {
             return Vec::new();
         };
         if points.iter().any(|(m, _)| *m != n) {
-            let (workers, alone) = batch_workers(points.len());
+            let (workers, alone) = self.batch_workers(points.iter().map(|(n, _)| *n));
             let outcomes = fanout::run(points.len(), workers, |i| scalar(&points[i], alone));
             return outcomes.into_iter().map(contained).collect();
         }
@@ -588,6 +635,18 @@ impl Plan {
         let lifted = AlgebraWeights::lift(&Exact, weights);
         let counted = self.count_in_guarded_point(n, &Exact, &lifted, allow_parallel, guard)?;
         Ok(self.report(counted))
+    }
+
+    /// Workers for a batch at the domain sizes `ns`, and whether each point
+    /// may fan out internally: the fan-out gate on the points' summed
+    /// [`estimate`](Self::estimate), so a small batch runs inline on the
+    /// caller's thread. Only a lone worker leaves the other cores idle.
+    fn batch_workers(&self, ns: impl Iterator<Item = usize>) -> (usize, bool) {
+        let (len, work) = ns.fold((0, 0usize), |(len, work), n| {
+            (len + 1, work.saturating_add(self.estimate(n)))
+        });
+        let workers = fanout::workers_for(len, work);
+        (workers, workers <= 1)
     }
 
     /// The report of an exact count, with the plan's cache accounting.
@@ -669,7 +728,9 @@ impl Plan {
                     ..Counted::lifted(value, Method::Fo2)
                 }
             }
-            PlanState::Cq { query, extra, memo } => Counted::lifted(
+            PlanState::Cq {
+                query, extra, memo, ..
+            } => Counted::lifted(
                 algebra.mul(
                     &CqMemo::wfomc_in(memo, query, n, algebra, weights, guard)?,
                     &predicate_factor_in(extra, n, algebra, weights),
@@ -811,10 +872,51 @@ impl Plan {
                 ));
             }
         }
+        details.push(self.estimate_formula());
         PlanReport {
             method: self.method(),
             details,
         }
+    }
+
+    /// [`estimate`](Self::estimate) as a formula in `n ≥ 1`, with its unit,
+    /// for [`explain`](Self::explain).
+    fn estimate_formula(&self) -> String {
+        let formula = match &self.state {
+            PlanState::Qs4 { .. } => {
+                "n·(n+1)² composition-equivalents (DP cells times the terms each sums)".to_string()
+            }
+            PlanState::Fo2(prepared) => {
+                let cells = prepared.branch_cells();
+                let terms: Vec<String> = cells
+                    .iter()
+                    .map(|&k| match k {
+                        0 | 1 => k.to_string(),
+                        _ => format!("C(n+{0}, {0})", k - 1),
+                    })
+                    .collect();
+                let sum = if terms.is_empty() {
+                    "0".to_string()
+                } else {
+                    terms.join(" + ")
+                };
+                format!("{sum} compositions (valid cells per Shannon branch: {cells:?})")
+            }
+            PlanState::Cq {
+                query, table_probe, ..
+            } => {
+                let one = cq_table_entries(query, table_probe, 1);
+                let step = cq_table_entries(query, table_probe, 2).saturating_sub(one);
+                format!(
+                    "(n+1)·({one} + {step}·(n−1)) composition-equivalents (n+1 per reduction \
+                     table entry; {one} entries at n = 1, {step} more per element)"
+                )
+            }
+            PlanState::Ground => "⌈nodes/8⌉ composition-equivalents of the circuit compiled at \
+                                  n; unbounded until the first count at n compiles it"
+                .to_string(),
+        };
+        format!("work estimate per count: {formula}")
     }
 
     /// The cached grounding for domain size `n` (built on first use, LRU
@@ -972,7 +1074,7 @@ impl Plan {
         algebra: &A,
     ) -> Result<Vec<A::Elem>, LiftError> {
         let guard = Guard::unarmed();
-        let (workers, alone) = batch_workers(points.len());
+        let (workers, alone) = self.batch_workers(points.iter().map(|(n, _)| *n));
         let outcomes = fanout::run(points.len(), workers, |i| {
             let (n, weights) = &points[i];
             self.count_in_guarded_point(*n, algebra, weights, alone, &guard)
@@ -1180,11 +1282,22 @@ fn limits_report(guard: &Guard, limits: &ExecutionLimits) -> Option<LimitsReport
     })
 }
 
-/// Worker count for a batch of `len` points, and whether each point may fan
-/// out internally: only a lone worker leaves the other cores idle.
-fn batch_workers(len: usize) -> (usize, bool) {
-    let workers = fanout::cores().min(len);
-    (workers, workers <= 1)
+/// The entries a cold reduction table of `query` holds after one count at
+/// domain size `n`: linear through one count's tables at n = 1 and n = 2,
+/// probed once into `probe`. Chains grow by a fixed step per element and
+/// stars not at all, so for them the line is exact.
+fn cq_table_entries(query: &ConjunctiveQuery, probe: &OnceLock<(usize, usize)>, n: usize) -> usize {
+    let &(one, two) = probe.get_or_init(|| {
+        let entries = |n| CqMemo::table_entries(query, n).unwrap_or(usize::MAX);
+        (entries(1), entries(2))
+    });
+    match n {
+        0 => 0,
+        _ => two
+            .saturating_sub(one)
+            .saturating_mul(n - 1)
+            .saturating_add(one),
+    }
 }
 
 /// One batch point's outcome with a contained panic reported as
@@ -1622,6 +1735,7 @@ impl Plan {
                     query,
                     extra,
                     memo: Mutex::new(CqMemo::default()),
+                    table_probe: OnceLock::new(),
                 }
             }
             SNAP_STATE_GROUND => PlanState::Ground,
@@ -1956,6 +2070,10 @@ mod tests {
         assert!(explain.contains("grounded-wmc"), "{explain}");
         assert!(explain.contains("compiles one d-DNNF"), "{explain}");
         assert!(explain.contains("1 grounding(s) cached"), "{explain}");
+        assert!(
+            explain.contains("work estimate per count: ⌈nodes/8⌉ composition-equivalents"),
+            "{explain}"
+        );
     }
 
     #[test]
@@ -2022,10 +2140,131 @@ mod tests {
         assert!(text.contains("fo2-cells"), "{text}");
         assert!(text.contains("7 valid cells in 4 row classes"), "{text}");
 
+        assert!(
+            text.contains("work estimate per count: C(n+6, 6) compositions (valid cells per Shannon branch: [7])"),
+            "{text}"
+        );
+
         let cq = Problem::new(catalog::chain_query(3).to_formula())
             .plan()
             .unwrap();
-        assert!(cq.explain().to_string().contains("γ-acyclic"), "cq explain");
+        let text = cq.explain().to_string();
+        assert!(text.contains("γ-acyclic"), "{text}");
+        assert!(
+            text.contains("work estimate per count: (n+1)·(7 + 4·(n−1)) composition-equivalents"),
+            "{text}"
+        );
+        let qs4 = Problem::new(catalog::qs4()).plan().unwrap();
+        let text = qs4.explain().to_string();
+        assert!(text.contains("work estimate per count: n·(n+1)²"), "{text}");
+    }
+
+    /// The batch gate sums the plan's estimate over the points: batches
+    /// the size of a served request run inline on the caller's thread,
+    /// where each point may still split its own count, and large ones fan
+    /// out over the cores.
+    #[test]
+    fn batch_workers_gate_on_the_summed_estimate() {
+        let inline = (1, true);
+        for sentence in [
+            catalog::table1_sentence(),
+            catalog::spouse_constraint(),
+            catalog::smokers_constraint(),
+            catalog::forall_exists_edge(),
+            catalog::exists_unary(),
+        ] {
+            let plan = Problem::new(sentence).plan().unwrap();
+            assert_eq!(plan.method(), Method::Fo2);
+            assert_eq!(plan.batch_workers([6; 4].into_iter()), inline);
+            assert_eq!(plan.batch_workers([3, 4, 5, 6].into_iter()), inline);
+        }
+        for query in [catalog::chain_query(3), catalog::star_query(3)] {
+            let plan = Problem::new(query.to_formula()).plan().unwrap();
+            assert_eq!(plan.method(), Method::GammaAcyclicCq);
+            assert_eq!(plan.batch_workers([8; 4].into_iter()), inline);
+        }
+        let qs4 = Problem::new(catalog::qs4()).plan().unwrap();
+        assert_eq!(qs4.batch_workers([8; 4].into_iter()), inline);
+
+        let cores = fanout::cores();
+        let table1 = Problem::new(catalog::table1_sentence()).plan().unwrap();
+        assert_eq!(
+            table1.batch_workers([30; 4].into_iter()),
+            (cores.min(4), cores <= 1)
+        );
+        assert_eq!(table1.batch_workers([30].into_iter()), inline);
+
+        // A grounding not compiled yet outweighs any fan-out; once cached,
+        // its circuit is small.
+        let ground = Problem::new(catalog::transitivity()).plan().unwrap();
+        assert_eq!(ground.estimate(2), usize::MAX);
+        assert_eq!(
+            ground.batch_workers([2; 2].into_iter()),
+            (cores.min(2), cores <= 1)
+        );
+        let _ = ground.count(2, &Weights::ones()).unwrap();
+        assert!(ground.estimate(2) < fanout::MIN_PARALLEL_WORK / 4);
+        assert_eq!(ground.batch_workers([2; 4].into_iter()), inline);
+    }
+
+    /// A batch past the work threshold still fans out, and its exact values
+    /// and log bits equal sequential counts: QS4 at n = 16 and 17 is
+    /// estimated at 4 624 and 5 508 compositions a point.
+    #[test]
+    fn fanned_out_batches_match_sequential_counts() {
+        use wfomc_logic::algebra::LogF64;
+        let plan = Problem::new(catalog::qs4()).plan().unwrap();
+        let points: Vec<(usize, Weights)> = [(16, 2), (17, 3), (16, -1), (17, 5)]
+            .into_iter()
+            .map(|(n, w)| (n, Weights::from_ints([("S", w, 2)])))
+            .collect();
+        let cores = fanout::cores();
+        assert_eq!(
+            plan.batch_workers(points.iter().map(|(n, _)| *n)),
+            (cores.min(points.len()), cores <= 1)
+        );
+        let batch = plan.count_batch_results(&points);
+        for (report, (n, w)) in batch.iter().zip(&points) {
+            assert_eq!(
+                report.as_ref().unwrap().value,
+                plan.count(*n, w).unwrap().value,
+                "n = {n}"
+            );
+        }
+        let lifted: Vec<_> = points
+            .iter()
+            .map(|(n, w)| (*n, AlgebraWeights::lift(&LogF64, w)))
+            .collect();
+        let logs = plan.count_batch_log(&points);
+        let ins = plan.count_batch_in(&lifted, &LogF64).unwrap();
+        for (((n, w), log), batch_in) in lifted.iter().zip(&logs).zip(&ins) {
+            let scalar = plan.count_in(*n, &LogF64, w).unwrap();
+            for got in [log.as_ref().unwrap(), batch_in] {
+                assert_eq!(got.signum(), scalar.signum(), "n = {n}");
+                assert_eq!(got.ln_abs().to_bits(), scalar.ln_abs().to_bits(), "n = {n}");
+            }
+        }
+    }
+
+    /// The CQ estimate's table entries equal the entries one cold count
+    /// leaves in the memo, on chains and stars.
+    #[test]
+    fn cq_table_entries_match_a_cold_count() {
+        for query in (2..=5)
+            .map(catalog::chain_query)
+            .chain((2..=4).map(catalog::star_query))
+        {
+            let probe = OnceLock::new();
+            for n in 1..=8 {
+                let plan = Problem::new(query.to_formula()).plan().unwrap();
+                let _ = plan.count(n, &Weights::ones()).unwrap();
+                assert_eq!(
+                    cq_table_entries(&query, &probe, n),
+                    plan.cache_stats().cq_memo_len,
+                    "{query:?} at n = {n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -285,6 +285,17 @@ fn forced_worker_panics_are_contained_per_point() {
             assert_contained(result.as_ref().map(|_| ()));
         }
     }
+    // These batches are small enough to run inline on this thread. Past
+    // the work threshold (table1 at n = 30: about 1.9 million compositions
+    // a point) a batch fans out over the cores, and a panic on a worker
+    // thread is contained per point as well.
+    let large: Vec<(usize, Weights)> = vec![(30, Weights::ones()), (31, Weights::ones())];
+    for result in plan.count_batch_results(&large) {
+        assert_contained(result.as_ref().map(|_| ()));
+    }
+    for result in plan.count_batch_log(&large) {
+        assert_contained(result.as_ref().map(|_| ()));
+    }
     // Containment never poisons the plan: disarm and the same batches are
     // clean, the log ones bit-identical to scalar log-space counts.
     clear_failpoints();
